@@ -1,4 +1,4 @@
-"""Noise models and exact sector-probability tables by exhaustive enumeration.
+"""Noise models and exact sector-probability tables.
 
 The central objects are SectorDistribution tables: the exact probability that
 a random error lands in each (syndrome, logical-parity) sector. For
@@ -6,30 +6,30 @@ independent bit/phase flips the X and Z error species factorize and each side
 is a table over (b, kz) or (a, kx); a general single-qubit Pauli channel
 correlates the species and needs the joint table over (a, b, kx, kz).
 
-Enumeration is exact and vectorized: the sector label of an error string is
-F2-linear in its bits, so per-bit label contributions are XOR-folded into a
-label array (iterative doubling), weights come from a popcount lookup, and
-numpy.bincount accumulates each fixed-size chunk. Chunks are merged in index
-order whatever the worker count, so results are bit-identical for any
-thread_count.
+Factorized tables come from exact integer coset weight enumerators: the
+sector label of an error string is F2-linear in its bits, so by MacWilliams
+duality the number of weight-w strings in each sector follows from the 2^m
+combinations of the m label functionals (Krawtchouk polynomials and a
+Walsh–Hadamard transform) rather than from the 2^n strings. A probability
+is then a positive sum over weights, with no cancellation. The joint table
+still walks all 4^n (Ex, Ez) pairs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
 from .css import CssCode, SectorKey, TooLarge, code_hash
 from .gf2 import BitVector
 
-MAX_FACTORIZED_QUBITS = 26  # 2^n single-species error strings
+MAX_LABEL_BITS = 20  # 2^m label combinations per coset enumerator
+MAX_SUPPORT_BITS = 63  # functional supports are packed into uint64
 MAX_JOINT_QUBITS = 13  # 4^n (Ex, Ez) pairs
-_CHUNK_BITS = 20  # fixed chunk grid; must not depend on thread_count
 
 MODE_X = "factorized-x"
 MODE_Z = "factorized-z"
@@ -158,67 +158,101 @@ def _z_side_functionals(code: CssCode):
     return rows, {"a": code.rank_x, "kx": code.k}
 
 
-def _enumerate_labels(n: int, label_cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Label and popcount arrays for the low-chunk error indices."""
-    ch_bits = min(n, _CHUNK_BITS)
-    labels = np.zeros(1 << ch_bits, dtype=np.uint64)
-    for i in range(ch_bits):
-        half = 1 << i
-        labels[half : 2 * half] = labels[:half] ^ label_cols[i]
-    pop = np.bitwise_count(np.arange(1 << ch_bits, dtype=np.uint64)).astype(np.int64)
-    return labels, pop
+def _krawtchouk_table(n: int) -> np.ndarray:
+    """K[d, w] = Σ_j (−1)^j C(d, j) C(n−d, w−j), the Krawtchouk polynomial.
+
+    K_w(d; n) is the signed count of weight-w strings against a fixed
+    weight-d support: Σ_{|E|=w} (−1)^<s, E> for any s with |s| = d.
+    """
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for d in range(n + 1):
+        row = [0] * (n + 1)
+        for j in range(d + 1):
+            signed = -math.comb(d, j) if j & 1 else math.comb(d, j)
+            for i in range(n - d + 1):
+                row[i + j] += signed * math.comb(n - d, i)
+        table[d] = row
+    return table
 
 
-def _accumulate_chunks(n, label_cols, wtab, table_size, threads):
-    """Sum bincounts over the fixed chunk grid, folded in chunk order."""
-    ch_bits = min(n, _CHUNK_BITS)
-    labels_low, pop_low = _enumerate_labels(n, label_cols)
-    n_chunks = 1 << (n - ch_bits)
-
-    def one_chunk(hi: int) -> np.ndarray:
-        hi_label = np.uint64(0)
-        hi_pop = 0
-        for j in range(n - ch_bits):
-            if (hi >> j) & 1:
-                hi_label ^= label_cols[ch_bits + j]
-                hi_pop += 1
-        weights = wtab[pop_low + hi_pop]
-        labels = (labels_low ^ hi_label).view(np.int64)  # bincount wants signed
-        return np.bincount(labels, weights=weights, minlength=table_size)
-
-    total = np.zeros(table_size, dtype=np.float64)
-    if threads <= 1 or n_chunks == 1:
-        for hi in range(n_chunks):
-            total += one_chunk(hi)
-        return total
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(one_chunk, range(n_chunks)):
-            total += part  # pool.map preserves submission order
-    return total
+def _walsh_hadamard(a: np.ndarray) -> None:
+    """In-place unnormalized Walsh–Hadamard transform along axis 0."""
+    size = a.shape[0]
+    half = 1
+    while half < size:
+        pairs = a.reshape(size // (2 * half), 2, half, -1)
+        top = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
+        half *= 2
 
 
-def _factorized_distribution(code, p, rows, widths, mode, noise, threads):
-    n = code.n
-    if n > MAX_FACTORIZED_QUBITS:
+def _check_enumerator_size(n: int, m: int) -> None:
+    """Raise TooLarge unless the enumerator's arrays and int64 sums fit."""
+    if m > MAX_LABEL_BITS:
         raise TooLarge(
-            f"factorized enumeration bound is n <= {MAX_FACTORIZED_QUBITS}, "
-            f"got n = {n}"
+            f"coset enumerator bound is m <= {MAX_LABEL_BITS} label bits, "
+            f"got m = {m} (n = {n})"
         )
-    label_cols = _label_columns(rows, n)
-    wtab = np.array([error_weight_prob(w, n, p) for w in range(n + 1)])
-    table_bits = sum(widths.values())
-    probs = _accumulate_chunks(n, label_cols, wtab, 1 << table_bits, threads)
+    if n > MAX_SUPPORT_BITS:
+        raise TooLarge(
+            f"coset enumerator packs supports in 64 bits, so n <= "
+            f"{MAX_SUPPORT_BITS}; got n = {n} (m = {m})"
+        )
+    if (1 << m) * math.comb(n, n // 2) >= 1 << 63:
+        raise TooLarge(
+            f"coset enumerator needs 2^m * C(n, n/2) < 2^63 for int64 sums; "
+            f"got m = {m}, n = {n}"
+        )
 
+
+def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
+    """A[label, w]: the number of weight-w error strings with each label.
+
+    rows are the m packed label functionals, functional j at label bit j,
+    and must be linearly independent. By MacWilliams duality, A is 2^-m
+    times the Walsh–Hadamard transform over u ∈ F2^m of K_w(|Σ u_j row_j|),
+    so the cost scales with 2^m combinations, not 2^n strings, and every
+    step is exact int64 arithmetic.
+    """
+    m = len(rows)
+    _check_enumerator_size(n, m)
+    supports = np.zeros(1 << m, dtype=np.uint64)
+    for j, bits in enumerate(rows):
+        half = 1 << j
+        supports[half : 2 * half] = supports[:half] ^ np.uint64(bits)
+    counts = _krawtchouk_table(n)[np.bitwise_count(supports)]
+    _walsh_hadamard(counts)
+    if np.any(counts & ((1 << m) - 1)):
+        raise InternalInvariantError(
+            f"Walsh–Hadamard sums not divisible by 2^{m}"
+        )
+    counts >>= m
+    if counts.min() < 0:
+        raise InternalInvariantError("negative coset weight count")
+    if np.any(counts.sum(axis=1, dtype=np.uint64) != np.uint64(1 << (n - m))):
+        raise InternalInvariantError(f"a coset does not hold 2^{n - m} strings")
+    binomials = np.array([math.comb(n, w) for w in range(n + 1)], dtype=np.uint64)
+    if np.any(counts.sum(axis=0, dtype=np.uint64) != binomials):
+        raise InternalInvariantError("weight-w counts do not sum to C(n, w)")
+    return counts
+
+
+def _factorized_distribution(code, p, rows, widths, mode, noise):
+    n = code.n
+    counts = _coset_enumerator(rows, n)
+    wtab = np.array([error_weight_prob(w, n, p) for w in range(n + 1)])
+    probs = (counts.astype(np.float64) @ wtab).tolist()
+
+    # label = high << k | low, so high-major order lists the labels ascending
     k = code.k
-    table: Dict[SectorKey, float] = {}
-    for idx in range(1 << table_bits):
-        low = BitVector(k, idx & ((1 << k) - 1))
-        high = BitVector(table_bits - k, idx >> k)
-        if mode == MODE_X:
-            key = SectorKey(b=high, kz=low)
-        else:
-            key = SectorKey(a=high, kx=low)
-        table[key] = float(probs[idx])
+    lows = [BitVector(k, i) for i in range(1 << k)]
+    highs = [BitVector(len(rows) - k, h) for h in range(1 << (len(rows) - k))]
+    if mode == MODE_X:
+        keys = [SectorKey(b=high, kz=low) for high in highs for low in lows]
+    else:
+        keys = [SectorKey(a=high, kx=low) for high in highs for low in lows]
+    table = dict(zip(keys, probs))
     dist = SectorDistribution(
         code_hash=code_hash(code),
         n=n,
@@ -235,15 +269,16 @@ def _factorized_distribution(code, p, rows, widths, mode, noise, threads):
 def sector_distribution_x(code: CssCode, px: float, threads: int = 1) -> SectorDistribution:
     """Exact (b, kz) table for independent X errors at rate px.
 
-    Enumerates all 2^n X-error strings; n ≤ 26. The table has exactly
-    2^(rank_z + k) entries (each sector is realized by 2^rank_x strings)
-    and sums to 1 within 1e-12.
+    Evaluates the coset weight enumerator over m = rank_z + k label bits;
+    m ≤ MAX_LABEL_BITS. The table has exactly 2^m entries (each sector is
+    realized by 2^(n − m) strings) and sums to 1 within 1e-12. threads is
+    accepted for compatibility and has no effect.
     """
     if not 0.0 <= px <= 1.0:
         raise ValueError(f"px = {px} is not a probability")
     rows, widths = _x_side_functionals(code)
     return _factorized_distribution(
-        code, px, rows, widths, MODE_X, {"px": px}, threads
+        code, px, rows, widths, MODE_X, {"px": px}
     )
 
 
@@ -253,7 +288,7 @@ def sector_distribution_z(code: CssCode, pz: float, threads: int = 1) -> SectorD
         raise ValueError(f"pz = {pz} is not a probability")
     rows, widths = _z_side_functionals(code)
     return _factorized_distribution(
-        code, pz, rows, widths, MODE_Z, {"pz": pz}, threads
+        code, pz, rows, widths, MODE_Z, {"pz": pz}
     )
 
 

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 computational bound exceeded, 2 input error,
 3 internal invariant violation. Every CSV artifact starts with `#` provenance
-lines (tool version, command, code hash, parameters); JSON artifacts carry
-the same data in a "provenance" object. Infinity is always emitted as the
-literal string "inf", never a floating special.
+lines (tool version, command, code hash, parameters, and for sweeps the
+engine that built the tables); JSON artifacts carry the same data in a
+"provenance" object. Infinity and NaN are always emitted as the literal
+strings "inf" and "nan", never as floating specials.
 """
 
 from __future__ import annotations
@@ -117,6 +118,15 @@ def _provenance(command: str, selector: str, code: CssCode, params: Dict) -> Lis
     ]
 
 
+def _json_cell(value: float) -> Union[float, str]:
+    """Finite floats as numbers; infinity and NaN as the strings "inf"/"nan"."""
+    if math.isinf(value):
+        return "inf"
+    if math.isnan(value):
+        return "nan"
+    return value
+
+
 def _emit_table(
     out: Optional[str],
     fmt: str,
@@ -134,9 +144,7 @@ def _emit_table(
         payload = {
             "provenance": provenance,
             "columns": columns,
-            "rows": [
-                ["inf" if math.isinf(v) else v for v in row] for row in rows
-            ],
+            "rows": [[_json_cell(v) for v in row] for row in rows],
         }
         text = json.dumps(payload, indent=1) + "\n"
     if out in (None, "-"):
@@ -170,9 +178,11 @@ def _sweep_rows(
     threads: int,
     k0: BitVector,
     k0p: BitVector,
-) -> Tuple[List[str], List[List[float]]]:
+) -> Tuple[List[str], List[List[float]], List[str]]:
+    """(columns, rows, bound-chain violations tagged with their p)."""
     columns = SWEEP_COLUMNS + (JOINT_EXTRA_COLUMNS if spec.joint else [])
     rows = []
+    violations = []
     for p in grid:
         if spec.joint:
             noise = spec.rates_at(p)
@@ -193,7 +203,20 @@ def _sweep_rows(
             [p_x, p_z, report.ic_bits, report.ml, report.sampling,
              report.jensen_lower, rel] + extra
         )
-    return columns, rows
+        violations += [f"p={p}: {v}" for v in report.violations]
+    return columns, rows, violations
+
+
+def _engine_line(code: CssCode, joint: bool) -> str:
+    """Provenance line naming the table engine and the work it does per point."""
+    if joint:
+        return f"engine: joint-pairs n={code.n} pairs={4 ** code.n}"
+    m_x = code.rank_z + code.k
+    m_z = code.rank_x + code.k
+    return (
+        f"engine: coset-enumerator n={code.n} m_x={m_x} m_z={m_z} "
+        f"combinations={2 ** m_x + 2 ** m_z}"
+    )
 
 
 def _default_shift(code: CssCode) -> Tuple[BitVector, BitVector]:
@@ -215,15 +238,20 @@ def _run_sweep(args: argparse.Namespace, command: str) -> int:
         k0p = BitVector(width, args.k0p)
     else:
         k0, k0p = _default_shift(code)
-    columns, rows = _sweep_rows(code, grid, spec, args.threads, k0, k0p)
+    columns, rows, violations = _sweep_rows(
+        code, grid, spec, args.threads, k0, k0p
+    )
     params = {
         "p_start": args.p_start, "p_stop": args.p_stop, "points": args.points,
         "noise": spec.describe(), "threads": args.threads,
         "rel_shift": (k0 ^ k0p).to01(),
     }
     prov = _provenance(command, args.code, code, params)
+    prov.append(_engine_line(code, spec.joint))
     _emit_table(args.out, args.format, prov, columns, rows)
-    return EXIT_OK
+    for line in violations:
+        print(f"bound violation: {line}", file=sys.stderr)
+    return EXIT_INTERNAL if violations else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

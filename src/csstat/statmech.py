@@ -29,7 +29,8 @@ from .channels import PauliNoise, sector_distribution_x, sector_distribution_z
 from .css import CssCode, SectorKey, TooLarge, representative_x, representative_z
 from .gf2 import BitMatrix, BitVector, kernel_basis
 
-MAX_EXACT_SPINS = 24
+MAX_EXACT_SPINS = 24  # partition_exact streams 2^spins configurations
+MAX_OBSERVABLE_SPINS = 18  # exact_observables holds them all in memory
 _CHUNK = 1 << 20
 
 SPECIES_X = "x"
@@ -309,12 +310,15 @@ def exact_observables(model: SmModel, beta: float):
     H = -sum_t sign_t * prod(spins), the energy the mc module samples; the
     Boltzmann weight is exp(-beta*H). Correlations <s_i s_j> give an exact
     overlap oracle: for independent replicas <q**2> is the mean of their
-    squares. Dense enumeration, so limited to small models.
+    squares. Dense enumeration, so limited to MAX_OBSERVABLE_SPINS spins.
     """
     if model.species == SPECIES_COUPLED:
         raise ValueError("exact_observables handles single-register models only")
-    if model.num_spins > 18:
-        raise TooLarge("exact_observables stores all configurations; <= 18 spins")
+    if model.num_spins > MAX_OBSERVABLE_SPINS:
+        raise TooLarge(
+            f"exact_observables stores all 2**{model.num_spins} configurations; "
+            f"limit is {MAX_OBSERVABLE_SPINS} spins"
+        )
     masks, _ = _term_arrays(model, Couplings.uniform(1.0))
     signs = np.array([t.sign for t in model.terms], dtype=np.float64)
     total = 1 << model.num_spins

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from csstat.channels import (
@@ -19,10 +20,27 @@ from csstat.channels import (
     sector_distribution_x,
     sector_distribution_z,
     to_json_dict,
+    _check_enumerator_size,
+    _coset_enumerator,
+    _x_side_functionals,
+    _z_side_functionals,
 )
 from csstat.css import TooLarge
 from csstat.info import coherent_information_factorized
-from csstat.zoo import four22, steane, surface2d, toric2d
+from csstat.statmech import kw_check
+from csstat.zoo import color666, four22, steane, surface2d, toric2d
+
+
+def brute_force_enumerator(rows, n):
+    """(label, weight) bincount over all 2^n strings; label bit j = <row_j, E>."""
+    errors = np.arange(1 << n, dtype=np.uint64)
+    labels = np.zeros(errors.shape, dtype=np.int64)
+    for j, row in enumerate(rows):
+        parity = np.bitwise_count(errors & np.uint64(row)) & np.uint8(1)
+        labels |= parity.astype(np.int64) << j
+    weights = np.bitwise_count(errors).astype(np.int64)
+    flat = np.bincount(labels * (n + 1) + weights, minlength=(n + 1) << len(rows))
+    return flat.reshape(1 << len(rows), n + 1)
 
 
 def test_tables_are_dense_and_normalized():
@@ -125,13 +143,51 @@ def test_marginal_of_non_canonical_fields():
     assert abs(only_b.total() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "code",
+    [steane(), four22(), toric2d(2), toric2d(3), color666(3, 3), surface2d(3, 4)],
+    ids=["steane", "four22", "toric2d:2", "toric2d:3", "color666:3x3",
+         "surface2d:3x4"],
+)
+def test_coset_enumerator_matches_brute_force(code):
+    for functionals in (_x_side_functionals, _z_side_functionals):
+        rows, _ = functionals(code)
+        counts = _coset_enumerator(rows, code.n)
+        assert np.array_equal(counts, brute_force_enumerator(rows, code.n))
+        m = len(rows)
+        assert counts.shape == (1 << m, code.n + 1)
+        assert np.all(counts.sum(axis=1) == 1 << (code.n - m))
+        binomials = [math.comb(code.n, w) for w in range(code.n + 1)]
+        assert counts.sum(axis=0).tolist() == binomials
+
+
+def test_enumerator_reaches_toric2d_4():
+    # n = 32: four billion strings per species, but only 2^17 label
+    # combinations for the coset enumerator
+    code = toric2d(4)
+    assert code.n == 32 and code.rank_z + code.k == 17
+    assert kw_check(code, 0.8).summed_residual < 1e-12
+
+
 def test_size_guards():
-    with pytest.raises(TooLarge):
-        sector_distribution_x(toric2d(8), 0.1)  # n = 128
+    with pytest.raises(TooLarge, match="m = 65"):
+        # the guard is on what the enumerator costs: m = rank_z + k = 65
+        # label bits exceeds MAX_LABEL_BITS, reported before n = 128
+        sector_distribution_x(toric2d(8), 0.1)
     with pytest.raises(TooLarge):
         sector_distribution_joint(
             toric2d(3), PauliNoise(0.01, 0.01, 0.01)
         )  # n = 18 > 13
+
+
+@pytest.mark.parametrize(
+    "n, m, limit",
+    [(40, 21, "m <= 20"), (64, 3, "n <= 63"), (50, 20, "int64")],
+)
+def test_enumerator_guards_name_m(n, m, limit):
+    with pytest.raises(TooLarge, match=limit) as exc:
+        _check_enumerator_size(n, m)
+    assert f"m = {m}" in str(exc.value)
 
 
 def test_noise_validation():

@@ -1,9 +1,11 @@
 """Command-line surface: schemas, exit codes, provenance, round-trips."""
 
+import dataclasses
 import json
 
 import pytest
 
+from csstat import info
 from csstat.cli import main, parse_noise
 from csstat.statmech import load_model_json, nishimori_beta, partition_exact
 from csstat.zoo import four22
@@ -108,6 +110,64 @@ def test_json_format_tags_infinity(capsys):
     row = payload["rows"][0]
     assert row[payload["columns"].index("rel_entropy_bits")] == "inf"
     assert payload["provenance"][1] == "command: ic-sweep"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_json_format_tags_nan(capsys):
+    # one replica has no overlap estimate: ea_overlap and ea_err are NaN
+    code, out, _ = run(
+        capsys, "mc", "steane", "--p-start", "0.1", "--p-stop", "0.1",
+        "--points", "1", "--samples", "1", "--sweeps", "40",
+        "--burn-in", "8", "--replicas", "1", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    row = payload["rows"][0]
+    assert row[payload["columns"].index("ea_overlap")] == "nan"
+    assert row[payload["columns"].index("ea_err")] == "nan"
+
+
+@pytest.mark.parametrize(
+    "argv, engine",
+    [
+        (("--code", "steane"),
+         "engine: coset-enumerator n=7 m_x=4 m_z=4 combinations=32"),
+        (("--code", "four22", "--noise", "depolarizing"),
+         "engine: joint-pairs n=4 pairs=256"),
+    ],
+    ids=["factorized", "joint"],
+)
+def test_sweep_provenance_names_engine(capsys, argv, engine):
+    sweep = ("ic-sweep", *argv, "--p-start", "0.1", "--p-stop", "0.1",
+             "--points", "1")
+    code, out, _ = run(capsys, *sweep)
+    assert code == 0
+    provenance = [l for l in out.splitlines() if l.startswith("#")]
+    assert len(provenance) == 5
+    assert provenance[4] == f"# {engine}"
+    code, out, _ = run(capsys, *sweep, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["provenance"][4] == engine
+
+
+def test_bound_violation_exits_internal(capsys, monkeypatch):
+    real = info.bound_report
+
+    def violated(dist, k):
+        return dataclasses.replace(real(dist, k), violations=("ml 1.5 exceeds 1",))
+
+    monkeypatch.setattr(info, "bound_report", violated)
+    code, out, err = run(
+        capsys, "ic-sweep", "--code", "steane",
+        "--p-start", "0.1", "--p-stop", "0.2", "--points", "2",
+    )
+    assert code == 3
+    assert "ml 1.5 exceeds 1" in err
+    assert err.count("bound violation") == 2  # one per grid point
+    assert len(csv_body(out)[1]) == 2  # the table is still written
 
 
 def test_output_file(tmp_path, capsys):
