@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -99,13 +99,24 @@ def error_weight_prob(weight: int, n: int, p: float) -> float:
     return math.exp(weight * math.log(p) + (n - weight) * math.log1p(-p))
 
 
-@dataclass(frozen=True)
+# Packed sector label: from the lowest bit up, the bits of kz, b, kx and a
+# (each field's bit 0 first), skipping absent fields. The N-d view therefore
+# has one axis per present field in C order (a, kx, b, kz).
+AXES = ("a", "kx", "b", "kz")
+SYNDROME_FIELDS = ("a", "b")
+
+
+@dataclass(frozen=True, eq=False)
 class SectorDistribution:
     """Exact probability table over sector labels.
 
-    mode fixes which SectorKey fields are populated: factorized-x uses
-    (b, kz), factorized-z uses (a, kx), joint all four. Tables are dense:
-    every realizable sector appears, including zero-probability ones.
+    mode fixes which SectorKey fields are present: factorized-x uses
+    (b, kz), factorized-z uses (a, kx), joint all four. table is a read-only
+    float64 array of length 2^(Σ widths), one entry per realizable sector
+    (zero-probability ones included), indexed by the packed label: kz in the
+    lowest bits, then b, kx and a. view() gives one axis per present field in
+    (a, kx, b, kz) order and by_syndrome() a (syndrome, logical) matrix;
+    index() and keys() convert to and from SectorKey at the edges.
     """
 
     code_hash: str
@@ -113,16 +124,63 @@ class SectorDistribution:
     k: int
     mode: str
     widths: Dict[str, int]  # field name -> bit width, in (a, b, kx, kz) order
-    table: Dict[SectorKey, float]
+    table: np.ndarray
     noise: Dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        table = np.asarray(self.table, dtype=np.float64).view()
+        size = 1 << sum(self.widths.values())
+        if table.shape != (size,):
+            raise ValueError(f"table has shape {table.shape}, expected ({size},)")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    @property
+    def axes(self) -> Tuple[str, ...]:
+        """Present fields in view() axis order."""
+        return tuple(name for name in AXES if name in self.widths)
+
+    def view(self) -> np.ndarray:
+        """The table with one axis of length 2^width per field in `axes`."""
+        return self.table.reshape([1 << self.widths[f] for f in self.axes])
+
+    def by_syndrome(self) -> np.ndarray:
+        """(syndrome, logical) matrix: rows over the present (a, b) fields,
+        a-major, and columns over the present (kx, kz) fields, kx-major."""
+        axes = self.axes
+        syn = [i for i, f in enumerate(axes) if f in SYNDROME_FIELDS]
+        log = [i for i, f in enumerate(axes) if f not in SYNDROME_FIELDS]
+        rows = 1 << sum(self.widths[axes[i]] for i in syn)
+        return self.view().transpose(syn + log).reshape(rows, -1)
+
+    def index(self, key: SectorKey) -> int:
+        """Table index of key's sector; key fields the table lacks are ignored."""
+        cell = []
+        for name in self.axes:
+            vec = getattr(key, name)
+            if vec is None or vec.n != self.widths[name]:
+                raise ValueError(f"key field {name} is not {self.widths[name]} bits")
+            cell.append(vec.bits)
+        return int(np.ravel_multi_index(cell, self.view().shape))
+
+    def keys(self) -> List[SectorKey]:
+        """SectorKey of every table entry, in index order."""
+        axes = self.axes
+        cells = np.unravel_index(np.arange(len(self.table)), self.view().shape)
+        return [
+            SectorKey(**{f: BitVector(self.widths[f], v) for f, v in zip(axes, cell)})
+            for cell in zip(*(c.tolist() for c in cells))
+        ]
+
     def total(self) -> float:
-        return math.fsum(self.table.values())
+        return math.fsum(self.table.tolist())
 
     def check(self) -> None:
-        for key, p in self.table.items():
-            if p < 0.0:
-                raise InternalInvariantError(f"negative probability at {key}")
+        negative = np.flatnonzero(self.table < 0.0)
+        if negative.size:
+            raise InternalInvariantError(
+                f"negative probability at index {negative[0]}"
+            )
         if abs(self.total() - 1.0) > 1e-12:
             raise InternalInvariantError(
                 f"table sums to {self.total():.17g}, not 1 within 1e-12"
@@ -242,24 +300,14 @@ def _factorized_distribution(code, p, rows, widths, mode, noise):
     n = code.n
     counts = _coset_enumerator(rows, n)
     wtab = np.array([error_weight_prob(w, n, p) for w in range(n + 1)])
-    probs = (counts.astype(np.float64) @ wtab).tolist()
-
-    # label = high << k | low, so high-major order lists the labels ascending
-    k = code.k
-    lows = [BitVector(k, i) for i in range(1 << k)]
-    highs = [BitVector(len(rows) - k, h) for h in range(1 << (len(rows) - k))]
-    if mode == MODE_X:
-        keys = [SectorKey(b=high, kz=low) for high in highs for low in lows]
-    else:
-        keys = [SectorKey(a=high, kx=low) for high in highs for low in lows]
-    table = dict(zip(keys, probs))
+    # label = syndrome << k | logical is already the packed table index
     dist = SectorDistribution(
         code_hash=code_hash(code),
         n=n,
-        k=k,
+        k=code.k,
         mode=mode,
         widths=widths,
-        table=table,
+        table=counts.astype(np.float64) @ wtab,
         noise=noise,
     )
     dist.check()
@@ -362,23 +410,15 @@ def sector_distribution_joint(
             labels_x.view(np.int64), weights=weights, minlength=1 << x_bits
         )
 
-    k = code.k
-    table: Dict[SectorKey, float] = {}
-    for zi in range(1 << z_bits):
-        kx = BitVector(k, zi & ((1 << k) - 1))
-        a = BitVector(code.rank_x, zi >> k)
-        for xi in range(1 << x_bits):
-            kz = BitVector(k, xi & ((1 << k) - 1))
-            b = BitVector(code.rank_z, xi >> k)
-            table[SectorKey(a=a, b=b, kx=kx, kz=kz)] = float(probs[zi, xi])
-    widths = {"a": code.rank_x, "b": code.rank_z, "kx": k, "kz": k}
+    # row (a, kx) over column (b, kz): the flattened array is the packed index
+    widths = {"a": code.rank_x, "b": code.rank_z, "kx": code.k, "kz": code.k}
     dist = SectorDistribution(
         code_hash=code_hash(code),
         n=n,
-        k=k,
+        k=code.k,
         mode=MODE_JOINT,
         widths=widths,
-        table=table,
+        table=probs.ravel(),
         noise={"ptx": noise.ptx, "pty": noise.pty, "ptz": noise.ptz},
     )
     dist.check()
@@ -388,23 +428,16 @@ def sector_distribution_joint(
 def marginalize(dist: SectorDistribution, keep: Iterable[str]) -> SectorDistribution:
     """Sum probabilities over every sector field not in `keep`.
 
-    Accumulation follows the source table's canonical iteration order, so
-    results are deterministic. The result's mode is the canonical one when
-    the kept fields match it, else 'marginal'.
+    A sum over the dropped axes of dist.view(); the kept axes stay in
+    (a, kx, b, kz) order, so the result uses the same packed-label layout
+    over its own fields. The result's mode is the canonical one when the
+    kept fields match it, else 'marginal'.
     """
     keep_set = frozenset(keep)
     present = frozenset(dist.widths)
     if not keep_set <= present:
         raise ValueError(f"cannot keep {sorted(keep_set - present)}: absent")
-    out: Dict[SectorKey, float] = {}
-    for key, p in dist.table.items():
-        reduced = SectorKey(
-            a=key.a if "a" in keep_set else None,
-            b=key.b if "b" in keep_set else None,
-            kx=key.kx if "kx" in keep_set else None,
-            kz=key.kz if "kz" in keep_set else None,
-        )
-        out[reduced] = out.get(reduced, 0.0) + p
+    dropped = tuple(i for i, f in enumerate(dist.axes) if f not in keep_set)
     if keep_set == {"b", "kz"}:
         mode = MODE_X
     elif keep_set == {"a", "kx"}:
@@ -420,7 +453,7 @@ def marginalize(dist: SectorDistribution, keep: Iterable[str]) -> SectorDistribu
         k=dist.k,
         mode=mode,
         widths=widths,
-        table=out,
+        table=dist.view().sum(axis=dropped).ravel(),
         noise=dist.noise,
     )
 
@@ -429,25 +462,24 @@ def marginalize(dist: SectorDistribution, keep: Iterable[str]) -> SectorDistribu
 # JSON round-tripping
 # ---------------------------------------------------------------------------
 
-def _key_bitstring(key: SectorKey, widths: Dict[str, int]) -> str:
-    parts = []
-    for name in ("a", "b", "kx", "kz"):
-        if name in widths:
-            vec: BitVector = getattr(key, name)
-            parts.append(vec.to01())
-    return "".join(parts)
+def _json_labels(widths: Dict[str, int]) -> np.ndarray:
+    """JSON label of each table index: the (a|b|kx|kz) bits, first bit lowest."""
+    # a JSON label is a C-order index over (kz, kx, b, a); reorder those axes
+    # to the table's (a, kx, b, kz)
+    json_axes = [f for f in ("kz", "kx", "b", "a") if f in widths]
+    labels = np.arange(1 << sum(widths.values()))
+    labels = labels.reshape([1 << widths[f] for f in json_axes])
+    return labels.transpose([json_axes.index(f) for f in AXES if f in widths]).ravel()
 
 
 def to_json_dict(dist: SectorDistribution) -> dict:
-    """JSON-ready dict: keys as hex of the concatenated (a|b|kx|kz) bits."""
-    total_bits = sum(dist.widths.values())
-    hex_width = max(1, (total_bits + 3) // 4)
-    entries = {}
-    for key, p in dist.table.items():
-        bits = _key_bitstring(key, dist.widths)
-        # First character of the bitstring is the lowest-order bit.
-        value = int(bits[::-1], 2) if bits else 0
-        entries[f"{value:0{hex_width}x}"] = p
+    """JSON-ready dict: keys as hex of the concatenated (a|b|kx|kz) bits.
+
+    Entries follow the table's index order.
+    """
+    hex_width = max(1, (sum(dist.widths.values()) + 3) // 4)
+    labels = _json_labels(dist.widths).tolist()
+    entries = {f"{v:0{hex_width}x}": p for v, p in zip(labels, dist.table.tolist())}
     return {
         "code_hash": dist.code_hash,
         "n": dist.n,
@@ -460,21 +492,22 @@ def to_json_dict(dist: SectorDistribution) -> dict:
 
 
 def from_json_dict(data: dict) -> SectorDistribution:
-    """Inverse of to_json_dict (bit-exact on probabilities)."""
+    """Inverse of to_json_dict (bit-exact on probabilities).
+
+    Raises ValueError unless the keys name each of the 2^(Σ widths) sector
+    labels exactly once.
+    """
     widths = {str(f): int(w) for f, w in data["widths"].items()}
-    total_bits = sum(widths.values())
-    table: Dict[SectorKey, float] = {}
-    for hex_key, p in data["table"].items():
-        packed = int(hex_key, 16)
-        bits = "".join(str((packed >> i) & 1) for i in range(total_bits))
-        fields = {}
-        pos = 0
-        for name in ("a", "b", "kx", "kz"):
-            if name in widths:
-                w = widths[name]
-                fields[name] = BitVector.from01(bits[pos : pos + w])
-                pos += w
-        table[SectorKey(**fields)] = float(p)
+    labels = _json_labels(widths)
+    index_of = np.empty_like(labels)
+    index_of[labels] = np.arange(len(labels))
+    keys = [int(hex_key, 16) for hex_key in data["table"]]
+    if sorted(keys) != list(range(len(labels))):
+        raise ValueError(
+            f"table keys must cover each of the {len(labels)} sector labels once"
+        )
+    table = np.empty(len(labels))
+    table[index_of[keys]] = [float(p) for p in data["table"].values()]
     return SectorDistribution(
         code_hash=str(data["code_hash"]),
         n=int(data["n"]),

@@ -39,7 +39,8 @@ EXIT_TOO_LARGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-SWEEP_COLUMNS = list(info.SWEEP_COLUMNS)
+SWEEP_COLUMNS = ["p_x", "p_z", "ic_bits", "ml_success", "sampling_success",
+                 "jensen_lower", "rel_entropy_bits"]
 JOINT_EXTRA_COLUMNS = ["pt_x", "pt_y", "pt_z"]
 MC_COLUMNS = ["p", "beta", "mean_energy", "energy_err", "ea_overlap", "ea_err",
               "samples"]
@@ -118,6 +119,13 @@ def _provenance(command: str, selector: str, code: CssCode, params: Dict) -> Lis
     ]
 
 
+def format_cell(value: float) -> str:
+    """CSV cell: repr-exact floats, with the literal 'inf' for infinity."""
+    if math.isinf(value):
+        return "inf"
+    return repr(float(value))
+
+
 def _json_cell(value: float) -> Union[float, str]:
     """Finite floats as numbers; infinity and NaN as the strings "inf"/"nan"."""
     if math.isinf(value):
@@ -138,7 +146,7 @@ def _emit_table(
         lines = [f"# {line}" for line in provenance]
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(info.format_cell(v) for v in row))
+            lines.append(",".join(format_cell(v) for v in row))
         text = "\n".join(lines) + "\n"
     else:
         payload = {

@@ -275,6 +275,16 @@ def sector_of(code: CssCode, ex: BitVector, ez: BitVector) -> SectorKey:
     )
 
 
+def pivot_columns(red: BitMatrix) -> List[int]:
+    """Pivot column of each row of an RREF matrix: its lowest set bit."""
+    return [(bits & -bits).bit_length() - 1 for bits in red.row_bits]
+
+
+def _lift(red: BitMatrix, syndrome: BitVector) -> int:
+    """Bits of the error with syndrome bit j on row j's pivot column."""
+    return sum(1 << pc for j, pc in enumerate(pivot_columns(red)) if syndrome[j])
+
+
 def representative_x(code: CssCode, b: BitVector, kz: BitVector) -> BitVector:
     """Canonical X-error with syndrome b and logical parities kz.
 
@@ -285,12 +295,7 @@ def representative_x(code: CssCode, b: BitVector, kz: BitVector) -> BitVector:
     """
     if b.n != code.rank_z or kz.n != code.k:
         raise ValueError("sector label widths do not match the code")
-    _, pivots = row_reduce(code.Hz)
-    e0 = 0
-    for j, pc in enumerate(pivots):
-        if b[j]:
-            e0 |= 1 << pc
-    e = BitVector(code.n, e0)
+    e = BitVector(code.n, _lift(code.Hz_red, b))
     kz0 = code.logical_parities_z(e)
     diff = kz ^ kz0
     for i in range(code.k):
@@ -303,12 +308,7 @@ def representative_z(code: CssCode, a: BitVector, kx: BitVector) -> BitVector:
     """Mirror of representative_x for Z-errors (syndrome a, parities kx)."""
     if a.n != code.rank_x or kx.n != code.k:
         raise ValueError("sector label widths do not match the code")
-    _, pivots = row_reduce(code.Hx)
-    e0 = 0
-    for j, pc in enumerate(pivots):
-        if a[j]:
-            e0 |= 1 << pc
-    e = BitVector(code.n, e0)
+    e = BitVector(code.n, _lift(code.Hx_red, a))
     kx0 = code.logical_parities_x(e)
     diff = kx ^ kx0
     for i in range(code.k):

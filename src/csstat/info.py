@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
-from .channels import (
-    MODE_JOINT,
-    MODE_X,
-    MODE_Z,
-    SectorDistribution,
-    marginalize,
-)
-from .css import SectorKey
+import numpy as np
+
+from .channels import MODE_JOINT, MODE_X, MODE_Z, SectorDistribution
 from .gf2 import BitVector
 
 # Inequalities below hold exactly in exact arithmetic; this absolute slack
@@ -47,16 +42,12 @@ class InfoResult:
         return math.isinf(self.value)
 
 
-def _conditional_term(dist: SectorDistribution, syndrome_field: str) -> float:
+def _conditional_term(dist: SectorDistribution) -> float:
     """Σ P·log2(P / P_syndrome) — minus the conditional logical entropy."""
-    syn = marginalize(dist, [syndrome_field])
-    acc = 0.0
-    for key, p in dist.table.items():
-        if p <= 0.0:
-            continue
-        p_syn = syn.table[SectorKey(**{syndrome_field: getattr(key, syndrome_field)})]
-        acc += p * math.log2(p / p_syn)
-    return acc
+    rows = dist.by_syndrome()
+    p_syn = np.broadcast_to(rows.sum(axis=1, keepdims=True), rows.shape)
+    live = rows > 0.0
+    return float(np.sum(rows[live] * np.log2(rows[live] / p_syn[live])))
 
 
 def coherent_information_factorized(
@@ -74,11 +65,7 @@ def coherent_information_factorized(
         raise ValueError(f"dist_z must be {MODE_Z}, got {dist_z.mode}")
     if dist_x.code_hash != dist_z.code_hash:
         raise ValueError("dist_x and dist_z come from different codes")
-    value = (
-        k
-        + _conditional_term(dist_z, "a")
-        + _conditional_term(dist_x, "b")
-    )
+    value = k + _conditional_term(dist_z) + _conditional_term(dist_x)
     noise = {**dist_x.noise, **dist_z.noise}
     return InfoResult(value=value, k=k, noise=noise)
 
@@ -92,14 +79,8 @@ def coherent_information_general(dist: SectorDistribution, k: int) -> InfoResult
     """
     if dist.mode != MODE_JOINT:
         raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
-    syn = marginalize(dist, ["a", "b"])
-    acc = 0.0
-    for key, p in dist.table.items():
-        if p <= 0.0:
-            continue
-        p_syn = syn.table[SectorKey(a=key.a, b=key.b)]
-        acc += p * math.log2(p / p_syn)
-    return InfoResult(value=k + acc, k=k, noise=dict(dist.noise))
+    value = k + _conditional_term(dist)
+    return InfoResult(value=value, k=k, noise=dict(dist.noise))
 
 
 def relative_entropy(
@@ -114,35 +95,16 @@ def relative_entropy(
     """
     if dist_x.mode != MODE_X:
         raise ValueError(f"dist_x must be {MODE_X}, got {dist_x.mode}")
-    shift = k0 ^ k0p
+    if k0.n != dist_x.k or k0p.n != dist_x.k:
+        raise ValueError(f"logical labels must have k = {dist_x.k} bits")
     noise = dict(dist_x.noise)
-    if shift.is_zero():
-        return InfoResult(value=0.0, k=dist_x.k, noise=noise)
-    acc = 0.0
-    for key, p in dist_x.table.items():
-        if p <= 0.0:
-            continue
-        partner = dist_x.table[SectorKey(b=key.b, kz=key.kz ^ shift)]
-        if partner <= 0.0:
-            return InfoResult(value=math.inf, k=dist_x.k, noise=noise)
-        acc += p * math.log2(p / partner)
-    return InfoResult(value=acc, k=dist_x.k, noise=noise)
-
-
-def _syndrome_and_logical_fields(dist: SectorDistribution):
-    syndromes = [f for f in ("a", "b") if f in dist.widths]
-    logicals = [f for f in ("kx", "kz") if f in dist.widths]
-    return syndromes, logicals
-
-
-def _grouped_by_syndrome(dist: SectorDistribution):
-    """Iterate sectors grouped by syndrome, in canonical table order."""
-    syndromes, _ = _syndrome_and_logical_fields(dist)
-    groups: Dict[tuple, List[float]] = {}
-    for key, p in dist.table.items():
-        gk = tuple(getattr(key, f) for f in syndromes)
-        groups.setdefault(gk, []).append(p)
-    return groups
+    rows = dist_x.by_syndrome()  # (b, kz)
+    partner = rows[:, np.arange(rows.shape[1]) ^ (k0 ^ k0p).bits]
+    live = rows > 0.0
+    if np.any(partner[live] <= 0.0):
+        return InfoResult(value=math.inf, k=dist_x.k, noise=noise)
+    value = float(np.sum(rows[live] * np.log2(rows[live] / partner[live])))
+    return InfoResult(value=value, k=dist_x.k, noise=noise)
 
 
 def ml_success(dist: SectorDistribution) -> float:
@@ -152,7 +114,7 @@ def ml_success(dist: SectorDistribution) -> float:
     single side this is the per-side success; multiply the two sides for the
     total (bound_report does).
     """
-    return math.fsum(max(ps) for ps in _grouped_by_syndrome(dist).values())
+    return math.fsum(dist.by_syndrome().max(axis=1).tolist())
 
 
 def sampling_success(dist: SectorDistribution) -> float:
@@ -161,12 +123,10 @@ def sampling_success(dist: SectorDistribution) -> float:
     Σ P² / P_syndrome — the chance that an error and an independent sample
     from the same posterior share a sector. Never exceeds ml_success.
     """
-    total = 0.0
-    for ps in _grouped_by_syndrome(dist).values():
-        p_syn = math.fsum(ps)
-        if p_syn > 0.0:
-            total += math.fsum(p * p / p_syn for p in ps)
-    return total
+    rows = dist.by_syndrome()
+    p_syn = rows.sum(axis=1)
+    live = p_syn > 0.0
+    return float(np.sum(rows[live] ** 2 / p_syn[live, None]))
 
 
 @dataclass(frozen=True)
@@ -229,24 +189,3 @@ def bound_report(dist: DistOrPair, k: int) -> BoundReport:
         violations=tuple(violations),
     )
 
-
-# ---------------------------------------------------------------------------
-# Sweep rows (shared by the CLI and tests)
-# ---------------------------------------------------------------------------
-
-SWEEP_COLUMNS = (
-    "p_x",
-    "p_z",
-    "ic_bits",
-    "ml_success",
-    "sampling_success",
-    "jensen_lower",
-    "rel_entropy_bits",
-)
-
-
-def format_cell(value: float) -> str:
-    """CSV cell: repr-exact floats, with the literal 'inf' for infinity."""
-    if math.isinf(value):
-        return "inf"
-    return repr(float(value))

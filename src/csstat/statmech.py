@@ -25,8 +25,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import PauliNoise, sector_distribution_x, sector_distribution_z
-from .css import CssCode, SectorKey, TooLarge, representative_x, representative_z
+from .channels import (
+    MODE_JOINT,
+    PauliNoise,
+    SectorDistribution,
+    sector_distribution_x,
+    sector_distribution_z,
+)
+from .css import CssCode, TooLarge, representative_x, representative_z
 from .gf2 import BitMatrix, BitVector, kernel_basis
 
 MAX_EXACT_SPINS = 24  # partition_exact streams 2^spins configurations
@@ -370,6 +376,7 @@ def verify_sector_identity(
         syn_bits, log_bits = code.rank_x, code.k
     else:
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
+    grid = dist.by_syndrome().tolist()
     worst = 0.0
     checked = 0
     for syn_int in range(1 << syn_bits):
@@ -377,27 +384,25 @@ def verify_sector_identity(
         for log_int in range(1 << log_bits):
             log = BitVector(log_bits, log_int)
             if side == "x":
-                e_rep = representative_x(code, syn, log)
-                model = build_sm_x(code, e_rep)
-                key = SectorKey(b=syn, kz=log)
+                model = build_sm_x(code, representative_x(code, syn, log))
             else:
-                e_rep = representative_z(code, syn, log)
-                model = build_sm_z(code, e_rep)
-                key = SectorKey(a=syn, kx=log)
+                model = build_sm_z(code, representative_z(code, syn, log))
             p_model = math.exp(log_sector_probability(model, couplings, code.n))
-            worst = max(worst, abs(p_model - dist.table[key]))
+            worst = max(worst, abs(p_model - grid[syn_int][log_int]))
             checked += 1
     return IdentityReport(sectors_checked=checked, max_abs_dev=worst)
 
 
 def verify_sector_identity_coupled(
-    code: CssCode, noise: PauliNoise, joint_table: Dict[SectorKey, float]
+    code: CssCode, noise: PauliNoise, dist: SectorDistribution
 ) -> IdentityReport:
     """Check the two-register model against a joint sector table."""
+    if dist.mode != MODE_JOINT:
+        raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
     couplings = Couplings.from_pauli(noise)
     worst = 0.0
     checked = 0
-    for key, p_true in joint_table.items():
+    for key, p_true in zip(dist.keys(), dist.table.tolist()):
         ex_rep = representative_x(code, key.b, key.kz)
         ez_rep = representative_z(code, key.a, key.kx)
         model = build_sm_coupled(code, ex_rep, ez_rep)
@@ -432,20 +437,14 @@ def kw_check(code: CssCode, beta_x: float) -> KwReport:
     beta_z = -0.5 * math.log(t)
     p_x = 1.0 / (1.0 + math.exp(2.0 * beta_x))
     p_z = 1.0 / (1.0 + math.exp(2.0 * beta_z))
-    dist_x = sector_distribution_x(code, p_x)
-    dist_z = sector_distribution_z(code, p_z)
-    b0 = BitVector(code.rank_z, 0)
-    a0 = BitVector(code.rank_x, 0)
-    k0 = BitVector(code.k, 0)
-    summed = math.fsum(
-        dist_x.table[SectorKey(b=b0, kz=BitVector(code.k, i))]
-        for i in range(1 << code.k)
-    )
-    raw = dist_x.table[SectorKey(b=b0, kz=k0)]
+    trivial_x = sector_distribution_x(code, p_x).by_syndrome()[0]  # b = 0
+    trivial_z = sector_distribution_z(code, p_z).by_syndrome()[0, 0]
+    summed = math.fsum(trivial_x.tolist())
+    raw = float(trivial_x[0])
     rhs = (
         code.n * math.log1p(t)
         - code.rank_z * math.log(2.0)
-        + math.log(dist_z.table[SectorKey(a=a0, kx=k0)])
+        + math.log(trivial_z)
     )
     return KwReport(
         beta_x=beta_x,

@@ -1,5 +1,7 @@
 """Exact sector-probability tables: normalization, marginals, serialization."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -25,7 +27,8 @@ from csstat.channels import (
     _x_side_functionals,
     _z_side_functionals,
 )
-from csstat.css import TooLarge
+from csstat.css import TooLarge, sector_of
+from csstat.gf2 import BitVector
 from csstat.info import coherent_information_factorized
 from csstat.statmech import kw_check
 from csstat.zoo import color666, four22, steane, surface2d, toric2d
@@ -58,7 +61,7 @@ def test_four22_even_weight_mass():
     p = 0.1
     dist = sector_distribution_x(four22(), p)
     mass_b0 = math.fsum(
-        prob for key, prob in dist.table.items() if key.b.bits == 0
+        prob for key, prob in zip(dist.keys(), dist.table) if key.b.bits == 0
     )
     expect = (1 - p) ** 4 + 6 * p**2 * (1 - p) ** 2 + p**4
     assert abs(mass_b0 - expect) < 1e-15
@@ -69,12 +72,12 @@ def test_half_rate_is_uniform():
     code = toric2d(2)
     dist = sector_distribution_x(code, 0.5)
     want = 0.5 ** (code.rank_z + code.k)
-    assert all(abs(p - want) < 1e-15 for p in dist.table.values())
+    assert all(abs(p - want) < 1e-15 for p in dist.table)
 
 
 def test_zero_rate_is_point_mass():
     dist = sector_distribution_z(steane(), 0.0)
-    for key, p in dist.table.items():
+    for key, p in zip(dist.keys(), dist.table):
         trivial = key.a.is_zero() and key.kx.is_zero()
         assert p == (1.0 if trivial else 0.0)
 
@@ -84,7 +87,7 @@ def test_thread_count_does_not_change_values():
     base = sector_distribution_x(code, 0.13, threads=1)
     for threads in (2, 4):
         other = sector_distribution_x(code, 0.13, threads=threads)
-        assert other.table == base.table  # bit-identical, not just close
+        assert np.array_equal(other.table, base.table)  # bit-identical
 
 
 def test_modes_and_metadata():
@@ -102,13 +105,13 @@ def test_self_dual_code_mirror_symmetry():
     p = 0.17
     dx = sector_distribution_x(steane(), p)
     dz = sector_distribution_z(steane(), p)
-    for key, prob in dx.table.items():
+    for key, prob in zip(dx.keys(), dx.table):
         twins = [
-            kz for kz in dz.table
+            kz for kz in dz.keys()
             if kz.a == key.b and kz.kx == key.kz
         ]
         assert len(twins) == 1
-        assert abs(dz.table[twins[0]] - prob) < 1e-15
+        assert abs(dz.table[dz.index(twins[0])] - prob) < 1e-15
 
 
 def test_joint_marginals_match_factorized():
@@ -121,16 +124,16 @@ def test_joint_marginals_match_factorized():
     assert mx.mode == MODE_X and mz.mode == MODE_Z
     fx = sector_distribution_x(code, px)
     fz = sector_distribution_z(code, pz)
-    for key, prob in fx.table.items():
-        assert abs(mx.table[key] - prob) < 1e-13
-    for key, prob in fz.table.items():
-        assert abs(mz.table[key] - prob) < 1e-13
+    for key, prob in zip(fx.keys(), fx.table):
+        assert abs(mx.table[mx.index(key)] - prob) < 1e-13
+    for key, prob in zip(fz.keys(), fz.table):
+        assert abs(mz.table[mz.index(key)] - prob) < 1e-13
 
 
 def test_joint_mode_populates_all_fields():
     joint = sector_distribution_joint(four22(), PauliNoise(0.05, 0.02, 0.08))
     assert joint.mode == MODE_JOINT
-    key = next(iter(joint.table))
+    key = joint.keys()[0]
     assert key.fields() == ("a", "b", "kx", "kz")
     code = four22()
     assert len(joint.table) == 1 << (code.rank_x + code.rank_z + 2 * code.k)
@@ -216,13 +219,102 @@ def test_json_round_trip_exact(tmp_path):
         sector_distribution_joint(four22(), PauliNoise(0.03, 0.01, 0.05)),
     ):
         back = from_json_dict(to_json_dict(dist))
-        assert back.table == dist.table
+        assert np.array_equal(back.table, dist.table)
         assert back.mode == dist.mode
         assert back.widths == dist.widths
         assert back.code_hash == dist.code_hash
         path = tmp_path / f"{dist.mode}.json"
         save_json(dist, str(path))
-        assert load_json(str(path)).table == dist.table
+        assert np.array_equal(load_json(str(path)).table, dist.table)
+
+
+def _json_tables():
+    code = toric2d(2)
+    return {
+        "four22 joint": sector_distribution_joint(
+            four22(), PauliNoise(0.03, 0.01, 0.05)
+        ),
+        "toric2d:2 x": sector_distribution_x(code, 0.11),
+        "toric2d:2 z": sector_distribution_z(code, 0.23),
+    }
+
+
+def test_json_bytes_are_pinned():
+    # sha256 of the JSON text as written by the dict-backed tables, so the
+    # array layout must reproduce every key, value and entry order
+    want = {
+        "four22 joint":
+            "f4c16261565c4a7dcc6862ca92f82939fd725739dc2dc068ed931e304f459cad",
+        "toric2d:2 x":
+            "6654385955650cc0f7407cd8252b1a4df4f352143000d733aba8041695705e43",
+        "toric2d:2 z":
+            "7724be577c9c9f7f1e634481b24bc2b07a22a9de261ba168641305ecb10facfb",
+    }
+    for name, dist in _json_tables().items():
+        text = json.dumps(to_json_dict(dist), indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == want[name], name
+
+
+def test_json_rejects_incomplete_or_repeated_labels():
+    for dist in _json_tables().values():
+        data = to_json_dict(dist)
+        last = list(data["table"])[-1]
+        truncated = {**data, "table": dict(list(data["table"].items())[:-1])}
+        with pytest.raises(ValueError, match="cover"):
+            from_json_dict(truncated)
+        # the same label twice ("0..01" and "1"), one label missing
+        repeated = dict(truncated["table"])
+        repeated[format(int(list(data["table"])[1], 16), "x")] = 0.0
+        with pytest.raises(ValueError, match="cover"):
+            from_json_dict({**data, "table": repeated})
+        beyond = dict(truncated["table"])
+        beyond[format(int(last, 16) + 1, "x")] = 0.0
+        with pytest.raises(ValueError, match="cover"):
+            from_json_dict({**data, "table": beyond})
+
+
+def _pauli_pair_prob(ex, ez, noise, n):
+    prob = 1.0
+    for i in range(n):
+        x, z = (ex >> i) & 1, (ez >> i) & 1
+        prob *= (1.0 - noise.ptot, noise.ptz, noise.ptx, noise.pty)[2 * x + z]
+    return prob
+
+
+def _check_layout(dist, brute):
+    assert np.all(np.abs(brute - dist.table) <= 1e-15)
+    for i, key in enumerate(dist.keys()):
+        assert dist.index(key) == i
+        cell = tuple(getattr(key, f).bits for f in dist.axes)
+        assert dist.view()[cell] == dist.table[i]
+
+
+@pytest.mark.parametrize("code", [four22(), steane()], ids=["four22", "steane"])
+def test_joint_layout_matches_brute_force(code):
+    noise = PauliNoise(0.05, 0.02, 0.08)
+    dist = sector_distribution_joint(code, noise)
+    brute = np.zeros(len(dist.table))
+    for ex in range(1 << code.n):
+        vx = BitVector(code.n, ex)
+        for ez in range(1 << code.n):
+            key = sector_of(code, vx, BitVector(code.n, ez))
+            brute[dist.index(key)] += _pauli_pair_prob(ex, ez, noise, code.n)
+    _check_layout(dist, brute)
+
+
+def test_factorized_layout_matches_brute_force():
+    code = toric2d(2)
+    zero = BitVector(code.n, 0)
+    p = 0.13
+    for side in ("x", "z"):
+        build = sector_distribution_x if side == "x" else sector_distribution_z
+        dist = build(code, p)
+        brute = np.zeros(len(dist.table))
+        for bits in range(1 << code.n):
+            e = BitVector(code.n, bits)
+            key = sector_of(code, e, zero) if side == "x" else sector_of(code, zero, e)
+            brute[dist.index(key)] += error_weight_prob(e.weight(), code.n, p)
+        _check_layout(dist, brute)
 
 
 def test_round_trip_preserves_info_quantities(tmp_path):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from csstat import info
-from csstat.cli import main, parse_noise
+from csstat.cli import format_cell, main, parse_noise
 from csstat.statmech import load_model_json, nishimori_beta, partition_exact
 from csstat.zoo import four22
 
@@ -296,6 +297,12 @@ def test_noise_grammar():
     for bad in ("gaussian", "general:1,2", "general:-1,1,1", "independent:pz=2"):
         with pytest.raises(ValueError):
             parse_noise(bad)
+
+
+def test_format_cell():
+    assert format_cell(math.inf) == "inf"
+    assert format_cell(0.25) == "0.25"
+    assert format_cell(1.0) == "1.0"
 
 
 def test_rel_entropy_matches_library(capsys):

@@ -15,13 +15,14 @@ from csstat.css import (
     from_text,
     matvec,
     new_css,
+    pivot_columns,
     representative_x,
     representative_z,
     to_text,
     with_logical_basis,
 )
-from csstat.gf2 import BitMatrix, BitVector, rank
-from csstat.zoo import four22, steane, surface2d, toric2d
+from csstat.gf2 import BitMatrix, BitVector, rank, row_reduce
+from csstat.zoo import color666, four22, steane, surface2d, toric2d, toric3d, xcube
 
 
 def all_errors(n):
@@ -92,20 +93,31 @@ def test_sector_counting_exhaustive():
 
 
 def test_representatives_hit_their_sector():
-    code = toric2d(2)
-    for b_bits in range(1 << code.rank_z):
-        for kz_bits in range(1 << code.k):
-            b = BitVector(code.rank_z, b_bits)
-            kz = BitVector(code.k, kz_bits)
-            e = representative_x(code, b, kz)
-            assert code.syndrome_z(e) == b
-            assert code.logical_parities_z(e) == kz
-    # and the mirror side
-    a = BitVector(code.rank_x, 5)
-    kx = BitVector(code.k, 2)
-    ez = representative_z(code, a, kx)
-    assert code.syndrome_x(ez) == a
-    assert code.logical_parities_x(ez) == kx
+    for code in (toric2d(2), surface2d(3, 4)):
+        for b_bits in range(1 << code.rank_z):
+            for kz_bits in range(1 << code.k):
+                b = BitVector(code.rank_z, b_bits)
+                kz = BitVector(code.k, kz_bits)
+                e = representative_x(code, b, kz)
+                assert code.syndrome_z(e) == b
+                assert code.logical_parities_z(e) == kz
+        # and the mirror side
+        for a_bits in range(1 << code.rank_x):
+            for kx_bits in range(1 << code.k):
+                a = BitVector(code.rank_x, a_bits)
+                kx = BitVector(code.k, kx_bits)
+                ez = representative_z(code, a, kx)
+                assert code.syndrome_x(ez) == a
+                assert code.logical_parities_x(ez) == kx
+
+
+def test_pivots_read_from_reduced_checks():
+    # representatives lift syndromes through the pivots of Hz_red / Hx_red;
+    # they must be the pivots row_reduce reports, so outputs stay unchanged
+    for code in (four22(), steane(), toric2d(2), toric2d(3), surface2d(3, 4),
+                 color666(3, 3), toric3d(2), xcube(2)):
+        assert pivot_columns(code.Hz_red) == row_reduce(code.Hz)[1]
+        assert pivot_columns(code.Hx_red) == row_reduce(code.Hx)[1]
 
 
 def test_distance_goldens():

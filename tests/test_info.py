@@ -1,11 +1,14 @@
 """Information quantities: endpoints, inequalities, basis independence."""
 
+import dataclasses
 import math
 
 import pytest
 
 from csstat.channels import (
+    MODE_X,
     depolarizing_from_independent,
+    marginalize,
     sector_distribution_joint,
     sector_distribution_x,
     sector_distribution_z,
@@ -16,7 +19,6 @@ from csstat.info import (
     bound_report,
     coherent_information_factorized,
     coherent_information_general,
-    format_cell,
     ml_success,
     relative_entropy,
     sampling_success,
@@ -185,7 +187,53 @@ def test_relative_entropy_validates_labels():
         relative_entropy(dist, BitVector(1, 0), BitVector(1, 1))  # wrong width
 
 
-def test_format_cell():
-    assert format_cell(math.inf) == "inf"
-    assert format_cell(0.25) == "0.25"
-    assert format_cell(1.0) == "1.0"
+def _loop_reductions(dist, shift=0):
+    """Per-entry loops over keys(): (Σ P log2 P/P_syn, ml, sampling, D)."""
+    syn_fields = [f for f in ("a", "b") if f in dist.widths]
+    groups = {}
+    for key, p in zip(dist.keys(), dist.table.tolist()):
+        groups.setdefault(tuple(getattr(key, f) for f in syn_fields), []).append(p)
+    cond = samp = 0.0
+    for ps in groups.values():
+        p_syn = math.fsum(ps)
+        cond += math.fsum(p * math.log2(p / p_syn) for p in ps if p > 0.0)
+        if p_syn > 0.0:
+            samp += math.fsum(p * p / p_syn for p in ps)
+    ml = math.fsum(max(ps) for ps in groups.values())
+    rel = None
+    if dist.mode == MODE_X:
+        table = dict(zip(dist.keys(), dist.table.tolist()))
+        rel = 0.0
+        for key, p in table.items():
+            partner_key = dataclasses.replace(key, kz=key.kz ^ BitVector(dist.k, shift))
+            partner = table[partner_key]
+            if p > 0.0 and partner <= 0.0:
+                rel = math.inf
+            elif p > 0.0:
+                rel += p * math.log2(p / partner)
+    return cond, ml, samp, rel
+
+
+@pytest.mark.parametrize("code", [four22(), steane(), toric2d(2)],
+                         ids=["four22", "steane", "toric2d:2"])
+def test_reductions_match_per_entry_loops(code):
+    # the array reductions sum in another order than the loops, so they agree
+    # to rounding only; ml_success uses fsum and matches exactly
+    for p in (0.0, 0.07, 0.3):
+        joint = sector_distribution_joint(code, depolarizing_from_independent(p, p))
+        dx, dz = sector_distribution_x(code, p), sector_distribution_z(code, p)
+        for dist in (joint, dx, dz, marginalize(joint, ["b", "kz"])):
+            cond, ml, samp, rel = _loop_reductions(dist, shift=1)
+            assert ml_success(dist) == ml
+            assert abs(sampling_success(dist) - samp) < 1e-13
+            if dist is joint:
+                got = coherent_information_general(dist, code.k).value - code.k
+                assert abs(got - cond) < 1e-13
+            if rel is not None:
+                got = relative_entropy(
+                    dist, BitVector(code.k, 0), BitVector(code.k, 1)
+                ).value
+                assert got == rel or abs(got - rel) < 1e-13
+        factorized = coherent_information_factorized(dx, dz, code.k).value
+        want = code.k + _loop_reductions(dx)[0] + _loop_reductions(dz)[0]
+        assert abs(factorized - want) < 1e-13

@@ -79,9 +79,11 @@ def test_sector_identity_coupled():
     code = four22()
     noise = PauliNoise(0.06, 0.03, 0.1)
     joint = sector_distribution_joint(code, noise)
-    rep = verify_sector_identity_coupled(code, noise, joint.table)
+    rep = verify_sector_identity_coupled(code, noise, joint)
     assert rep.sectors_checked == len(joint.table)
     assert rep.max_abs_dev < 1e-12
+    with pytest.raises(ValueError, match="joint"):
+        verify_sector_identity_coupled(code, noise, sector_distribution_x(code, 0.1))
 
 
 def test_gauge_covariance():
