@@ -12,7 +12,11 @@ duality the number of weight-w strings in each sector follows from the 2^m
 combinations of the m label functionals (Krawtchouk polynomials and a
 Walsh–Hadamard transform) rather than from the 2^n strings. A probability
 is then a positive sum over weights, with no cancellation. The joint table
-still walks all 4^n (Ex, Ez) pairs.
+uses the same characters in floating point: the character sum of a Pauli
+channel over the m = n + k joint label functionals is a product of three
+per-qubit factors, and one Walsh–Hadamard transform over its 2^m
+combinations gives every sector at once, within a stated rounding bound,
+instead of walking the 4^n (Ex, Ez) pairs.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ import numpy as np
 from .css import CssCode, SectorKey, TooLarge, code_hash
 from .gf2 import BitVector
 
-MAX_LABEL_BITS = 20  # 2^m label combinations per coset enumerator
+MAX_LABEL_BITS = 20  # 2^m label combinations per transform
 MAX_SUPPORT_BITS = 63  # functional supports are packed into uint64
-MAX_JOINT_QUBITS = 13  # 4^n (Ex, Ez) pairs
 
 MODE_X = "factorized-x"
 MODE_Z = "factorized-z"
@@ -176,30 +179,17 @@ class SectorDistribution:
         return math.fsum(self.table.tolist())
 
     def check(self) -> None:
-        negative = np.flatnonzero(self.table < 0.0)
-        if negative.size:
+        # both tests are written so that a NaN entry fails them
+        bad = np.flatnonzero(~(self.table >= 0.0))
+        if bad.size:
             raise InternalInvariantError(
-                f"negative probability at index {negative[0]}"
+                f"negative or NaN probability at index {bad[0]}"
             )
-        if abs(self.total() - 1.0) > 1e-12:
+        total = self.total()
+        if not abs(total - 1.0) <= 1e-12:
             raise InternalInvariantError(
-                f"table sums to {self.total():.17g}, not 1 within 1e-12"
+                f"table sums to {total:.17g}, not 1 within 1e-12"
             )
-
-
-def _label_columns(rows: Iterable[int], n: int) -> np.ndarray:
-    """Per-error-bit label contributions for a stack of F2 functionals.
-
-    rows are packed functional supports (length-n ints); the label of error
-    E is the bit-vector of parities <row_j, E>, encoded with functional j at
-    bit j. Returns an (n,)-array where entry i is the label of unit error i.
-    """
-    cols = np.zeros(n, dtype=np.uint64)
-    for j, bits in enumerate(rows):
-        for i in range(n):
-            if (bits >> i) & 1:
-                cols[i] |= np.uint64(1 << j)
-    return cols
 
 
 def _x_side_functionals(code: CssCode):
@@ -245,6 +235,15 @@ def _walsh_hadamard(a: np.ndarray) -> None:
         half *= 2
 
 
+def _combination_supports(rows: Sequence[int]) -> np.ndarray:
+    """Support of Σ_j u_j row_j for every u ∈ F2^m, indexed by u (bit j = u_j)."""
+    supports = np.zeros(1 << len(rows), dtype=np.uint64)
+    for j, bits in enumerate(rows):
+        half = 1 << j
+        supports[half : 2 * half] = supports[:half] ^ np.uint64(bits)
+    return supports
+
+
 def _check_enumerator_size(n: int, m: int) -> None:
     """Raise TooLarge unless the enumerator's arrays and int64 sums fit."""
     if m > MAX_LABEL_BITS:
@@ -275,11 +274,7 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     """
     m = len(rows)
     _check_enumerator_size(n, m)
-    supports = np.zeros(1 << m, dtype=np.uint64)
-    for j, bits in enumerate(rows):
-        half = 1 << j
-        supports[half : 2 * half] = supports[:half] ^ np.uint64(bits)
-    counts = _krawtchouk_table(n)[np.bitwise_count(supports)]
+    counts = _krawtchouk_table(n)[np.bitwise_count(_combination_supports(rows))]
     _walsh_hadamard(counts)
     if np.any(counts & ((1 << m) - 1)):
         raise InternalInvariantError(
@@ -343,72 +338,54 @@ def sector_distribution_z(code: CssCode, pz: float, threads: int = 1) -> SectorD
 def sector_distribution_joint(
     code: CssCode, noise: PauliNoise, threads: int = 1
 ) -> SectorDistribution:
-    """Exact (a, b, kx, kz) table for a general Pauli channel.
+    """(a, b, kx, kz) table for a general Pauli channel, by character transform.
 
-    Enumerates all 4^n pairs (Ex, Ez); n ≤ 13. An error applies X where
-    Ex-only, Z where Ez-only, and Y where both overlap, so a pair's
-    probability is (1−ptot)^(n−wx−wy−wz) · ptx^wx · pty^wy · ptz^wz with the
-    species weights read off the element-wise overlaps.
+    The X-side functionals (the (b, kz) label, m_x = rank_z + k of them) act
+    on Ex and the Z-side ones (the (a, kx) label, m_z = rank_x + k) on Ez. For
+    the supports s of a combination of X-side functionals and t of Z-side
+    ones, the character sum Σ P(Ex, Ez) (−1)^(<s, Ex> + <t, Ez>) factorizes
+    over qubits into f10^|s∖t| · f01^|t∖s| · f11^|s∩t|, with
+    f10 = 1 − 2(ptx + pty), f01 = 1 − 2(pty + ptz) and f11 = 1 − 2(ptx + ptz).
+    Laid out as [t, s], these 2^m values (m = m_x + m_z = n + k) are already
+    in the packed (a, kx | b, kz) order, and their Walsh–Hadamard transform
+    divided by 2^m is the table; m ≤ MAX_LABEL_BITS and n ≤ MAX_SUPPORT_BITS.
+
+    The arithmetic is floating point, with an absolute error bound of
+    (m + 4)·2^−52 per entry. Each f is correctly rounded (math.fsum), so an
+    input has magnitude at most 1 and relative error at most (n + 5)·2^−53
+    (powers, two products); the transform carries that over unamplified
+    after the exact 2^−m scaling, and its m butterfly stages add at most
+    2^−53 each. An entry below −bound raises InternalInvariantError; entries
+    in [−bound, 0) are set to 0. threads has no effect.
     """
     n = code.n
-    if n > MAX_JOINT_QUBITS:
+    x_rows, _ = _x_side_functionals(code)
+    z_rows, _ = _z_side_functionals(code)
+    m = len(x_rows) + len(z_rows)
+    if m > MAX_LABEL_BITS or n > MAX_SUPPORT_BITS:
         raise TooLarge(
-            f"joint enumeration bound is n <= {MAX_JOINT_QUBITS}, got n = {n}"
+            f"joint transform bounds are m <= {MAX_LABEL_BITS} label bits and "
+            f"n <= {MAX_SUPPORT_BITS}; got m = {m}, n = {n}"
         )
-    x_rows, x_widths = _x_side_functionals(code)
-    z_rows, z_widths = _z_side_functionals(code)
-    x_cols = _label_columns(x_rows, n)
-    z_cols = _label_columns(z_rows, n)
-    x_bits = sum(x_widths.values())  # width of the (b, kz) part
-    z_bits = sum(z_widths.values())
-
-    # Labels of every Ex in one shot (n ≤ 13 keeps this at 8192 entries).
-    labels_x = np.zeros(1 << n, dtype=np.uint64)
-    for i in range(n):
-        half = 1 << i
-        labels_x[half : 2 * half] = labels_x[:half] ^ x_cols[i]
-    ex_arr = np.arange(1 << n, dtype=np.uint64)
-
-    # Per-species log weights with 0-rate handling: weight(wx, wy | Ez) =
-    # prefix(wz) · ptx^wx · pty^wy where wz = popcount(Ez) − wy.
-    rest = 1.0 - noise.ptot
-
-    def pow_or_zero(p: float, w: int) -> float:
-        if w == 0:
-            return 1.0
-        return p**w if p > 0.0 else 0.0
-
-    weight_of = np.zeros((n + 1, n + 1, n + 1))  # [pc_ez, wx, wy]
-    for pc_ez in range(n + 1):
-        for wx in range(n + 1 - pc_ez):
-            for wy in range(pc_ez + 1):
-                wz = pc_ez - wy
-                weight_of[pc_ez, wx, wy] = (
-                    pow_or_zero(rest, n - wx - wy - wz)
-                    * pow_or_zero(noise.ptx, wx)
-                    * pow_or_zero(noise.pty, wy)
-                    * pow_or_zero(noise.ptz, wz)
-                )
-
-    probs = np.zeros((1 << z_bits, 1 << x_bits), dtype=np.float64)
-    z_label = 0
-    prev_ez = 0
-    for ez in range(1 << n):
-        # Incremental Gray-style label update is unnecessary at 2^13; recompute
-        # the XOR directly from the flipped bits for clarity.
-        flipped = ez ^ prev_ez
-        while flipped:
-            low = (flipped & -flipped).bit_length() - 1
-            z_label ^= int(z_cols[low])
-            flipped &= flipped - 1
-        prev_ez = ez
-        ez64 = np.uint64(ez)
-        wx = np.bitwise_count(ex_arr & ~ez64).astype(np.int64)
-        wy = np.bitwise_count(ex_arr & ez64).astype(np.int64)
-        weights = weight_of[ez.bit_count()][wx, wy]
-        probs[z_label] += np.bincount(
-            labels_x.view(np.int64), weights=weights, minlength=1 << x_bits
+    s = _combination_supports(x_rows)
+    t = _combination_supports(z_rows)[:, None]
+    both = np.bitwise_count(t & s)
+    exponents = np.arange(n + 1)
+    pow10, pow01, pow11 = (
+        np.power(math.fsum((1.0, -2.0 * p, -2.0 * q)), exponents)
+        for p, q in ((noise.ptx, noise.pty), (noise.pty, noise.ptz),
+                     (noise.ptx, noise.ptz))
+    )
+    probs = pow10[np.bitwise_count(s) - both] * pow01[np.bitwise_count(t) - both]
+    probs *= pow11[both]
+    _walsh_hadamard(probs.reshape(-1))
+    probs /= 1 << m
+    bound = (m + 4) * 2.0**-52
+    if probs.min() < -bound:
+        raise InternalInvariantError(
+            f"joint transform entry {probs.min():.3g} is below -{bound:.3g}"
         )
+    probs[probs < 0.0] = 0.0
 
     # row (a, kx) over column (b, kz): the flattened array is the packed index
     widths = {"a": code.rank_x, "b": code.rank_z, "kx": code.k, "kz": code.k}

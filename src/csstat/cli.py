@@ -218,7 +218,8 @@ def _sweep_rows(
 def _engine_line(code: CssCode, joint: bool) -> str:
     """Provenance line naming the table engine and the work it does per point."""
     if joint:
-        return f"engine: joint-pairs n={code.n} pairs={4 ** code.n}"
+        m = code.rank_x + code.rank_z + 2 * code.k
+        return f"engine: joint-transform n={code.n} m={m} combinations={2 ** m}"
     m_x = code.rank_z + code.k
     m_z = code.rank_x + code.k
     return (

@@ -11,7 +11,9 @@ from csstat.channels import (
     MODE_JOINT,
     MODE_X,
     MODE_Z,
+    InternalInvariantError,
     PauliNoise,
+    SectorDistribution,
     depolarizing_from_independent,
     error_weight_prob,
     from_json_dict,
@@ -24,10 +26,12 @@ from csstat.channels import (
     to_json_dict,
     _check_enumerator_size,
     _coset_enumerator,
+    _walsh_hadamard,
     _x_side_functionals,
     _z_side_functionals,
 )
-from csstat.css import TooLarge, sector_of
+from csstat.cli import parse_noise
+from csstat.css import TooLarge, code_hash, sector_of
 from csstat.gf2 import BitVector
 from csstat.info import coherent_information_factorized
 from csstat.statmech import kw_check
@@ -44,6 +48,105 @@ def brute_force_enumerator(rows, n):
     weights = np.bitwise_count(errors).astype(np.int64)
     flat = np.bincount(labels * (n + 1) + weights, minlength=(n + 1) << len(rows))
     return flat.reshape(1 << len(rows), n + 1)
+
+
+def _label_columns(rows, n):
+    """Per-error-bit label contributions for a stack of F2 functionals.
+
+    rows are packed functional supports (length-n ints); the label of error
+    E is the bit-vector of parities <row_j, E>, encoded with functional j at
+    bit j. Returns an (n,)-array where entry i is the label of unit error i.
+    """
+    cols = np.zeros(n, dtype=np.uint64)
+    for j, bits in enumerate(rows):
+        for i in range(n):
+            if (bits >> i) & 1:
+                cols[i] |= np.uint64(1 << j)
+    return cols
+
+
+def _joint_pairs_oracle(code, noise):
+    """The joint table by walking all 4^n (Ex, Ez) pairs; n <= 13 in practice.
+
+    An error applies X where Ex-only, Z where Ez-only, and Y where both
+    overlap, so a pair's probability is (1−ptot)^(n−wx−wy−wz) · ptx^wx ·
+    pty^wy · ptz^wz with the species weights read off the element-wise
+    overlaps.
+    """
+    n = code.n
+    x_rows, x_widths = _x_side_functionals(code)
+    z_rows, z_widths = _z_side_functionals(code)
+    x_cols = _label_columns(x_rows, n)
+    z_cols = _label_columns(z_rows, n)
+    x_bits = sum(x_widths.values())  # width of the (b, kz) part
+    z_bits = sum(z_widths.values())
+
+    # Labels of every Ex in one shot (n ≤ 13 keeps this at 8192 entries).
+    labels_x = np.zeros(1 << n, dtype=np.uint64)
+    for i in range(n):
+        half = 1 << i
+        labels_x[half : 2 * half] = labels_x[:half] ^ x_cols[i]
+    ex_arr = np.arange(1 << n, dtype=np.uint64)
+
+    # Per-species log weights with 0-rate handling: weight(wx, wy | Ez) =
+    # prefix(wz) · ptx^wx · pty^wy where wz = popcount(Ez) − wy.
+    rest = 1.0 - noise.ptot
+
+    def pow_or_zero(p: float, w: int) -> float:
+        if w == 0:
+            return 1.0
+        return p**w if p > 0.0 else 0.0
+
+    weight_of = np.zeros((n + 1, n + 1, n + 1))  # [pc_ez, wx, wy]
+    for pc_ez in range(n + 1):
+        for wx in range(n + 1 - pc_ez):
+            for wy in range(pc_ez + 1):
+                wz = pc_ez - wy
+                weight_of[pc_ez, wx, wy] = (
+                    pow_or_zero(rest, n - wx - wy - wz)
+                    * pow_or_zero(noise.ptx, wx)
+                    * pow_or_zero(noise.pty, wy)
+                    * pow_or_zero(noise.ptz, wz)
+                )
+
+    probs = np.zeros((1 << z_bits, 1 << x_bits), dtype=np.float64)
+    z_label = 0
+    prev_ez = 0
+    for ez in range(1 << n):
+        # Incremental Gray-style label update is unnecessary at 2^13; recompute
+        # the XOR directly from the flipped bits for clarity.
+        flipped = ez ^ prev_ez
+        while flipped:
+            low = (flipped & -flipped).bit_length() - 1
+            z_label ^= int(z_cols[low])
+            flipped &= flipped - 1
+        prev_ez = ez
+        ez64 = np.uint64(ez)
+        wx = np.bitwise_count(ex_arr & ~ez64).astype(np.int64)
+        wy = np.bitwise_count(ex_arr & ez64).astype(np.int64)
+        weights = weight_of[ez.bit_count()][wx, wy]
+        probs[z_label] += np.bincount(
+            labels_x.view(np.int64), weights=weights, minlength=1 << x_bits
+        )
+
+    # row (a, kx) over column (b, kz): the flattened array is the packed index
+    widths = {"a": code.rank_x, "b": code.rank_z, "kx": code.k, "kz": code.k}
+    dist = SectorDistribution(
+        code_hash=code_hash(code),
+        n=n,
+        k=code.k,
+        mode=MODE_JOINT,
+        widths=widths,
+        table=probs.ravel(),
+        noise={"ptx": noise.ptx, "pty": noise.pty, "ptz": noise.ptz},
+    )
+    dist.check()
+    return dist
+
+
+def _joint_bound(code):
+    """The transform's stated absolute error bound, (m + 4)·2^-52."""
+    return (code.n + code.k + 4) * 2.0**-52
 
 
 def test_tables_are_dense_and_normalized():
@@ -177,10 +280,9 @@ def test_size_guards():
         # the guard is on what the enumerator costs: m = rank_z + k = 65
         # label bits exceeds MAX_LABEL_BITS, reported before n = 128
         sector_distribution_x(toric2d(8), 0.1)
-    with pytest.raises(TooLarge):
-        sector_distribution_joint(
-            toric2d(3), PauliNoise(0.01, 0.01, 0.01)
-        )  # n = 18 > 13
+    with pytest.raises(TooLarge, match="m = 34"):
+        # the joint transform costs 2^m with m = n + k = 34 > MAX_LABEL_BITS
+        sector_distribution_joint(toric2d(4), PauliNoise(0.01, 0.01, 0.01))
 
 
 @pytest.mark.parametrize(
@@ -231,9 +333,7 @@ def test_json_round_trip_exact(tmp_path):
 def _json_tables():
     code = toric2d(2)
     return {
-        "four22 joint": sector_distribution_joint(
-            four22(), PauliNoise(0.03, 0.01, 0.05)
-        ),
+        "four22 joint": _joint_pairs_oracle(four22(), PauliNoise(0.03, 0.01, 0.05)),
         "toric2d:2 x": sector_distribution_x(code, 0.11),
         "toric2d:2 z": sector_distribution_z(code, 0.23),
     }
@@ -253,6 +353,16 @@ def test_json_bytes_are_pinned():
     for name, dist in _json_tables().items():
         text = json.dumps(to_json_dict(dist), indent=1)
         assert hashlib.sha256(text.encode()).hexdigest() == want[name], name
+
+
+def test_joint_json_keys_match_oracle():
+    noise = PauliNoise(0.03, 0.01, 0.05)
+    engine = to_json_dict(sector_distribution_joint(four22(), noise))
+    oracle = to_json_dict(_joint_pairs_oracle(four22(), noise))
+    assert list(engine["table"]) == list(oracle["table"])
+    assert {k: v for k, v in engine.items() if k != "table"} == {
+        k: v for k, v in oracle.items() if k != "table"
+    }
 
 
 def test_json_rejects_incomplete_or_repeated_labels():
@@ -300,6 +410,67 @@ def test_joint_layout_matches_brute_force(code):
             key = sector_of(code, vx, BitVector(code.n, ez))
             brute[dist.index(key)] += _pauli_pair_prob(ex, ez, noise, code.n)
     _check_layout(dist, brute)
+
+
+@pytest.mark.parametrize(
+    "code", [four22(), steane(), toric2d(2)], ids=["four22", "steane", "toric2d:2"]
+)
+def test_joint_transform_matches_pairs_oracle(code):
+    bound = _joint_bound(code)
+    for mix in ("1,1,1", "1,0,0", "1,0,2", "3,1,0.2"):
+        for p in (1e-3, 0.1, 0.6, 1.0):
+            noise = parse_noise("general:" + mix).rates_at(p)
+            dist = sector_distribution_joint(code, noise)
+            oracle = _joint_pairs_oracle(code, noise)
+            assert np.max(np.abs(dist.table - oracle.table)) <= bound, (mix, p)
+            assert dist.widths == oracle.widths and dist.noise == oracle.noise
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [PauliNoise(0.05, 0.02, 0.08), parse_noise("general:3,1,0.2").rates_at(0.3)],
+    ids=["0.05,0.02,0.08", "0.3:3,1,0.2"],
+)
+def test_joint_transform_matches_pairs_oracle_at_n13(noise):
+    code = surface2d(3, 3)
+    assert code.n == 13
+    dist = sector_distribution_joint(code, noise)
+    oracle = _joint_pairs_oracle(code, noise)
+    assert np.max(np.abs(dist.table - oracle.table)) <= _joint_bound(code)
+
+
+def test_joint_transform_reaches_toric2d_3():
+    # n = 18: 4^18 error pairs, but 2^20 label combinations
+    code = toric2d(3)
+    assert code.n + code.k == 20
+    px, pz = 0.1, 0.07
+    joint = sector_distribution_joint(code, depolarizing_from_independent(px, pz))
+    dx = sector_distribution_x(code, px)
+    dz = sector_distribution_z(code, pz)
+    product = np.outer(dz.table, dx.table).ravel()
+    assert np.max(np.abs(joint.table - product)) <= _joint_bound(code)
+
+
+def test_joint_transform_raises_on_impossible_entries(monkeypatch):
+    # a transform that came out far negative is an internal fault, not noise
+    def corrupt(a):
+        _walsh_hadamard(a)
+        a[-1] = -1e-9 * len(a)
+
+    monkeypatch.setattr("csstat.channels._walsh_hadamard", corrupt)
+    with pytest.raises(InternalInvariantError, match="below"):
+        sector_distribution_joint(four22(), PauliNoise(0.05, 0.02, 0.08))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_check_rejects_nan_and_inf(bad):
+    table = np.full(4, 0.25)
+    table[1] = bad
+    dist = SectorDistribution(
+        code_hash="", n=2, k=1, mode=MODE_X, widths={"b": 1, "kz": 1}, table=table
+    )
+    with pytest.raises(InternalInvariantError):
+        dist.check()
 
 
 def test_factorized_layout_matches_brute_force():

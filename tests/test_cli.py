@@ -137,7 +137,7 @@ def test_json_format_tags_nan(capsys):
         (("--code", "steane"),
          "engine: coset-enumerator n=7 m_x=4 m_z=4 combinations=32"),
         (("--code", "four22", "--noise", "depolarizing"),
-         "engine: joint-pairs n=4 pairs=256"),
+         "engine: joint-transform n=4 m=6 combinations=64"),
     ],
     ids=["factorized", "joint"],
 )
