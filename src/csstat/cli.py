@@ -313,6 +313,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"csstat {__version__} verify")
     print(f"code: {args.selector} hash={code_hash(code)}")
     print(f"p={args.p}")
+    configs = sum(rep.sectors_checked << rep.num_spins for rep in reports.values())
+    print(
+        f"engine: exact-enumeration spins_x={reports['x'].num_spins} "
+        f"spins_z={reports['z'].num_spins} configs={configs}"
+    )
     worst = 0.0
     for side, rep in reports.items():
         print(

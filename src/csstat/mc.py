@@ -22,7 +22,9 @@ import numpy as np
 
 from .css import CssCode
 from .gf2 import BitVector
-from .statmech import SPECIES_COUPLED, SmModel, build_sm_x, build_sm_z, nishimori_beta
+from .statmech import (
+    SPECIES_COUPLED, SmModel, build_sm_x, build_sm_z, mask_sites, nishimori_beta,
+)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -114,10 +116,10 @@ def _run_replica(
 ):
     """One chain; returns (energy-per-spin series, spin snapshots) post burn."""
     num_spins = model.num_spins
-    spin_terms: List[Tuple[int, ...]] = [() for _ in range(num_spins)]
+    sites = [mask_sites(mask) for mask in model.masks]
     by_spin: List[List[int]] = [[] for _ in range(num_spins)]
-    for t_idx, term in enumerate(model.terms):
-        for s in term.sites:
+    for t_idx, term_sites in enumerate(sites):
+        for s in term_sites:
             by_spin[s].append(t_idx)
     spin_terms = [tuple(lst) for lst in by_spin]
     max_deg = max((len(t) for t in spin_terms), default=0)
@@ -127,9 +129,9 @@ def _run_replica(
     init = uniforms(np.arange(num_spins, dtype=np.uint64), stream_seed)
     spins = [1 if u < 0.5 else -1 for u in init.tolist()]
     prod = []
-    for term in model.terms:
-        v = term.sign
-        for s in term.sites:
+    for sign, term_sites in zip(model.signs, sites):
+        v = sign
+        for s in term_sites:
             v *= spins[s]
         prod.append(v)
 

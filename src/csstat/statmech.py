@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from .gf2 import BitMatrix, BitVector, kernel_basis
 
 MAX_EXACT_SPINS = 24  # partition_exact streams 2^spins configurations
 MAX_OBSERVABLE_SPINS = 18  # exact_observables holds them all in memory
-_CHUNK = 1 << 20
+_LOW_BITS = 10  # spins enumerated inside each chunk's parity block
+_CHUNK = 1 << 18  # multiply-adds per chunk; bigger products wake BLAS threads, a loss
 
 SPECIES_X = "x"
 SPECIES_Z = "z"
@@ -114,7 +115,11 @@ class Couplings:
 
 @dataclass(frozen=True)
 class SmModel:
-    """A disorder realization of the dual spin model.
+    """A disorder realization of the dual spin model, held as parallel arrays.
+
+    Term t is signs[t] * prod(spins in the int bitmask masks[t]), coupled by
+    families[t]. Only signs depend on the sector, so per-sector loops build
+    one model per (code, side) and swap signs with dataclasses.replace.
 
     sigma_spins is the size of the first register (equal to num_spins for
     single-register models); coupled models append the second register after
@@ -124,11 +129,26 @@ class SmModel:
     """
 
     num_spins: int
-    terms: Tuple[Term, ...]
+    masks: Tuple[int, ...]
+    families: Tuple[str, ...]
+    signs: Tuple[int, ...]
     symmetry_basis: Tuple[BitVector, ...]
     degeneracy_exponent: int
     species: str
     sigma_spins: int
+
+    @property
+    def terms(self) -> Tuple[Term, ...]:
+        """The terms as Term records, for serialization and inspection."""
+        return tuple(
+            Term(sites=mask_sites(mask), sign=sign, family=family)
+            for mask, sign, family in zip(self.masks, self.signs, self.families)
+        )
+
+
+def mask_sites(mask: int) -> Tuple[int, ...]:
+    """Spin indices set in a term mask, lowest first."""
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def nishimori_beta(p: float) -> float:
@@ -138,25 +158,22 @@ def nishimori_beta(p: float) -> float:
     return 0.5 * math.log((1.0 - p) / p)
 
 
-def _column_support(h: BitMatrix, col: int) -> Tuple[int, ...]:
-    return tuple(j for j, bits in enumerate(h.row_bits) if (bits >> col) & 1)
+def _signs(e_rep: BitVector) -> Tuple[int, ...]:
+    """Per-qubit term signs (-1)**e_rep[l]."""
+    return tuple(1 - 2 * bit for bit in e_rep)
 
 
-def _single_register(
-    h: BitMatrix, e_rep: BitVector, n: int, species: str
-) -> SmModel:
-    terms = tuple(
-        Term(
-            sites=_column_support(h, col),
-            sign=-1 if e_rep[col] else +1,
-            family=species,
-        )
-        for col in range(n)
-    )
-    sym = tuple(kernel_basis(h.transpose()).row_list())
+def _single_register(h: BitMatrix, e_rep: BitVector, species: str) -> SmModel:
+    if len(e_rep) != h.cols:
+        raise ValueError(f"e_rep has length {len(e_rep)}, expected {h.cols}")
+    # Column l of h, read as an int over the rows, is the spin mask of qubit l.
+    columns = h.transpose()
+    sym = tuple(kernel_basis(columns).row_list())
     return SmModel(
         num_spins=h.rows,
-        terms=terms,
+        masks=columns.row_bits,
+        families=(species,) * h.cols,
+        signs=_signs(e_rep),
         symmetry_basis=sym,
         degeneracy_exponent=len(sym),
         species=species,
@@ -170,16 +187,18 @@ def build_sm_x(code: CssCode, e_rep: BitVector) -> SmModel:
     One spin per row of Hx; qubit l contributes sign (-1)**e_rep[l] times the
     product of spins whose X check touches l.
     """
-    if len(e_rep) != code.n:
-        raise ValueError(f"e_rep has length {len(e_rep)}, expected {code.n}")
-    return _single_register(code.Hx, e_rep, code.n, SPECIES_X)
+    return _single_register(code.Hx, e_rep, SPECIES_X)
 
 
 def build_sm_z(code: CssCode, e_rep: BitVector) -> SmModel:
     """Mirror of build_sm_x for Z errors: one spin per row of Hz."""
-    if len(e_rep) != code.n:
-        raise ValueError(f"e_rep has length {len(e_rep)}, expected {code.n}")
-    return _single_register(code.Hz, e_rep, code.n, SPECIES_Z)
+    return _single_register(code.Hz, e_rep, SPECIES_Z)
+
+
+def _coupled_signs(ex_rep: BitVector, ez_rep: BitVector) -> Tuple[int, ...]:
+    """Per-qubit (sx, sz, sx*sz) sign triples, flattened in term order."""
+    pairs = zip(_signs(ex_rep), _signs(ez_rep))
+    return tuple(s for sx, sz in pairs for s in (sx, sz, sx * sz))
 
 
 def build_sm_coupled(
@@ -204,23 +223,17 @@ def build_sm_coupled(
     if noise is not None:
         Couplings.from_pauli(noise)
     m_x, m_z = code.Hx.rows, code.Hz.rows
-    terms: List[Term] = []
-    for col in range(code.n):
-        sx = -1 if ex_rep[col] else +1
-        sz = -1 if ez_rep[col] else +1
-        sigma_sites = _column_support(code.Hx, col)
-        tau_sites = tuple(m_x + j for j in _column_support(code.Hz, col))
-        terms.append(Term(sites=sigma_sites, sign=sx, family="x"))
-        terms.append(Term(sites=tau_sites, sign=sz, family="z"))
-        terms.append(Term(sites=sigma_sites + tau_sites, sign=sx * sz, family="y"))
-    sym: List[BitVector] = []
-    for v in kernel_basis(code.Hx.transpose()).row_list():
-        sym.append(BitVector(m_x + m_z, v.bits))
-    for w in kernel_basis(code.Hz.transpose()).row_list():
-        sym.append(BitVector(m_x + m_z, w.bits << m_x))
+    sigma_cols, tau_cols = code.Hx.transpose(), code.Hz.transpose()
+    masks: List[int] = []
+    for sigma, tau in zip(sigma_cols.row_bits, tau_cols.row_bits):
+        masks += (sigma, tau << m_x, sigma | tau << m_x)
+    sym = [BitVector(m_x + m_z, v) for v in kernel_basis(sigma_cols).row_bits]
+    sym += [BitVector(m_x + m_z, w << m_x) for w in kernel_basis(tau_cols).row_bits]
     return SmModel(
         num_spins=m_x + m_z,
-        terms=tuple(terms),
+        masks=tuple(masks),
+        families=("x", "z", "y") * code.n,
+        signs=_coupled_signs(ex_rep, ez_rep),
         symmetry_basis=tuple(sym),
         degeneracy_exponent=len(sym),
         species=SPECIES_COUPLED,
@@ -233,26 +246,27 @@ def build_sm_coupled(
 # ---------------------------------------------------------------------------
 
 
-def _term_arrays(model: SmModel, couplings: Couplings):
-    masks = np.array(
-        [sum(1 << s for s in t.sites) for t in model.terms], dtype=np.uint64
-    )
-    weights = np.array(
-        [t.sign * couplings.for_family(t.family) for t in model.terms],
-        dtype=np.float64,
-    )
-    return masks, weights
+def _parity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(-1)**popcount(a & b), broadcast: the +-1 parity matrix of spins and terms."""
+    return 1.0 - 2.0 * (np.bitwise_count(a & b) & np.uint8(1))
 
 
-def _exponents(configs: np.ndarray, masks: np.ndarray, weights: np.ndarray):
-    """Sum of coupling*sign*prod(spins) for each configuration."""
-    acc = np.zeros(len(configs), dtype=np.float64)
-    for mask, w in zip(masks, weights):
-        parity = (np.bitwise_count(configs & mask) & np.uint64(1)).astype(
-            np.float64
-        )
-        acc += w * (1.0 - 2.0 * parity)
-    return acc
+def _exponent_chunks(model: SmModel, weights: np.ndarray) -> Iterator[np.ndarray]:
+    """sum_t weights[t] * prod(spins of term t) for every configuration c, in order.
+
+    Spin i of c is (-1)**bit_i(c), so the exponents are P @ weights with the
+    parity matrix P[c, t] = (-1)**popcount(c & mask_t). P factors over the
+    configuration bits below and above _LOW_BITS, so each chunk of high rows
+    is one product with the low block, at most _CHUNK multiply-adds.
+    """
+    masks = np.array(model.masks, dtype=np.uint64)
+    low = min(model.num_spins, _LOW_BITS)
+    lo_parity = _parity(masks[:, None], np.arange(1 << low, dtype=np.uint64))
+    hi = np.arange(0, 1 << model.num_spins, 1 << low, dtype=np.uint64)
+    rows = max(1, _CHUNK // (max(1, len(masks)) << low))
+    for start in range(0, len(hi), rows):
+        signed = _parity(hi[start:start + rows, None], masks) * weights
+        yield (signed @ lo_parity).ravel()
 
 
 def partition_exact(model: SmModel, couplings: Couplings) -> float:
@@ -262,20 +276,13 @@ def partition_exact(model: SmModel, couplings: Couplings) -> float:
             f"exact partition sum over 2**{model.num_spins} configurations "
             f"exceeds the {MAX_EXACT_SPINS}-spin limit"
         )
-    masks, weights = _term_arrays(model, couplings)
-    total = 1 << model.num_spins
-    ln_z: Optional[float] = None
-    for start in range(0, total, _CHUNK):
-        configs = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        expo = _exponents(configs, masks, weights)
+    coupling = {f: couplings.for_family(f) for f in FAMILIES}
+    weights = np.array([s * coupling[f] for s, f in zip(model.signs, model.families)])
+    ln_z = -math.inf
+    for expo in _exponent_chunks(model, weights):
         shift = float(expo.max())
-        chunk = shift + math.log(float(np.exp(expo - shift).sum()))
-        if ln_z is None:
-            ln_z = chunk
-        else:
-            hi, lo = max(ln_z, chunk), min(ln_z, chunk)
-            ln_z = hi + math.log1p(math.exp(lo - hi))
-    assert ln_z is not None
+        part = shift + math.log(float(np.exp(expo - shift).sum()))
+        ln_z = max(ln_z, part) + math.log1p(math.exp(-abs(ln_z - part)))
     return ln_z
 
 
@@ -325,26 +332,15 @@ def exact_observables(model: SmModel, beta: float):
             f"exact_observables stores all 2**{model.num_spins} configurations; "
             f"limit is {MAX_OBSERVABLE_SPINS} spins"
         )
-    masks, _ = _term_arrays(model, Couplings.uniform(1.0))
-    signs = np.array([t.sign for t in model.terms], dtype=np.float64)
-    total = 1 << model.num_spins
-    configs = np.arange(total, dtype=np.uint64)
-    neg_h = np.zeros(total, dtype=np.float64)
-    for mask, s in zip(masks, signs):
-        parity = (np.bitwise_count(configs & mask) & np.uint64(1)).astype(
-            np.float64
-        )
-        neg_h += s * (1.0 - 2.0 * parity)
+    neg_h = np.concatenate(list(_exponent_chunks(model, np.array(model.signs, float))))
     expo = beta * neg_h
     shift = float(expo.max())
     w = np.exp(expo - shift)
     zw = float(w.sum())
     ln_z = shift + math.log(zw)
     mean_h = float(-(neg_h * w).sum() / zw)
-    idx = np.arange(model.num_spins, dtype=np.uint64)
-    spins = 1.0 - 2.0 * ((configs[:, None] >> idx[None, :]) & np.uint64(1)).astype(
-        np.float64
-    )
+    configs = np.arange(1 << model.num_spins, dtype=np.uint64)
+    spins = _parity(configs[:, None], 1 << np.arange(model.num_spins, dtype=np.uint64))
     corr = (spins * w[:, None]).T @ spins / zw
     return ln_z, mean_h, corr
 
@@ -360,37 +356,35 @@ class IdentityReport:
 
     sectors_checked: int
     max_abs_dev: float
+    num_spins: int  # each sector enumerated 2**num_spins configurations
 
 
 def verify_sector_identity(
     code: CssCode, p: float, side: str = "x"
 ) -> IdentityReport:
-    """Check P(sector) == normalized Z across every sector of one side."""
+    """Check P(sector) == normalized Z across every sector of one side.
+
+    The side's model is built once; each sector swaps in only its signs.
+    """
     beta = nishimori_beta(p)
     couplings = Couplings.uniform(beta)
+    zero = BitVector(code.n, 0)
     if side == "x":
-        dist = sector_distribution_x(code, p)
-        syn_bits, log_bits = code.rank_z, code.k
+        dist, base = sector_distribution_x(code, p), build_sm_x(code, zero)
+        syn_bits, representative = code.rank_z, representative_x
     elif side == "z":
-        dist = sector_distribution_z(code, p)
-        syn_bits, log_bits = code.rank_x, code.k
+        dist, base = sector_distribution_z(code, p), build_sm_z(code, zero)
+        syn_bits, representative = code.rank_x, representative_z
     else:
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
-    grid = dist.by_syndrome().tolist()
+    grid = dist.by_syndrome()
     worst = 0.0
-    checked = 0
-    for syn_int in range(1 << syn_bits):
-        syn = BitVector(syn_bits, syn_int)
-        for log_int in range(1 << log_bits):
-            log = BitVector(log_bits, log_int)
-            if side == "x":
-                model = build_sm_x(code, representative_x(code, syn, log))
-            else:
-                model = build_sm_z(code, representative_z(code, syn, log))
-            p_model = math.exp(log_sector_probability(model, couplings, code.n))
-            worst = max(worst, abs(p_model - grid[syn_int][log_int]))
-            checked += 1
-    return IdentityReport(sectors_checked=checked, max_abs_dev=worst)
+    for (syn, log), p_true in np.ndenumerate(grid):
+        e_rep = representative(code, BitVector(syn_bits, syn), BitVector(code.k, log))
+        model = replace(base, signs=_signs(e_rep))
+        p_model = math.exp(log_sector_probability(model, couplings, code.n))
+        worst = max(worst, abs(p_model - float(p_true)))
+    return IdentityReport(grid.size, worst, base.num_spins)
 
 
 def verify_sector_identity_coupled(
@@ -400,16 +394,15 @@ def verify_sector_identity_coupled(
     if dist.mode != MODE_JOINT:
         raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
     couplings = Couplings.from_pauli(noise)
+    base = build_sm_coupled(code, BitVector(code.n, 0), BitVector(code.n, 0))
     worst = 0.0
-    checked = 0
     for key, p_true in zip(dist.keys(), dist.table.tolist()):
         ex_rep = representative_x(code, key.b, key.kz)
         ez_rep = representative_z(code, key.a, key.kx)
-        model = build_sm_coupled(code, ex_rep, ez_rep)
+        model = replace(base, signs=_coupled_signs(ex_rep, ez_rep))
         p_model = math.exp(log_sector_probability(model, couplings, code.n))
         worst = max(worst, abs(p_model - p_true))
-        checked += 1
-    return IdentityReport(sectors_checked=checked, max_abs_dev=worst)
+    return IdentityReport(len(dist.table), worst, base.num_spins)
 
 
 @dataclass(frozen=True)
@@ -472,20 +465,14 @@ def domain_wall_free_energy(
     beta = nishimori_beta(p)
     couplings = Couplings.uniform(beta)
     ln_norm = log_normalization(couplings, code.n, code.Dx, SPECIES_X)
-    ln_z: Dict[Tuple[int, int], float] = {}
-    for b_int in range(1 << code.rank_z):
-        b = BitVector(code.rank_z, b_int)
-        for u_int in range(1 << code.k):
-            u = BitVector(code.k, u_int)
-            model = build_sm_x(code, representative_x(code, b, u))
-            ln_z[(b_int, u_int)] = partition_exact(model, couplings)
-    total = 0.0
-    for (b_int, u_int), lz in ln_z.items():
-        prob = math.exp(lz + ln_norm)
-        if prob > 0.0:
-            partner = ln_z[(b_int, u_int ^ k_shift.bits)]
-            total += prob * (lz - partner)
-    return total / math.log(2.0)
+    base = build_sm_x(code, BitVector(code.n, 0))
+    ln_z = np.empty((1 << code.rank_z, 1 << code.k))
+    for b, u in np.ndindex(ln_z.shape):
+        e_rep = representative_x(code, BitVector(code.rank_z, b), BitVector(code.k, u))
+        ln_z[b, u] = partition_exact(replace(base, signs=_signs(e_rep)), couplings)
+    partner = ln_z[:, np.arange(ln_z.shape[1]) ^ k_shift.bits]
+    prob = np.exp(ln_z + ln_norm)
+    return float((prob * (ln_z - partner)).sum()) / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +507,20 @@ def sm_to_json_dict(
 def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
     if data.get("format") != "sm-model v1":
         raise ValueError(f"unsupported model format {data.get('format')!r}")
-    terms = tuple(
+    num_spins = data["num_spins"]
+    terms = [
         Term(sites=tuple(t["sites"]), sign=t["sign"], family=t["family"])
         for t in data["terms"]
-    )
+    ]
+    masks = tuple(sum(1 << i for i in t.sites) for t in terms)
+    if any(m >> num_spins or mask_sites(m) != t.sites for m, t in zip(masks, terms)):
+        raise ValueError(f"term sites must be increasing spin indices < {num_spins}")
     sym = tuple(BitVector.from01(s) for s in data["symmetry_basis"])
     model = SmModel(
-        num_spins=data["num_spins"],
-        terms=terms,
+        num_spins=num_spins,
+        masks=masks,
+        families=tuple(t.family for t in terms),
+        signs=tuple(t.sign for t in terms),
         symmetry_basis=sym,
         degeneracy_exponent=data["degeneracy_exponent"],
         species=data["species"],

@@ -189,6 +189,13 @@ def test_verify_and_kw(capsys):
     code, out, _ = run(capsys, "verify", "four22", "0.1")
     assert code == 0
     assert "ok (tolerance" in out
+    lines = out.splitlines()
+    # one spin per side; 2^(rank + k) = 8 sectors of 2^1 configurations each
+    assert lines[2:4] == [
+        "p=0.1", "engine: exact-enumeration spins_x=1 spins_z=1 configs=32",
+    ]
+    assert lines[4].startswith("side x: sectors=8 max_abs_dev=")
+    assert lines[5].startswith("side z: sectors=8 max_abs_dev=")
     code, out, _ = run(capsys, "kw-check", "toric2d:2", "0.4")
     assert code == 0
     summed = [l for l in out.splitlines() if l.startswith("summed_residual")]

@@ -1,8 +1,15 @@
 """Disorder-model mapping: sector identities, dualities, serialization."""
 
+import hashlib
+import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+
+from csstat import statmech
+from csstat.cli import parse_noise
 
 from csstat.channels import (
     PauliNoise,
@@ -269,3 +276,196 @@ def test_normalization_is_shared_across_sectors():
     single = log_normalization(couplings, code.n, code.Dx, SPECIES_X)
     coupled = log_normalization(couplings, code.n, code.Dx, SPECIES_COUPLED)
     assert single != coupled
+
+
+# ---------------------------------------------------------------------------
+# Per-term oracle for the exact sums: one pass over the configurations per
+# term, accumulating coupling * sign * parity, with the chunked log-sum-exp.
+# ---------------------------------------------------------------------------
+
+
+def _term_arrays(model, couplings):
+    masks = np.array(
+        [sum(1 << s for s in t.sites) for t in model.terms], dtype=np.uint64
+    )
+    weights = np.array(
+        [t.sign * couplings.for_family(t.family) for t in model.terms],
+        dtype=np.float64,
+    )
+    return masks, weights
+
+
+def _exponents(configs, masks, weights):
+    """Sum of coupling*sign*prod(spins) for each configuration."""
+    acc = np.zeros(len(configs), dtype=np.float64)
+    for mask, w in zip(masks, weights):
+        parity = (np.bitwise_count(configs & mask) & np.uint64(1)).astype(
+            np.float64
+        )
+        acc += w * (1.0 - 2.0 * parity)
+    return acc
+
+
+def _partition_oracle(model, couplings, chunk=1 << 20):
+    masks, weights = _term_arrays(model, couplings)
+    total = 1 << model.num_spins
+    ln_z = None
+    for start in range(0, total, chunk):
+        configs = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        expo = _exponents(configs, masks, weights)
+        shift = float(expo.max())
+        part = shift + math.log(float(np.exp(expo - shift).sum()))
+        if ln_z is None:
+            ln_z = part
+        else:
+            hi, lo = max(ln_z, part), min(ln_z, part)
+            ln_z = hi + math.log1p(math.exp(lo - hi))
+    return ln_z
+
+
+def _sector_models(code, side):
+    """The side's model at a handful of sectors: first, second, middle, last."""
+    syn_bits = code.rank_z if side == "x" else code.rank_x
+    build = build_sm_x if side == "x" else build_sm_z
+    representative = representative_x if side == "x" else representative_z
+    total = 1 << (syn_bits + code.k)
+    for label in sorted({0, 1, total // 2, total - 1}):
+        syn = BitVector(syn_bits, label >> code.k)
+        log = BitVector(code.k, label & ((1 << code.k) - 1))
+        yield build(code, representative(code, syn, log))
+
+
+@pytest.mark.parametrize("side", ["x", "z"])
+@pytest.mark.parametrize(
+    "make",
+    [four22, steane, lambda: toric2d(2), lambda: surface2d(3, 4), lambda: toric2d(4)],
+    ids=["four22", "steane", "toric2d:2", "surface2d:3x4", "toric2d:4"],
+)
+def test_partition_exact_matches_per_term_oracle(make, side):
+    code = make()
+    for model in _sector_models(code, side):
+        for beta in (0.0, 0.3, nishimori_beta(0.1)):
+            couplings = Couplings.uniform(beta)
+            got = partition_exact(model, couplings)
+            assert abs(got - _partition_oracle(model, couplings)) < 1e-12
+
+
+def test_partition_exact_matches_oracle_on_coupled_model():
+    code = four22()
+    couplings = Couplings.from_pauli(PauliNoise(0.06, 0.03, 0.1))
+    for b, kz, a, kx in ((0, 0, 0, 0), (1, 2, 0, 1), (1, 3, 1, 3)):
+        model = build_sm_coupled(
+            code,
+            representative_x(code, BitVector(code.rank_z, b), BitVector(code.k, kz)),
+            representative_z(code, BitVector(code.rank_x, a), BitVector(code.k, kx)),
+        )
+        got = partition_exact(model, couplings)
+        assert abs(got - _partition_oracle(model, couplings)) < 1e-12
+
+
+def test_partition_exact_across_many_chunks(monkeypatch):
+    # a 3-bit low block and a budget of 576 = 4 * 18 * 2^3 multiply-adds
+    # give chunks of 4 high rows (32 configurations): 16 chunks for 2^9
+    code = surface2d(3, 4)
+    couplings = Couplings.uniform(nishimori_beta(0.1))
+    whole = [partition_exact(m, couplings) for m in _sector_models(code, "x")]
+    observed = [exact_observables(m, 0.7) for m in _sector_models(code, "x")]
+    monkeypatch.setattr(statmech, "_LOW_BITS", 3)
+    monkeypatch.setattr(statmech, "_CHUNK", 576)
+    for model, ln_z, obs in zip(_sector_models(code, "x"), whole, observed):
+        assert len(model.masks) == 18 and model.num_spins == 9
+        assert len(list(statmech._exponent_chunks(model, np.ones(18)))) == 16
+        chunked = partition_exact(model, couplings)
+        assert abs(chunked - _partition_oracle(model, couplings, chunk=32)) < 1e-12
+        assert abs(chunked - ln_z) < 1e-12
+        # exact_observables pairs each exponent with its configuration's spins
+        lnz_obs, energy, corr = exact_observables(model, 0.7)
+        assert abs(lnz_obs - _partition_oracle(model, Couplings.uniform(0.7))) < 1e-12
+        assert abs(lnz_obs - obs[0]) < 1e-12 and abs(energy - obs[1]) < 1e-12
+        assert np.allclose(corr, obs[2], rtol=0, atol=1e-12)
+
+
+def test_sign_swap_equals_a_fresh_build():
+    # the per-sector loops reuse one model and replace only its signs
+    code = toric2d(2)
+    base = build_sm_x(code, BitVector(code.n, 0))
+    for label in range(1 << (code.rank_z + code.k)):
+        syn = BitVector(code.rank_z, label >> code.k)
+        log = BitVector(code.k, label & ((1 << code.k) - 1))
+        e = representative_x(code, syn, log)
+        fresh = build_sm_x(code, e)
+        assert replace(base, signs=fresh.signs) == fresh
+        assert fresh.signs == tuple(-1 if bit else 1 for bit in e)
+    zero = BitVector(code.n, 0)
+    e_x = representative_x(code, BitVector(code.rank_z, 3), BitVector(code.k, 1))
+    e_z = representative_z(code, BitVector(code.rank_x, 5), BitVector(code.k, 2))
+    coupled = build_sm_coupled(code, e_x, e_z)
+    assert replace(build_sm_coupled(code, zero, zero), signs=coupled.signs) == coupled
+    for col in range(code.n):
+        sx, sz, sy = coupled.signs[3 * col:3 * col + 3]
+        assert (sx, sz, sy) == (1 - 2 * e_x[col], 1 - 2 * e_z[col], sx * sz)
+
+
+@pytest.mark.parametrize("side, sectors, spins", [("x", 512, 9), ("z", 1024, 8)])
+def test_sector_identity_surface_3x4(side, sectors, spins):
+    rep = verify_sector_identity(surface2d(3, 4), 0.1, side)
+    assert rep.sectors_checked == sectors
+    assert rep.num_spins == spins
+    assert rep.max_abs_dev < 1e-12
+
+
+def _sm_export_models():
+    code, small = toric2d(2), four22()
+    b01 = BitVector.from01
+    return {
+        "toric2d:2 x:101:01": (
+            build_sm_x(code, representative_x(code, b01("101"), b01("01"))),
+            Couplings.uniform(nishimori_beta(0.2)),
+        ),
+        "toric2d:2 z:011:10": (
+            build_sm_z(code, representative_z(code, b01("011"), b01("10"))),
+            None,
+        ),
+        "four22 coupled:1:00:1:00": (
+            build_sm_coupled(
+                small,
+                representative_x(small, b01("1"), b01("00")),
+                representative_z(small, b01("1"), b01("00")),
+            ),
+            Couplings.from_pauli(parse_noise("depolarizing").rates_at(0.1)),
+        ),
+    }
+
+
+def test_sm_export_bytes_are_pinned():
+    # sha256 of the JSON text written when models held Term tuples, so the
+    # array-backed model must reproduce every term, site order and field
+    want = {
+        "toric2d:2 x:101:01":
+            "a589d556d67b34c02c6c410f4f1174fddf8ba4a9547a7faa633532ab405556d3",
+        "toric2d:2 z:011:10":
+            "2cb6dd5ead16b46217c4e1644d836d798b61a2b3bb897cf5641aa10d8f99e4eb",
+        "four22 coupled:1:00:1:00":
+            "5804929cebb7b4bbf450a9c687147ad2b890e2d56ebfb7d45d81b09f883f091a",
+    }
+    for name, (model, couplings) in _sm_export_models().items():
+        text = json.dumps(sm_to_json_dict(model, couplings), indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == want[name], name
+        back, _ = sm_from_json_dict(json.loads(text))
+        assert back == model
+
+
+def test_sm_from_json_rejects_bad_terms():
+    model, _ = _sm_export_models()["toric2d:2 x:101:01"]
+    good = sm_to_json_dict(model)
+    for bad_term in (
+        {"sites": [0, 1], "sign": 2, "family": "x"},
+        {"sites": [0, 1], "sign": 1, "family": "w"},
+        {"sites": [1, 0], "sign": 1, "family": "x"},
+        {"sites": [0, 0], "sign": 1, "family": "x"},
+        {"sites": [0, model.num_spins], "sign": 1, "family": "x"},
+        {"sites": [-1, 0], "sign": 1, "family": "x"},
+    ):
+        data = dict(good, terms=good["terms"][:-1] + [bad_term])
+        with pytest.raises(ValueError):
+            sm_from_json_dict(data)
