@@ -44,19 +44,6 @@ class InternalInvariantError(AssertionError):
 
 
 @dataclass(frozen=True)
-class IndependentNoise:
-    """Independent per-qubit bit-flip (px) and phase-flip (pz) rates."""
-
-    px: float
-    pz: float
-
-    def __post_init__(self) -> None:
-        for name, p in (("px", self.px), ("pz", self.pz)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} = {p} is not a probability")
-
-
-@dataclass(frozen=True)
 class PauliNoise:
     """Single-qubit Pauli channel rates (ptx, pty, ptz); identity rest."""
 
@@ -309,13 +296,12 @@ def _factorized_distribution(code, p, rows, widths, mode, noise):
     return dist
 
 
-def sector_distribution_x(code: CssCode, px: float, threads: int = 1) -> SectorDistribution:
+def sector_distribution_x(code: CssCode, px: float) -> SectorDistribution:
     """Exact (b, kz) table for independent X errors at rate px.
 
     Evaluates the coset weight enumerator over m = rank_z + k label bits;
     m ≤ MAX_LABEL_BITS. The table has exactly 2^m entries (each sector is
-    realized by 2^(n − m) strings) and sums to 1 within 1e-12. threads is
-    accepted for compatibility and has no effect.
+    realized by 2^(n − m) strings) and sums to 1 within 1e-12.
     """
     if not 0.0 <= px <= 1.0:
         raise ValueError(f"px = {px} is not a probability")
@@ -325,7 +311,7 @@ def sector_distribution_x(code: CssCode, px: float, threads: int = 1) -> SectorD
     )
 
 
-def sector_distribution_z(code: CssCode, pz: float, threads: int = 1) -> SectorDistribution:
+def sector_distribution_z(code: CssCode, pz: float) -> SectorDistribution:
     """Exact (a, kx) table for independent Z errors at rate pz (mirror of X)."""
     if not 0.0 <= pz <= 1.0:
         raise ValueError(f"pz = {pz} is not a probability")
@@ -335,9 +321,7 @@ def sector_distribution_z(code: CssCode, pz: float, threads: int = 1) -> SectorD
     )
 
 
-def sector_distribution_joint(
-    code: CssCode, noise: PauliNoise, threads: int = 1
-) -> SectorDistribution:
+def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistribution:
     """(a, b, kx, kz) table for a general Pauli channel, by character transform.
 
     The X-side functionals (the (b, kz) label, m_x = rank_z + k of them) act
@@ -356,7 +340,7 @@ def sector_distribution_joint(
     (powers, two products); the transform carries that over unamplified
     after the exact 2^−m scaling, and its m butterfly stages add at most
     2^−53 each. An entry below −bound raises InternalInvariantError; entries
-    in [−bound, 0) are set to 0. threads has no effect.
+    in [−bound, 0) are set to 0.
     """
     n = code.n
     x_rows, _ = _x_side_functionals(code)

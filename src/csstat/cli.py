@@ -183,7 +183,6 @@ def _sweep_rows(
     code: CssCode,
     grid: Sequence[float],
     spec: NoiseSpec,
-    threads: int,
     k0: BitVector,
     k0p: BitVector,
 ) -> Tuple[List[str], List[List[float]], List[str]]:
@@ -194,15 +193,15 @@ def _sweep_rows(
     for p in grid:
         if spec.joint:
             noise = spec.rates_at(p)
-            dist = sector_distribution_joint(code, noise, threads)
+            dist = sector_distribution_joint(code, noise)
             report = info.bound_report(dist, code.k)
             rel_source = marginalize(dist, ["b", "kz"])
             extra = [noise.ptx, noise.pty, noise.ptz]
             p_x = p_z = p
         else:
             p_x, p_z = spec.rates_at(p)
-            dist_x = sector_distribution_x(code, p_x, threads)
-            dist_z = sector_distribution_z(code, p_z, threads)
+            dist_x = sector_distribution_x(code, p_x)
+            dist_z = sector_distribution_z(code, p_z)
             report = info.bound_report((dist_x, dist_z), code.k)
             rel_source = dist_x
             extra = []
@@ -247,13 +246,10 @@ def _run_sweep(args: argparse.Namespace, command: str) -> int:
         k0p = BitVector(width, args.k0p)
     else:
         k0, k0p = _default_shift(code)
-    columns, rows, violations = _sweep_rows(
-        code, grid, spec, args.threads, k0, k0p
-    )
+    columns, rows, violations = _sweep_rows(code, grid, spec, k0, k0p)
     params = {
         "p_start": args.p_start, "p_stop": args.p_stop, "points": args.points,
-        "noise": spec.describe(), "threads": args.threads,
-        "rel_shift": (k0 ^ k0p).to01(),
+        "noise": spec.describe(), "rel_shift": (k0 ^ k0p).to01(),
     }
     prov = _provenance(command, args.code, code, params)
     prov.append(_engine_line(code, spec.joint))
@@ -416,7 +412,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
         burn_in=args.burn_in,
         seed=args.seed,
         replicas=args.replicas,
-        thread_count=args.threads,
     )
     scan = mc.nishimori_scan(code, args.side, grid, args.samples, cfg)
     rows = [
@@ -428,7 +423,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "side": args.side, "p_start": args.p_start, "p_stop": args.p_stop,
         "points": args.points, "samples": args.samples, "sweeps": args.sweeps,
         "burn_in": args.burn_in, "replicas": args.replicas, "seed": args.seed,
-        "threads": args.threads,
     }
     prov = _provenance("mc", args.selector, code, params)
     _emit_table(args.out, args.format, prov, MC_COLUMNS, rows)
@@ -456,7 +450,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
         "general:<wx>,<wy>,<wz>  (joint kinds sweep the total rate and "
         "append pt_x,pt_y,pt_z columns)",
     )
-    p.add_argument("--threads", type=int, default=1)
     _add_output_flags(p)
 
 
@@ -528,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=500)
     p.add_argument("--replicas", type=int, default=2)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_mc)
 

@@ -323,35 +323,20 @@ def _min_weight_coset(logicals: BitMatrix, stabilizers: BitMatrix, n: int) -> in
     r = stabilizers.rows
     if k == 0:
         raise ValueError("no logical operators; distance undefined")
-    if n <= 63:
-        # Vectorized: all 2^r stabilizer elements once, then XOR each logical
-        # combo in and take the min popcount.
-        stab = np.zeros(1, dtype=np.uint64)
-        for i in range(r):
-            stab = np.concatenate([stab, stab ^ np.uint64(stabilizers.row_bits[i])])
-        best = n + 1
-        for combo in range(1, 1 << k):
-            acc = 0
-            for i in range(k):
-                if (combo >> i) & 1:
-                    acc ^= logicals.row_bits[i]
-            w = int(np.bitwise_count(stab ^ np.uint64(acc)).min())
-            best = min(best, w)
-        return best
-    # Wide-code fallback on Python ints (sizes here are small in practice).
-    stab_elems = [0]
+    # uint64 suffices: distance's kernel-dimension guards give n + k <= 48.
+    # All 2^r stabilizer elements once, then XOR each logical combo in and
+    # take the min popcount.
+    stab = np.zeros(1, dtype=np.uint64)
     for i in range(r):
-        stab_elems += [s ^ stabilizers.row_bits[i] for s in stab_elems]
+        stab = np.concatenate([stab, stab ^ np.uint64(stabilizers.row_bits[i])])
     best = n + 1
     for combo in range(1, 1 << k):
         acc = 0
         for i in range(k):
             if (combo >> i) & 1:
                 acc ^= logicals.row_bits[i]
-        for s in stab_elems:
-            w = (s ^ acc).bit_count()
-            if w < best:
-                best = w
+        w = int(np.bitwise_count(stab ^ np.uint64(acc)).min())
+        best = min(best, w)
     return best
 
 

@@ -1,8 +1,8 @@
 """Metropolis sampling of the disorder models along the Nishimori line.
 
 Randomness is counter-based splitmix64 throughout: every uniform is a pure
-function of (stream seed, counter), so results are bit-identical for a given
-config seed no matter how the work is scheduled. Counter layout per stream:
+function of (stream seed, counter), so results are a pure function of the
+config seed. Counter layout per stream:
 the first num_spins counters draw the initial configuration, and sweep s
 proposal i uses counter (1 + s)*num_spins + i.
 
@@ -14,16 +14,16 @@ single integer.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .css import CssCode
 from .gf2 import BitVector
 from .statmech import (
-    SPECIES_COUPLED, SmModel, build_sm_x, build_sm_z, mask_sites, nishimori_beta,
+    SPECIES_COUPLED, SmModel, _signs, build_sm_x, build_sm_z, mask_sites,
+    nishimori_beta,
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -72,7 +72,6 @@ class McConfig:
     burn_in: int
     seed: int = 1
     replicas: int = 2
-    thread_count: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.burn_in < 0:
@@ -85,8 +84,6 @@ class McConfig:
             )
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.thread_count is not None and self.thread_count < 1:
-            raise ValueError("thread_count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -223,15 +220,14 @@ class ScanRow:
 
 
 def _scan_point(
-    code: CssCode, side: str, p: float, p_index: int, disorder_samples: int,
+    code: CssCode, base: SmModel, p: float, p_index: int, disorder_samples: int,
     cfg: McConfig,
 ) -> ScanRow:
     beta = nishimori_beta(p)
-    build = build_sm_x if side == "x" else build_sm_z
     results: List[McObservables] = []
     for j in range(disorder_samples):
         e_rep = sample_disorder(code, p, derive_seed(cfg.seed, p_index, j, 0))
-        model = build(code, e_rep)
+        model = replace(base, signs=_signs(e_rep))
         run_cfg = replace(cfg, seed=derive_seed(cfg.seed, p_index, j, 1))
         results.append(metropolis(model, beta, run_cfg))
     n_s = len(results)
@@ -261,8 +257,8 @@ def nishimori_scan(
     """Disorder-averaged Metropolis runs at beta = nishimori_beta(p).
 
     Every sample's streams are derived from (cfg.seed, point index, sample
-    index), so the output is independent of scheduling; thread_count only
-    sets how many points run concurrently.
+    index), so the output is a pure function of cfg.seed. The side's model is
+    built once; each disorder sample swaps in only its signs.
     """
     if side not in ("x", "z"):
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
@@ -271,12 +267,8 @@ def nishimori_scan(
     for p in p_grid:
         if not 0.0 < p < 1.0:
             raise ValueError(f"scan rates must satisfy 0 < p < 1, got {p}")
-    jobs = [
-        (code, side, p, idx, disorder_samples, cfg)
+    base = (build_sm_x if side == "x" else build_sm_z)(code, BitVector(code.n, 0))
+    return [
+        _scan_point(code, base, p, idx, disorder_samples, cfg)
         for idx, p in enumerate(p_grid)
     ]
-    workers = cfg.thread_count or 1
-    if workers == 1 or len(jobs) == 1:
-        return [_scan_point(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: _scan_point(*job), jobs))

@@ -201,27 +201,17 @@ def _coupled_signs(ex_rep: BitVector, ez_rep: BitVector) -> Tuple[int, ...]:
     return tuple(s for sx, sz in pairs for s in (sx, sz, sx * sz))
 
 
-def build_sm_coupled(
-    code: CssCode,
-    ex_rep: BitVector,
-    ez_rep: BitVector,
-    noise: Optional[PauliNoise] = None,
-) -> SmModel:
+def build_sm_coupled(code: CssCode, ex_rep: BitVector, ez_rep: BitVector) -> SmModel:
     """Two-register model for correlated X/Z noise.
 
     Register one holds the Hx spins, register two the Hz spins (offset by
     sigma_spins). Each qubit contributes an x term (first register), a z term
     (second register), and a y term on the union of both supports, with signs
-    (-1)**ex, (-1)**ez and their product.
-
-    The model itself is noise-independent (couplings are supplied at
-    evaluation time); passing noise here just validates early that finite
-    bracket couplings exist for it — zero rates are rejected up front.
+    (-1)**ex, (-1)**ez and their product. The model is noise-independent:
+    couplings are supplied at evaluation time.
     """
     if len(ex_rep) != code.n or len(ez_rep) != code.n:
         raise ValueError("representative errors must have length n")
-    if noise is not None:
-        Couplings.from_pauli(noise)
     m_x, m_z = code.Hx.rows, code.Hz.rows
     sigma_cols, tau_cols = code.Hx.transpose(), code.Hz.transpose()
     masks: List[int] = []

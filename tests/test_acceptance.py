@@ -73,10 +73,10 @@ def report(num, name, ok, detail):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def ic_factorized(code, p, threads=1):
+def ic_factorized(code, p):
     return coherent_information_factorized(
-        sector_distribution_x(code, p, threads),
-        sector_distribution_z(code, p, threads),
+        sector_distribution_x(code, p),
+        sector_distribution_z(code, p),
         code.k,
     ).value
 
@@ -115,12 +115,11 @@ def test_criterion_2_bound_chain():
     checked = 0
     for name, make in GRID_CODES.items():
         code = make()
-        threads = 2 if code.n > 16 else 1
         for p in grid21():
             rep = bound_report(
                 (
-                    sector_distribution_x(code, p, threads),
-                    sector_distribution_z(code, p, threads),
+                    sector_distribution_x(code, p),
+                    sector_distribution_z(code, p),
                 ),
                 code.k,
             )
@@ -141,8 +140,7 @@ def test_criterion_3_monotonicity():
     worst_rise = 0.0
     for name, make in GRID_CODES.items():
         code = make()
-        threads = 2 if code.n > 16 else 1
-        values = [ic_factorized(code, p, threads) for p in grid21()]
+        values = [ic_factorized(code, p) for p in grid21()]
         for lo, hi in zip(values[1:], values[:-1]):
             worst_rise = max(worst_rise, lo - hi)
     report(
@@ -340,8 +338,7 @@ def test_criterion_10_mc_validity():
         )
     rows = nishimori_scan(
         toric2d(8), "x", [0.05, 0.20], disorder_samples=4,
-        cfg=McConfig(sweeps=1200, burn_in=300, seed=5, replicas=2,
-                     thread_count=2),
+        cfg=McConfig(sweeps=1200, burn_in=300, seed=5, replicas=2),
     )
     contrast = rows[0].ea_overlap - rows[1].ea_overlap
     elapsed = time.monotonic() - t0
@@ -358,7 +355,7 @@ def test_criterion_11_size_crossing():
     small, large = toric2d(2), toric2d(3)
     ps = [0.05 + 0.15 * i / 8 for i in range(9)]
     diff = [
-        ic_factorized(small, p) / small.k - ic_factorized(large, p, threads=2) / large.k
+        ic_factorized(small, p) / small.k - ic_factorized(large, p) / large.k
         for p in ps
     ]
     crossings = sum(

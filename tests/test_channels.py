@@ -185,12 +185,17 @@ def test_zero_rate_is_point_mass():
         assert p == (1.0 if trivial else 0.0)
 
 
-def test_thread_count_does_not_change_values():
+def test_repeated_calls_are_bit_identical():
     code = toric2d(2)
-    base = sector_distribution_x(code, 0.13, threads=1)
-    for threads in (2, 4):
-        other = sector_distribution_x(code, 0.13, threads=threads)
-        assert np.array_equal(other.table, base.table)  # bit-identical
+    noise = PauliNoise(0.05, 0.02, 0.04)
+    for build in (
+        lambda: sector_distribution_x(code, 0.13),
+        lambda: sector_distribution_z(code, 0.13),
+        lambda: sector_distribution_joint(code, noise),
+    ):
+        base = build()
+        for _ in range(2):
+            assert np.array_equal(build().table, base.table)  # bit-identical
 
 
 def test_modes_and_metadata():

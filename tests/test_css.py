@@ -125,6 +125,8 @@ def test_distance_goldens():
     assert distance(steane()) == (3, 3)
     assert distance(toric2d(2)) == (2, 2)
     assert distance(surface2d(3, 3)) == (3, 3)
+    assert distance(toric2d(3)) == (3, 3)
+    assert distance(surface2d(5, 5)) == (5, 5)  # n = 41, near the kernel guard
 
 
 def test_text_round_trip():

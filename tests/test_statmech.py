@@ -160,9 +160,7 @@ def test_couplings_from_pauli():
 
 def test_coupled_model_structure():
     code = four22()
-    model = build_sm_coupled(
-        code, BitVector(code.n, 0), BitVector(code.n, 0), noise=PauliNoise(0.05, 0.02, 0.04)
-    )
+    model = build_sm_coupled(code, BitVector(code.n, 0), BitVector(code.n, 0))
     assert model.species == SPECIES_COUPLED
     assert model.num_spins == code.Hx.rows + code.Hz.rows
     assert model.sigma_spins == code.Hx.rows
@@ -173,10 +171,7 @@ def test_coupled_model_structure():
         by_family[t.family] += 1
     assert by_family == {"x": code.n, "z": code.n, "y": code.n}
     with pytest.raises(ValueError):
-        build_sm_coupled(
-            code, BitVector(code.n, 0), BitVector(code.n, 0),
-            noise=PauliNoise(0.1, 0.0, 0.1),
-        )
+        build_sm_coupled(code, BitVector(code.n - 1, 0), BitVector(code.n, 0))
 
 
 def test_kw_residuals():
