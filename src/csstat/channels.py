@@ -233,20 +233,21 @@ def _combination_supports(rows: Sequence[int]) -> np.ndarray:
 
 def _check_enumerator_size(n: int, m: int) -> None:
     """Raise TooLarge unless the enumerator's arrays and int64 sums fit."""
+    cost = f"A[label, w] is 2^{m} x {n + 1} int64 = {8 * (n + 1) << m:,} bytes"
     if m > MAX_LABEL_BITS:
         raise TooLarge(
             f"coset enumerator bound is m <= {MAX_LABEL_BITS} label bits, "
-            f"got m = {m} (n = {n})"
+            f"got m = {m} (n = {n}); {cost}"
         )
     if n > MAX_SUPPORT_BITS:
         raise TooLarge(
             f"coset enumerator packs supports in 64 bits, so n <= "
-            f"{MAX_SUPPORT_BITS}; got n = {n} (m = {m})"
+            f"{MAX_SUPPORT_BITS}; got n = {n} (m = {m}); {cost}"
         )
     if (1 << m) * math.comb(n, n // 2) >= 1 << 63:
         raise TooLarge(
             f"coset enumerator needs 2^m * C(n, n/2) < 2^63 for int64 sums; "
-            f"got m = {m}, n = {n}"
+            f"got m = {m}, n = {n}; {cost}"
         )
 
 
@@ -278,47 +279,56 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     return counts
 
 
-def _factorized_distribution(code, p, rows, widths, mode, noise):
-    n = code.n
-    counts = _coset_enumerator(rows, n)
-    wtab = np.array([error_weight_prob(w, n, p) for w in range(n + 1)])
-    # label = syndrome << k | logical is already the packed table index
-    dist = SectorDistribution(
-        code_hash=code_hash(code),
-        n=n,
-        k=code.k,
-        mode=mode,
-        widths=widths,
-        table=counts.astype(np.float64) @ wtab,
-        noise=noise,
-    )
-    dist.check()
-    return dist
+def _factorized_distributions(code, rates, rows, widths, mode, name):
+    """One table per rate from one enumerator build, one mat-vec per rate (a
+    single product over all rates sums in another order: not bit-identical)."""
+    for p in rates:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} = {p} is not a probability")
+    n, digest = code.n, code_hash(code)
+    counts = _coset_enumerator(rows, n).astype(np.float64)
+    dists = []
+    for p in rates:
+        wtab = np.array([error_weight_prob(w, n, p) for w in range(n + 1)])
+        # label = syndrome << k | logical is already the packed table index
+        dist = SectorDistribution(
+            code_hash=digest, n=n, k=code.k, mode=mode, widths=widths,
+            table=counts @ wtab, noise={name: p},
+        )
+        dist.check()
+        dists.append(dist)
+    return dists
+
+
+def sector_distributions_x(
+    code: CssCode, rates: Sequence[float]
+) -> List[SectorDistribution]:
+    """Exact (b, kz) tables for independent X errors, one per rate in rates.
+
+    The coset weight enumerator over m = rank_z + k ≤ MAX_LABEL_BITS label
+    bits is built once. Each table has exactly 2^m entries (each sector is
+    realized by 2^(n − m) strings) and sums to 1 within 1e-12.
+    """
+    rows, widths = _x_side_functionals(code)
+    return _factorized_distributions(code, rates, rows, widths, MODE_X, "px")
+
+
+def sector_distributions_z(
+    code: CssCode, rates: Sequence[float]
+) -> List[SectorDistribution]:
+    """Exact (a, kx) tables for independent Z errors, one per rate (mirror of X)."""
+    rows, widths = _z_side_functionals(code)
+    return _factorized_distributions(code, rates, rows, widths, MODE_Z, "pz")
 
 
 def sector_distribution_x(code: CssCode, px: float) -> SectorDistribution:
-    """Exact (b, kz) table for independent X errors at rate px.
-
-    Evaluates the coset weight enumerator over m = rank_z + k label bits;
-    m ≤ MAX_LABEL_BITS. The table has exactly 2^m entries (each sector is
-    realized by 2^(n − m) strings) and sums to 1 within 1e-12.
-    """
-    if not 0.0 <= px <= 1.0:
-        raise ValueError(f"px = {px} is not a probability")
-    rows, widths = _x_side_functionals(code)
-    return _factorized_distribution(
-        code, px, rows, widths, MODE_X, {"px": px}
-    )
+    """Exact (b, kz) table for independent X errors at rate px."""
+    return sector_distributions_x(code, [px])[0]
 
 
 def sector_distribution_z(code: CssCode, pz: float) -> SectorDistribution:
-    """Exact (a, kx) table for independent Z errors at rate pz (mirror of X)."""
-    if not 0.0 <= pz <= 1.0:
-        raise ValueError(f"pz = {pz} is not a probability")
-    rows, widths = _z_side_functionals(code)
-    return _factorized_distribution(
-        code, pz, rows, widths, MODE_Z, {"pz": pz}
-    )
+    """Exact (a, kx) table for independent Z errors at rate pz."""
+    return sector_distributions_z(code, [pz])[0]
 
 
 def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistribution:

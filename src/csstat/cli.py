@@ -25,8 +25,8 @@ from .channels import (
     depolarizing_from_independent,
     marginalize,
     sector_distribution_joint,
-    sector_distribution_x,
-    sector_distribution_z,
+    sector_distributions_x,
+    sector_distributions_z,
 )
 from .css import CodeFormatError, CommutationViolation, CssCode, TooLarge
 from .css import code_hash, distance
@@ -190,7 +190,11 @@ def _sweep_rows(
     columns = SWEEP_COLUMNS + (JOINT_EXTRA_COLUMNS if spec.joint else [])
     rows = []
     violations = []
-    for p in grid:
+    if not spec.joint:
+        rates = [spec.rates_at(p) for p in grid]
+        dists_x = sector_distributions_x(code, [px for px, _ in rates])
+        dists_z = sector_distributions_z(code, [pz for _, pz in rates])
+    for i, p in enumerate(grid):
         if spec.joint:
             noise = spec.rates_at(p)
             dist = sector_distribution_joint(code, noise)
@@ -199,11 +203,9 @@ def _sweep_rows(
             extra = [noise.ptx, noise.pty, noise.ptz]
             p_x = p_z = p
         else:
-            p_x, p_z = spec.rates_at(p)
-            dist_x = sector_distribution_x(code, p_x)
-            dist_z = sector_distribution_z(code, p_z)
-            report = info.bound_report((dist_x, dist_z), code.k)
-            rel_source = dist_x
+            p_x, p_z = rates[i]
+            report = info.bound_report((dists_x[i], dists_z[i]), code.k)
+            rel_source = dists_x[i]
             extra = []
         rel = info.relative_entropy(rel_source, k0, k0p).value
         rows.append(
@@ -215,7 +217,7 @@ def _sweep_rows(
 
 
 def _engine_line(code: CssCode, joint: bool) -> str:
-    """Provenance line naming the table engine and the work it does per point."""
+    """Provenance line naming the table engine and its sizes."""
     if joint:
         m = code.rank_x + code.rank_z + 2 * code.k
         return f"engine: joint-transform n={code.n} m={m} combinations={2 ** m}"

@@ -3,7 +3,7 @@
 Vectors and matrix rows are packed little-endian into Python ints (bit i of
 the int is coordinate i), with padding beyond the declared length kept zero.
 All operations are pure; BitVector and BitMatrix are immutable and hashable,
-so they are safe to share between threads and to use as dict keys.
+so they can be used as dict keys.
 
 Determinism contracts (relied on by golden tests downstream):
   * row_reduce picks pivots first-nonzero-column, first-row;

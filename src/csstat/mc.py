@@ -32,6 +32,7 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 N_BLOCKS = 16
+_UNIFORMS_PER_DRAW = 4096  # whole sweeps per draw, at least one
 
 
 def _mix(z: int) -> int:
@@ -135,10 +136,14 @@ def _run_replica(
     meas = sweeps - burn_in
     energy = np.empty(meas, dtype=np.float64)
     snaps = np.empty((meas, num_spins), dtype=np.int8)
-    counters_base = np.arange(num_spins, dtype=np.uint64)
+    block = max(1, _UNIFORMS_PER_DRAW // num_spins)
     for sweep in range(sweeps):
-        offset = np.uint64((1 + sweep) * num_spins)
-        u = uniforms(counters_base + offset, stream_seed).tolist()
+        at = sweep % block
+        if at == 0:  # sweeps [s0, s1) take counters [(1+s0)*S, (1+s1)*S)
+            end = (1 + min(sweeps, sweep + block)) * num_spins
+            counters = np.arange((1 + sweep) * num_spins, end, dtype=np.uint64)
+            drawn = uniforms(counters, stream_seed).tolist()
+        u = drawn[at * num_spins:(at + 1) * num_spins]
         for i in range(num_spins):
             terms_i = spin_terms[i]
             m = 0
@@ -160,7 +165,8 @@ def metropolis(model: SmModel, beta: float, cfg: McConfig) -> McObservables:
     """Sample a single-register model at coupling beta.
 
     Fixed proposal order (spin 0..S-1 each sweep), cached term products for
-    O(degree) energy differences, and one uniform block per sweep. Replicas
+    O(degree) energy differences, and each sweep's uniforms sliced from one
+    draw of up to _UNIFORMS_PER_DRAW that covers whole sweeps. Replicas
     run sequentially on streams derived from cfg.seed; the overlap pairs every
     two replicas and averages.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class SmModel:
 
     Term t is signs[t] * prod(spins in the int bitmask masks[t]), coupled by
     families[t]. Only signs depend on the sector, so per-sector loops build
-    one model per (code, side) and swap signs with dataclasses.replace.
+    one model per (code, side) and pass partition_sums one sign row per sector.
 
     sigma_spins is the size of the first register (equal to num_spins for
     single-register models); coupled models append the second register after
@@ -241,7 +241,13 @@ def _parity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(a & b) & np.uint8(1))
 
 
-def _exponent_chunks(model: SmModel, weights: np.ndarray) -> Iterator[np.ndarray]:
+def _low_parity(model: SmModel) -> np.ndarray:
+    """The low block: each term's +-1 parity against each low configuration."""
+    low = np.arange(1 << min(model.num_spins, _LOW_BITS), dtype=np.uint64)
+    return _parity(np.array(model.masks, dtype=np.uint64)[:, None], low)
+
+
+def _exponent_chunks(model: SmModel, weights: np.ndarray, lo_parity=None):
     """sum_t weights[t] * prod(spins of term t) for every configuration c, in order.
 
     Spin i of c is (-1)**bit_i(c), so the exponents are P @ weights with the
@@ -249,9 +255,9 @@ def _exponent_chunks(model: SmModel, weights: np.ndarray) -> Iterator[np.ndarray
     configuration bits below and above _LOW_BITS, so each chunk of high rows
     is one product with the low block, at most _CHUNK multiply-adds.
     """
+    lo_parity = _low_parity(model) if lo_parity is None else lo_parity
     masks = np.array(model.masks, dtype=np.uint64)
     low = min(model.num_spins, _LOW_BITS)
-    lo_parity = _parity(masks[:, None], np.arange(1 << low, dtype=np.uint64))
     hi = np.arange(0, 1 << model.num_spins, 1 << low, dtype=np.uint64)
     rows = max(1, _CHUNK // (max(1, len(masks)) << low))
     for start in range(0, len(hi), rows):
@@ -259,8 +265,9 @@ def _exponent_chunks(model: SmModel, weights: np.ndarray) -> Iterator[np.ndarray
         yield (signed @ lo_parity).ravel()
 
 
-def partition_exact(model: SmModel, couplings: Couplings) -> float:
-    """ln Z by exhaustive enumeration (num_spins <= MAX_EXACT_SPINS)."""
+def partition_exact(model: SmModel, couplings: Couplings, lo_parity=None) -> float:
+    """ln Z by exhaustive enumeration (num_spins <= MAX_EXACT_SPINS). lo_parity,
+    if given, is _low_parity(model), which depends only on the masks."""
     if model.num_spins > MAX_EXACT_SPINS:
         raise TooLarge(
             f"exact partition sum over 2**{model.num_spins} configurations "
@@ -269,11 +276,21 @@ def partition_exact(model: SmModel, couplings: Couplings) -> float:
     coupling = {f: couplings.for_family(f) for f in FAMILIES}
     weights = np.array([s * coupling[f] for s, f in zip(model.signs, model.families)])
     ln_z = -math.inf
-    for expo in _exponent_chunks(model, weights):
+    for expo in _exponent_chunks(model, weights, lo_parity):
         shift = float(expo.max())
         part = shift + math.log(float(np.exp(expo - shift).sum()))
         ln_z = max(ln_z, part) + math.log1p(math.exp(-abs(ln_z - part)))
     return ln_z
+
+
+def partition_sums(
+    model: SmModel, sign_rows: Iterable[Sequence[int]], couplings: Couplings
+) -> Iterator[float]:
+    """ln Z of model with each row of term signs in turn, read lazily, one
+    sector at a time; the low parity block is built once for all rows."""
+    lo_parity = _low_parity(model)
+    for signs in sign_rows:
+        yield partition_exact(replace(model, signs=signs), couplings, lo_parity)
 
 
 def log_normalization(
@@ -349,6 +366,15 @@ class IdentityReport:
     num_spins: int  # each sector enumerated 2**num_spins configurations
 
 
+def _identity_report(base, sign_rows, couplings, n, p_true) -> IdentityReport:
+    """Worst |normalized Z - p| over sectors given as sign rows of base."""
+    ln_norm = log_normalization(couplings, n, base.degeneracy_exponent, base.species)
+    worst = 0.0
+    for ln_z, p in zip(partition_sums(base, sign_rows, couplings), p_true):
+        worst = max(worst, abs(math.exp(ln_z + ln_norm) - p))
+    return IdentityReport(len(p_true), worst, base.num_spins)
+
+
 def verify_sector_identity(
     code: CssCode, p: float, side: str = "x"
 ) -> IdentityReport:
@@ -368,13 +394,11 @@ def verify_sector_identity(
     else:
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
     grid = dist.by_syndrome()
-    worst = 0.0
-    for (syn, log), p_true in np.ndenumerate(grid):
-        e_rep = representative(code, BitVector(syn_bits, syn), BitVector(code.k, log))
-        model = replace(base, signs=_signs(e_rep))
-        p_model = math.exp(log_sector_probability(model, couplings, code.n))
-        worst = max(worst, abs(p_model - float(p_true)))
-    return IdentityReport(grid.size, worst, base.num_spins)
+    sign_rows = (
+        _signs(representative(code, BitVector(syn_bits, syn), BitVector(code.k, log)))
+        for syn, log in np.ndindex(grid.shape)
+    )
+    return _identity_report(base, sign_rows, couplings, code.n, grid.ravel().tolist())
 
 
 def verify_sector_identity_coupled(
@@ -385,14 +409,10 @@ def verify_sector_identity_coupled(
         raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
     couplings = Couplings.from_pauli(noise)
     base = build_sm_coupled(code, BitVector(code.n, 0), BitVector(code.n, 0))
-    worst = 0.0
-    for key, p_true in zip(dist.keys(), dist.table.tolist()):
-        ex_rep = representative_x(code, key.b, key.kz)
-        ez_rep = representative_z(code, key.a, key.kx)
-        model = replace(base, signs=_coupled_signs(ex_rep, ez_rep))
-        p_model = math.exp(log_sector_probability(model, couplings, code.n))
-        worst = max(worst, abs(p_model - p_true))
-    return IdentityReport(len(dist.table), worst, base.num_spins)
+    sign_rows = (_coupled_signs(representative_x(code, key.b, key.kz),
+                                representative_z(code, key.a, key.kx))
+                 for key in dist.keys())
+    return _identity_report(base, sign_rows, couplings, code.n, dist.table.tolist())
 
 
 @dataclass(frozen=True)
@@ -456,10 +476,12 @@ def domain_wall_free_energy(
     couplings = Couplings.uniform(beta)
     ln_norm = log_normalization(couplings, code.n, code.Dx, SPECIES_X)
     base = build_sm_x(code, BitVector(code.n, 0))
-    ln_z = np.empty((1 << code.rank_z, 1 << code.k))
-    for b, u in np.ndindex(ln_z.shape):
-        e_rep = representative_x(code, BitVector(code.rank_z, b), BitVector(code.k, u))
-        ln_z[b, u] = partition_exact(replace(base, signs=_signs(e_rep)), couplings)
+    shape = (1 << code.rank_z, 1 << code.k)
+    sign_rows = (
+        _signs(representative_x(code, BitVector(code.rank_z, b), BitVector(code.k, u)))
+        for b, u in np.ndindex(shape)
+    )
+    ln_z = np.fromiter(partition_sums(base, sign_rows, couplings), float).reshape(shape)
     partner = ln_z[:, np.arange(ln_z.shape[1]) ^ k_shift.bits]
     prob = np.exp(ln_z + ln_norm)
     return float((prob * (ln_z - partner)).sum()) / math.log(2.0)

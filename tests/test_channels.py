@@ -23,6 +23,8 @@ from csstat.channels import (
     sector_distribution_joint,
     sector_distribution_x,
     sector_distribution_z,
+    sector_distributions_x,
+    sector_distributions_z,
     to_json_dict,
     _check_enumerator_size,
     _coset_enumerator,
@@ -35,7 +37,7 @@ from csstat.css import TooLarge, code_hash, sector_of
 from csstat.gf2 import BitVector
 from csstat.info import coherent_information_factorized
 from csstat.statmech import kw_check
-from csstat.zoo import color666, four22, steane, surface2d, toric2d
+from csstat.zoo import color666, four22, from_selector, steane, surface2d, toric2d
 
 
 def brute_force_enumerator(rows, n):
@@ -298,6 +300,44 @@ def test_enumerator_guards_name_m(n, m, limit):
     with pytest.raises(TooLarge, match=limit) as exc:
         _check_enumerator_size(n, m)
     assert f"m = {m}" in str(exc.value)
+    # the message names what A[label, w] would occupy
+    assert f"int64 = {8 * (n + 1) << m:,} bytes" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "selector, digest",
+    [
+        ("steane", "a61a33c6cdfef1cfe6110f90af794767b229d4ba1a6152830038d5fbddbaafd6"),
+        ("four22", "edacbcd7998c39e95dc5b6810d30eb823d308bd3c6cfdc9d9be88d0e9895b5b5"),
+        ("toric2d:2", "d90813aa7dd4bd896f6e6efa291a7a07fa0b70d29edf17946969141dc43d73b3"),
+        ("toric2d:3", "b3c32a1a3d5a84b358cf7b85b5062e4c30c3da6a63872e81e7b8b07b32ada7ea"),
+        ("color666:3x3", "7813df9e35f9dbaf155816013f4d4039e3efc17aa040db2275b6ed3717742933"),
+        ("surface2d:3x4", "1b951b7824ff82a4779c9936faca508f820fd55769b8f461d4017d593fd30017"),
+        ("surface2d:4x4", "4540cd1427e8f4079e6572401d544debc0bc235555179842414cb814a1c9a7d8"),
+    ],
+)
+def test_sweep_tables_equal_per_call_tables(selector, digest):
+    # one enumerator per side for every rate gives each rate's table bit for
+    # bit; the digest of all ten tables was recorded when every table built
+    # its own enumerator
+    code = from_selector(selector)
+    rates = [0.0, 0.03, 0.11, 0.5, 1.0]
+    h = hashlib.sha256()
+    for many, one in ((sector_distributions_x, sector_distribution_x),
+                      (sector_distributions_z, sector_distribution_z)):
+        dists = many(code, rates)
+        assert len(dists) == len(rates)
+        for p, dist in zip(rates, dists):
+            single = one(code, p)
+            assert np.array_equal(dist.table, single.table)
+            assert (dist.mode, dist.widths, dist.noise) == (
+                single.mode, single.widths, single.noise
+            )
+            h.update(dist.table.tobytes())
+    assert h.hexdigest() == digest
+    assert sector_distributions_x(code, []) == []
+    with pytest.raises(ValueError, match="pz = 1.5"):
+        sector_distributions_z(code, [0.1, 1.5])
 
 
 def test_noise_validation():

@@ -12,6 +12,8 @@ from csstat.channels import (
     sector_distribution_joint,
     sector_distribution_x,
     sector_distribution_z,
+    sector_distributions_x,
+    sector_distributions_z,
 )
 from csstat.css import with_logical_basis
 from csstat.gf2 import BitMatrix, BitVector
@@ -23,7 +25,7 @@ from csstat.info import (
     relative_entropy,
     sampling_success,
 )
-from csstat.zoo import four22, steane, toric2d
+from csstat.zoo import four22, steane, surface2d, toric2d
 
 
 def ic_factorized(code, p):
@@ -237,3 +239,25 @@ def test_reductions_match_per_entry_loops(code):
         factorized = coherent_information_factorized(dx, dz, code.k).value
         want = code.k + _loop_reductions(dx)[0] + _loop_reductions(dz)[0]
         assert abs(factorized - want) < 1e-13
+
+
+def test_finite_size_ordering_of_coherent_information():
+    # the decoding transition near p_c ~ 0.11: below it ic_bits/k grows with
+    # the code size, above it it shrinks (exact tables, every size)
+    ps = [0.05, 0.10, 0.12, 0.15]
+    for family in ((toric2d(2), toric2d(3), toric2d(4)),
+                   (surface2d(3, 3), surface2d(4, 4))):
+        curves = []
+        for code in family:
+            xs = sector_distributions_x(code, ps)
+            zs = sector_distributions_z(code, ps)
+            curves.append([
+                coherent_information_factorized(x, z, code.k).value / code.k
+                for x, z in zip(xs, zs)
+            ])
+        for i, p in enumerate(ps):
+            by_size = [curve[i] for curve in curves]
+            if p < 0.11:
+                assert all(a < b for a, b in zip(by_size, by_size[1:])), (p, by_size)
+            else:
+                assert all(a > b for a, b in zip(by_size, by_size[1:])), (p, by_size)

@@ -173,6 +173,25 @@ def test_scan_rows_are_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "size, sweeps, burn_in, digest",
+    [
+        # 9 spins: 455 sweeps per draw, so 1001 sweeps cross two draw edges
+        (3, 1001, 100, "c4e6173293517ac6c938792bb320d8bb1ce7b4161db23c96adc2f147e88e3b40"),
+        # 64 spins: 64 sweeps per draw, so 130 sweeps end in a partial draw
+        (8, 130, 3, "c2a3a71e6c0affed913d0ca00ddbf2e8a9301b57d7f3bc5ecd0016c3190d816e"),
+    ],
+)
+def test_block_drawn_uniforms_are_pinned(size, sweeps, burn_in, digest):
+    # recorded when every sweep drew its own uniforms: the counters, and so
+    # the chains, are the same however the draws are grouped
+    model = seeded_model(toric2d(size), 0.1, seed=7)
+    cfg = McConfig(sweeps=sweeps, burn_in=burn_in, seed=5, replicas=2)
+    obs = metropolis(model, nishimori_beta(0.1), cfg)
+    payload = json.dumps(dataclasses.astuple(obs))
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
 def test_scan_input_validation():
     code = toric2d(2)
     cfg = McConfig(sweeps=200, burn_in=50)

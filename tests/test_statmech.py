@@ -36,13 +36,14 @@ from csstat.statmech import (
     log_sector_probability,
     nishimori_beta,
     partition_exact,
+    partition_sums,
     save_model_json,
     sm_from_json_dict,
     sm_to_json_dict,
     verify_sector_identity,
     verify_sector_identity_coupled,
 )
-from csstat.zoo import four22, steane, surface2d, toric2d
+from csstat.zoo import four22, from_selector, steane, surface2d, toric2d
 
 
 def trivial_x_model(code):
@@ -399,6 +400,51 @@ def test_sign_swap_equals_a_fresh_build():
     for col in range(code.n):
         sx, sz, sy = coupled.signs[3 * col:3 * col + 3]
         assert (sx, sz, sy) == (1 - 2 * e_x[col], 1 - 2 * e_z[col], sx * sz)
+
+
+def _error_rows(n, count, salt):
+    """count fixed pseudo-random n-bit error patterns."""
+    mask = (1 << n) - 1
+    return [
+        BitVector(n, ((i + salt) * 0x9E3779B97F4A7C15 >> 7) & mask)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "selector, digest",
+    [
+        ("four22", "e6b94a723a1409f2a63c4358f065afd9deb0f1d32f3605af1ee9f1027678aaa6"),
+        ("steane", "0d6388aa9e778e7888c3e1eda1e1b3d612083ad3313cc7719710b314d0b6fb52"),
+        ("toric2d:3", "c68ed97acd2732943960d38dc8197153f7827a8f081884b15063ea0ae89b469b"),
+        ("surface2d:3x4", "5d0a6b28252046bf3dbf08d27b66f828019b0c221a5d94e42df7c58e478cd553"),
+    ],
+)
+def test_partition_sums_equal_per_model_sums(selector, digest):
+    # one low parity block for many sign rows gives each row's ln Z bit for
+    # bit; the digest was recorded when every sum built its own block
+    code = from_selector(selector)
+    zero = BitVector(code.n, 0)
+    uniform = Couplings.uniform(nishimori_beta(0.1))
+    coupled = Couplings.from_pauli(depolarizing_from_independent(0.1, 0.1))
+    values = []
+    for base, couplings, rows in (
+        (build_sm_x(code, zero), uniform,
+         [statmech._signs(e) for e in _error_rows(code.n, 8, 1)]),
+        (build_sm_z(code, zero), uniform,
+         [statmech._signs(e) for e in _error_rows(code.n, 8, 2)]),
+        (build_sm_coupled(code, zero, zero), coupled,
+         [statmech._coupled_signs(ex, ez) for ex, ez in
+          zip(_error_rows(code.n, 4, 3), _error_rows(code.n, 4, 4))]),
+    ):
+        got = list(partition_sums(base, rows, couplings))
+        assert got == [partition_exact(replace(base, signs=r), couplings) for r in rows]
+        values += got
+        # rows are drawn one at a time, not gathered up front
+        pending = iter(rows)
+        next(partition_sums(base, pending, couplings))
+        assert len(list(pending)) == len(rows) - 1
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("side, sectors, spins", [("x", 512, 9), ("z", 1024, 8)])
