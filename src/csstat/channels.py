@@ -280,15 +280,18 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
 
 
 def _factorized_distributions(code, rates, rows, widths, mode, name):
-    """One table per rate from one enumerator build, one mat-vec per rate (a
-    single product over all rates sums in another order: not bit-identical)."""
+    """One table per rate from one enumerator build, one mat-vec per distinct
+    rate (a single product over all rates sums in another order: not
+    bit-identical). Tables are frozen, so a repeated rate shares one object."""
     for p in rates:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} = {p} is not a probability")
     n, digest = code.n, code_hash(code)
     counts = _coset_enumerator(rows, n).astype(np.float64)
-    dists = []
+    tables = {}
     for p in rates:
+        if p in tables:
+            continue
         wtab = np.array([error_weight_prob(w, n, p) for w in range(n + 1)])
         # label = syndrome << k | logical is already the packed table index
         dist = SectorDistribution(
@@ -296,8 +299,8 @@ def _factorized_distributions(code, rates, rows, widths, mode, name):
             table=counts @ wtab, noise={name: p},
         )
         dist.check()
-        dists.append(dist)
-    return dists
+        tables[p] = dist
+    return [tables[p] for p in rates]
 
 
 def sector_distributions_x(

@@ -5,12 +5,13 @@ Hx·Hz^T = 0: rows of Hz are Z-type stabilizer supports, rows of Hx X-type.
 Logical qubit count is k = n − rank(Hx) − rank(Hz); redundancy among the raw
 check rows is tracked by Dx = dim ker(Hx^T) and Dz = dim ker(Hz^T).
 
-Logical operators come from a symplectic Gram–Schmidt pass over the kernel
-bases of Hx (Z-type candidates) and Hz (X-type candidates): the procedure
-extracts k anticommuting pairs while keeping every operator pure X- or pure
-Z-type. The choice of basis is fixed by canonical kernel bases plus the
-pairing order, making every derived quantity reproducible; basis independence
-of the physical quantities is established by tests, not assumed.
+Logical operators pair the kernel basis of Hx (Z-type candidates) with that
+of Hz (X-type candidates): each Z candidate in order takes the first X
+candidate it overlaps oddly, and both sides are cleaned so the pairs commute.
+Every CSS logical is pure X or pure Z, so the two types never mix. The basis
+is fixed by the canonical kernel bases plus this pairing order, making every
+derived quantity reproducible; basis independence of the physical quantities
+is established by tests, not assumed.
 
 An error pair (Ex, Ez) is classified by its sector label: the syndrome of Ex
 against the independent Z checks (b), the syndrome of Ez against the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -65,26 +66,6 @@ class CodeFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
-
-
-@dataclass(frozen=True)
-class SymplecticOp:
-    """A Pauli support in binary symplectic form (phases are not tracked).
-
-    z_part marks qubits carrying Z, x_part qubits carrying X. An operator is
-    Z-type iff x_part = 0 and X-type iff z_part = 0.
-    """
-
-    z_part: BitVector
-    x_part: BitVector
-
-    def __mul__(self, other: "SymplecticOp") -> "SymplecticOp":
-        return SymplecticOp(self.z_part ^ other.z_part, self.x_part ^ other.x_part)
-
-
-def symplectic_product(g: SymplecticOp, h: SymplecticOp) -> int:
-    """1 if g and h anticommute, else 0."""
-    return dot(g.z_part, h.x_part) ^ dot(g.x_part, h.z_part)
 
 
 @dataclass(frozen=True)
@@ -146,77 +127,35 @@ class CssCode:
         )
 
 
-def sgsop(ops: List[SymplecticOp]) -> Tuple[List[Tuple[SymplecticOp, SymplecticOp]], List[SymplecticOp]]:
-    """Symplectic Gram–Schmidt: split ops into anticommuting pairs + leftovers.
-
-    Scans for the first operator that anticommutes with the current head; the
-    two become a pair and every remaining g is replaced by
-    g · g1^{f(g,g2)} · g2^{f(g,g1)} (f the symplectic product), which restores
-    commutation with the extracted pair. Operator products are XORs of the
-    symplectic parts, so pure-X/pure-Z types survive the update.
-
-    Returns:
-        (pairs, commuting): each pair anticommutes internally and commutes
-        with everything else returned; `commuting` operators mutually commute.
-    """
-    remaining = list(ops)
-    pairs = []
-    commuting = []
-    while remaining:
-        g1 = remaining.pop(0)
-        partner_idx = None
-        for i, g in enumerate(remaining):
-            if symplectic_product(g1, g):
-                partner_idx = i
-                break
-        if partner_idx is None:
-            commuting.append(g1)
-            continue
-        g2 = remaining.pop(partner_idx)
-        updated = []
-        for g in remaining:
-            if symplectic_product(g, g2):
-                g = g * g1
-            if symplectic_product(g, g1):
-                g = g * g2
-            updated.append(g)
-        remaining = updated
-        pairs.append((g1, g2))
-    return pairs, commuting
-
-
 def logical_operators(Hz: BitMatrix, Hx: BitMatrix) -> Tuple[BitMatrix, BitMatrix]:
-    """Extract k symplectically paired logical operators.
+    """Extract k paired logical operators, each pure X- or pure Z-type.
 
-    Candidates are the full normalizer generators: Z-type ops supported on
-    ker(Hx) and X-type ops supported on ker(Hz). Running sgsop over them
-    (Z-type block first — the order fixes the canonical basis) yields k
-    mixed-type pairs; stabilizer directions are exactly the leftover
-    commuting block.
+    Z candidates are the kernel basis of Hx, X candidates that of Hz. Each Z
+    candidate in order is paired with the first remaining X candidate it
+    overlaps oddly; z is then XORed into every later Z candidate that
+    overlaps x oddly, and x into every remaining X candidate that overlaps z
+    oddly, so later pairs commute with this one. A Z candidate left without
+    a partner is a stabilizer direction. The candidate order fixes the
+    canonical basis.
 
     Returns:
         (logical_x, logical_z): k×n support matrices with
         <logical_z[i], logical_x[j]> = δ_ij.
     """
-    n = Hz.cols
-    z_candidates = kernel_basis(Hx)  # Z-type supports commute with all X checks
-    x_candidates = kernel_basis(Hz)
-    zero = BitVector(n)
-    ops = [SymplecticOp(z_candidates.row(i), zero) for i in range(z_candidates.rows)]
-    ops += [SymplecticOp(zero, x_candidates.row(i)) for i in range(x_candidates.rows)]
-    pairs, _ = sgsop(ops)
-    lx_rows = []
-    lz_rows = []
-    for g1, g2 in pairs:
-        # With the Z block listed first, g1 is Z-type and g2 X-type; assert
-        # rather than assume, since sgsop itself is type-agnostic.
-        if not g1.x_part.is_zero() or not g2.z_part.is_zero():
-            raise AssertionError("sgsop returned a mixed-type pair")
-        lz_rows.append(g1.z_part)
-        lx_rows.append(g2.x_part)
-    if lx_rows:
-        return BitMatrix.from_rows(lx_rows), BitMatrix.from_rows(lz_rows)
-    return BitMatrix(n, ()), BitMatrix(n, ())
+    zs = list(kernel_basis(Hx).row_bits)  # Z-type: commute with every X check
+    xs = list(kernel_basis(Hz).row_bits)
+    lx, lz = [], []
+    for i in range(len(zs)):
+        z = zs[i]
+        j = next((j for j, x in enumerate(xs) if (z & x).bit_count() & 1), None)
+        if j is None:
+            continue
+        x = xs.pop(j)
+        zs[i + 1:] = [w ^ z if (w & x).bit_count() & 1 else w for w in zs[i + 1:]]
+        xs = [w ^ x if (w & z).bit_count() & 1 else w for w in xs]
+        lx.append(x)
+        lz.append(z)
+    return BitMatrix(Hz.cols, tuple(lx)), BitMatrix(Hz.cols, tuple(lz))
 
 
 def new_css(Hz: BitMatrix, Hx: BitMatrix) -> CssCode:
@@ -384,20 +323,7 @@ def with_logical_basis(code: CssCode, logical_x: BitMatrix, logical_z: BitMatrix
         raise ValueError("an X logical lies in the X stabilizer row space")
     if gf2_rank(code.Hz.vstack(logical_z)) != code.rank_z + code.k:
         raise ValueError("a Z logical lies in the Z stabilizer row space")
-    return CssCode(
-        n=code.n,
-        Hz=code.Hz,
-        Hx=code.Hx,
-        rank_z=code.rank_z,
-        rank_x=code.rank_x,
-        k=code.k,
-        Dx=code.Dx,
-        Dz=code.Dz,
-        logical_x=logical_x,
-        logical_z=logical_z,
-        Hz_red=code.Hz_red,
-        Hx_red=code.Hx_red,
-    )
+    return replace(code, logical_x=logical_x, logical_z=logical_z)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ so they can be used as dict keys.
 
 Determinism contracts (relied on by golden tests downstream):
   * row_reduce picks pivots first-nonzero-column, first-row;
-  * solve returns the solution with all free variables set to zero;
   * kernel_basis orders its rows by ascending free column.
 """
 
@@ -116,14 +115,6 @@ class BitMatrix:
                 raise ValueError(f"row of length {len(line)}, expected {cols}")
             bits.append(BitVector.from01(line).bits)
         return BitMatrix(cols, tuple(bits))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "BitMatrix":
-        return BitMatrix(cols, (0,) * rows)
-
-    @staticmethod
-    def identity(n: int) -> "BitMatrix":
-        return BitMatrix(n, tuple(1 << i for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -240,83 +231,3 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
                 v |= 1 << pc
         out.append(v)
     return BitMatrix(m.cols, tuple(out))
-
-
-def solve(m: BitMatrix, y: BitVector) -> Optional[BitVector]:
-    """Some v with m v = y, or None when the system is inconsistent.
-
-    The returned solution is the canonical one with every free variable set
-    to zero, so the output is deterministic given (m, y).
-    """
-    if y.n != m.rows:
-        raise ValueError(f"rhs length {y.n} does not match {m.rows} rows")
-    # Eliminate on the augmented system [m | y]; the extra column is carried
-    # in a separate bit per row so column indexing stays untouched.
-    rows = list(m.row_bits)
-    aug = [(y.bits >> i) & 1 for i in range(m.rows)]
-    r = 0
-    pivots = []
-    for c in range(m.cols):
-        sel = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> c) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        aug[r], aug[sel] = aug[sel], aug[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-                aug[i] ^= aug[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if aug[i]:
-            return None
-    x = 0
-    for j, pc in enumerate(pivots):
-        if aug[j]:
-            x |= 1 << pc
-    return BitVector(m.cols, x)
-
-
-def complete_basis(sub: BitMatrix, full: BitMatrix) -> BitMatrix:
-    """Rows extending sub's row space to full's.
-
-    Returns rank(full) − rank(sub) rows taken from the canonical basis of
-    full's row space. Raises ValueError if sub's row space is not contained
-    in full's.
-    """
-    if sub.cols != full.cols:
-        raise ValueError("width mismatch")
-    full_basis = row_space_basis(full)
-    # Containment check: adjoining sub must not raise the rank.
-    if rank(full_basis.vstack(sub)) != full_basis.rows:
-        raise ValueError("sub's row space is not contained in full's")
-    # Greedy extension against an incrementally reduced pivot table.
-    pivot_rows = {}  # pivot column -> reduced row bits
-
-    def reduce_against(v: int) -> int:
-        while v:
-            low = (v & -v).bit_length() - 1
-            if low in pivot_rows:
-                v ^= pivot_rows[low]
-            else:
-                return v
-        return 0
-
-    for bits in sub.row_bits:
-        v = reduce_against(bits)
-        if v:
-            pivot_rows[(v & -v).bit_length() - 1] = v
-    out = []
-    for bits in full_basis.row_bits:
-        v = reduce_against(bits)
-        if v:
-            pivot_rows[(v & -v).bit_length() - 1] = v
-            out.append(bits)  # original basis row, not the reduced remnant
-    return BitMatrix(full.cols, tuple(out))

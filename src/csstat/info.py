@@ -37,10 +37,6 @@ class InfoResult:
     k: int
     noise: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
 
 def _conditional_term(dist: SectorDistribution) -> float:
     """Σ P·log2(P / P_syndrome) — minus the conditional logical entropy."""

@@ -265,14 +265,19 @@ def _exponent_chunks(model: SmModel, weights: np.ndarray, lo_parity=None):
         yield (signed @ lo_parity).ravel()
 
 
-def partition_exact(model: SmModel, couplings: Couplings, lo_parity=None) -> float:
-    """ln Z by exhaustive enumeration (num_spins <= MAX_EXACT_SPINS). lo_parity,
-    if given, is _low_parity(model), which depends only on the masks."""
+def _check_exact_size(model: SmModel) -> None:
+    """Refuse models past MAX_EXACT_SPINS, before any mask meets uint64."""
     if model.num_spins > MAX_EXACT_SPINS:
         raise TooLarge(
             f"exact partition sum over 2**{model.num_spins} configurations "
             f"exceeds the {MAX_EXACT_SPINS}-spin limit"
         )
+
+
+def partition_exact(model: SmModel, couplings: Couplings, lo_parity=None) -> float:
+    """ln Z by exhaustive enumeration (num_spins <= MAX_EXACT_SPINS). lo_parity,
+    if given, is _low_parity(model), which depends only on the masks."""
+    _check_exact_size(model)
     coupling = {f: couplings.for_family(f) for f in FAMILIES}
     weights = np.array([s * coupling[f] for s, f in zip(model.signs, model.families)])
     ln_z = -math.inf
@@ -288,6 +293,7 @@ def partition_sums(
 ) -> Iterator[float]:
     """ln Z of model with each row of term signs in turn, read lazily, one
     sector at a time; the low parity block is built once for all rows."""
+    _check_exact_size(model)
     lo_parity = _low_parity(model)
     for signs in sign_rows:
         yield partition_exact(replace(model, signs=signs), couplings, lo_parity)

@@ -340,6 +340,18 @@ def test_sweep_tables_equal_per_call_tables(selector, digest):
         sector_distributions_z(code, [0.1, 1.5])
 
 
+def test_repeated_rate_shares_one_table():
+    # a fixed-pz sweep asks for the same rate at every point: one table is
+    # built and the same (frozen, read-only) object is returned each time
+    code = steane()
+    dists = sector_distributions_z(code, [0.07] * 3)
+    assert dists[0] is dists[1] is dists[2]
+    assert not dists[0].table.flags.writeable
+    assert np.array_equal(dists[0].table, sector_distribution_z(code, 0.07).table)
+    mixed = sector_distributions_x(code, [0.07, 0.2, 0.07])
+    assert mixed[0] is mixed[2] and mixed[1] is not mixed[0]
+
+
 def test_noise_validation():
     with pytest.raises(ValueError):
         PauliNoise(0.5, 0.4, 0.2)  # total > 1

@@ -287,6 +287,20 @@ def test_exit_code_too_large(capsys):
     assert "error:" in err
 
 
+def test_verify_past_spin_limit_exits_too_large(tmp_path, capsys):
+    # four22 with its X check repeated 70 times: each X-side term mask spans
+    # 70 spins, which must be refused by the spin limit, not overflow uint64
+    target = tmp_path / "four22_x70.code"
+    target.write_text("css-code v1\nn 4\nHz 1\n1111\nHx 70\n" + "1111\n" * 70)
+    code, _, err = run(capsys, "verify", str(target), "0.1")
+    assert code == 1
+    assert "Traceback" not in err
+    assert any(
+        line.startswith("error:") and "24-spin limit" in line
+        for line in err.splitlines()
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

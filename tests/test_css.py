@@ -1,9 +1,12 @@
 """CSS code construction: invariants, sector labels, serialization."""
 
+import hashlib
 import itertools
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csstat.css import (
     CodeFormatError,
@@ -21,8 +24,17 @@ from csstat.css import (
     to_text,
     with_logical_basis,
 )
-from csstat.gf2 import BitMatrix, BitVector, rank, row_reduce
-from csstat.zoo import color666, four22, steane, surface2d, toric2d, toric3d, xcube
+from csstat.gf2 import BitMatrix, BitVector, kernel_basis, rank, row_reduce
+from csstat.zoo import (
+    color666,
+    four22,
+    from_selector,
+    steane,
+    surface2d,
+    toric2d,
+    toric3d,
+    xcube,
+)
 
 
 def all_errors(n):
@@ -45,6 +57,60 @@ def test_construction_invariants():
         assert rank(code.Hz_red) == code.Hz_red.rows == code.rank_z
         assert rank(code.Hx_red) == code.Hx_red.rows == code.rank_x
         assert rank(code.Hz.vstack(code.Hz_red)) == code.rank_z
+
+
+# sha256 of logical_x.to01_lines() + logical_z.to01_lines(), one per line.
+# Every printed number depends on this canonical basis, so it is pinned.
+LOGICAL_BASIS_DIGESTS = [
+    ("toric2d:2", 2, "fab7189c96d4f0c24dfc8239471c1913a4359c59c423ed83b9affc565650ea68"),
+    ("toric2d:3", 2, "1928e6678a70b2a0ed7aa3843fbb9128113c5e7e7714da723d361601232bdd2d"),
+    ("toric2d:4", 2, "bc1c38d0657336b29c98390ed7f91042ec5b3f023cd75018549d1544447575cd"),
+    ("toric2d:5", 2, "8afff3e9e06c1074b266ff61d3b3bcffa76f4a6e2830c3721edd36d23d968c3e"),
+    ("toric2d:8", 2, "d2424f1536c33c34149a4e520d36991db675af0c61ebe3673674768e3be80783"),
+    ("surface2d:3x4", 1, "e632c88ea9a87957f934ab713b02e3065f418929c0625abd5a7c5aa715a06861"),
+    ("surface2d:5x5", 1, "95e2577c7f7c8615f3c2b2033c87a739127326ed91b7e299d5ddb00f5a5b5746"),
+    ("color666:3x3", 4, "1a6412dfafe4be7751a1331982df86a5fd69035f2be64b1eb088bd14c7e84108"),
+    ("toric3d:2", 3, "2ff5111cb9d61ce35c6f74cea763b4328c21ff46ed61c11d25b64fd12e00da51"),
+    ("toric3d:3", 3, "f01f6b46957020db8fa8ff40457a883d590a8d794370d42aa81effe3c8a9ef83"),
+    ("xcube:2", 9, "c42bf5cf7fe1f69cd4e3069b2557d1d0521e1a543bb5a2206bf9bf882d903da3"),
+    ("xcube:3", 15, "be4f3bc0f34a35093b1adb25d03c62fff4101044343395a2f98018304e398a3c"),
+    ("steane", 1, "36c0eb69f3b7b8f7436ecb978d82b9030a58dcec248674104d4678de1bfe6583"),
+    ("four22", 2, "957c9aec4b4b50683d79d6703eed77b9335df36746931c83da02556de1620655"),
+]
+
+
+@pytest.mark.parametrize("selector,k,digest", LOGICAL_BASIS_DIGESTS)
+def test_logical_basis_is_pinned(selector, k, digest):
+    code = from_selector(selector)
+    assert code.k == k
+    lines = code.logical_x.to01_lines() + code.logical_z.to01_lines()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@st.composite
+def random_css_pairs(draw):
+    """(Hz, Hx) with Hx random and Hz a nonempty subset of ker(Hx)'s basis,
+    so every Z row commutes with every X row."""
+    n = draw(st.integers(1, 10))
+    hx = BitMatrix(n, tuple(draw(st.lists(st.integers(0, (1 << n) - 1),
+                                          min_size=1, max_size=6))))
+    ker = kernel_basis(hx)
+    assume(ker.rows > 0)
+    picks = draw(st.sets(st.integers(0, ker.rows - 1), min_size=1))
+    return BitMatrix(n, tuple(ker.row_bits[i] for i in sorted(picks))), hx
+
+
+@settings(max_examples=200)
+@given(random_css_pairs())
+def test_logical_pairing_on_random_codes(pair):
+    hz, hx = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCodeWarning)
+        code = new_css(hz, hx)
+    assert code.logical_x.rows == code.logical_z.rows == code.k
+    # re-validates the kernels, the δ_ij pairing and that no logical lies in
+    # the stabilizer row space
+    with_logical_basis(code, code.logical_x, code.logical_z)
 
 
 def test_anticommuting_checks_rejected():

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from csstat.gf2 import (
     BitMatrix,
     BitVector,
-    complete_basis,
     dot,
     kernel_basis,
     matvec,
     rank,
     row_reduce,
     row_space_basis,
-    solve,
 )
 
 
@@ -140,46 +138,13 @@ def test_kernel_is_exact_null_space(m):
         assert count == 1 << ker.rows
 
 
-@settings(max_examples=150)
-@given(matrices, st.integers(0, 1 << 9))
-def test_solve_substitutes(m, seed):
-    # build a guaranteed-solvable rhs, check the solution and minimality
-    x = BitVector(m.cols, seed & ((1 << m.cols) - 1))
-    y = matvec(m, x)
-    got = solve(m, y)
-    assert got is not None
-    assert matvec(m, got) == y
-    # free variables are pinned to zero: the solution is supported on pivots
-    _, pivots = row_reduce(m)
-    for c in range(m.cols):
-        if c not in pivots:
-            assert got[c] == 0
-
-
-def test_solve_reports_unsolvable():
-    m = BitMatrix.from01(["10", "10"])
-    assert solve(m, BitVector.from01("01")) is None
-
-
 def test_row_space_basis_spans():
     m = BitMatrix.from01(["1100", "0110", "1010", "0000"])
     basis = row_space_basis(m)
     assert basis.rows == rank(m) == 2
-    # every original row is a combination of the basis rows
-    for r in m.row_list():
-        assert solve(basis.transpose(), r) is not None
-
-
-def test_complete_basis_cases():
-    full = BitMatrix.identity(4)
-    sub = BitMatrix.from01(["1000", "0100"])
-    ext = complete_basis(sub, full)
-    assert ext.rows == 2
-    assert rank(sub.vstack(ext)) == 4
-    # already complete -> nothing to add
-    assert complete_basis(full, full).rows == 0
-    with pytest.raises(ValueError):
-        complete_basis(BitMatrix.from01(["11", "01"]), BitMatrix.from01(["10"]))
+    # every original row is a combination of the basis rows: adjoining the
+    # rows of m to the basis does not raise its rank
+    assert rank(basis.vstack(m)) == basis.rows
 
 
 def test_matvec_dimension_check():

@@ -17,7 +17,7 @@ from csstat.channels import (
     sector_distribution_joint,
     sector_distribution_x,
 )
-from csstat.css import representative_x, representative_z
+from csstat.css import TooLarge, from_text, representative_x, representative_z
 from csstat.gf2 import BitVector
 from csstat.info import relative_entropy
 from csstat.statmech import (
@@ -204,6 +204,18 @@ def test_domain_wall_matches_relative_entropy():
         domain_wall_free_energy(code, 0.1, BitVector(code.k, 0))  # zero shift
     with pytest.raises(ValueError):
         domain_wall_free_energy(code, 0.1, BitVector(5, 1))  # wrong width
+
+
+def test_spin_limit_is_checked_before_the_parity_block():
+    # 70 X-side spins: masks wider than 64 bits must reach the spin limit,
+    # not overflow while packing the parity block
+    code = from_text("css-code v1\nn 4\nHz 1\n1111\nHx 70\n" + "1111\n" * 70)
+    model = trivial_x_model(code)
+    assert model.num_spins == 70
+    with pytest.raises(TooLarge, match="24-spin limit"):
+        next(partition_sums(model, [model.signs], Couplings.uniform(0.5)))
+    with pytest.raises(TooLarge, match="24-spin limit"):
+        domain_wall_free_energy(code, 0.1, BitVector(code.k, 1))
 
 
 def test_exact_observables_four22():
