@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .css import CssCode, SectorKey, TooLarge, code_hash
+from .css import CssCode, SectorKey, TooLarge, code_hash, label_functionals
 from .gf2 import BitVector
 
 MAX_LABEL_BITS = 20  # 2^m label combinations per transform
@@ -179,20 +179,6 @@ class SectorDistribution:
             )
 
 
-def _x_side_functionals(code: CssCode):
-    """(rows, widths) for the (b, kz) label of an X error: kz low, b high."""
-    rows = [code.logical_z.row_bits[i] for i in range(code.k)]
-    rows += [code.Hz_red.row_bits[j] for j in range(code.rank_z)]
-    return rows, {"b": code.rank_z, "kz": code.k}
-
-
-def _z_side_functionals(code: CssCode):
-    """(rows, widths) for the (a, kx) label of a Z error: kx low, a high."""
-    rows = [code.logical_x.row_bits[i] for i in range(code.k)]
-    rows += [code.Hx_red.row_bits[j] for j in range(code.rank_x)]
-    return rows, {"a": code.rank_x, "kx": code.k}
-
-
 def _krawtchouk_table(n: int) -> np.ndarray:
     """K[d, w] = Σ_j (−1)^j C(d, j) C(n−d, w−j), the Krawtchouk polynomial.
 
@@ -312,7 +298,7 @@ def sector_distributions_x(
     bits is built once. Each table has exactly 2^m entries (each sector is
     realized by 2^(n − m) strings) and sums to 1 within 1e-12.
     """
-    rows, widths = _x_side_functionals(code)
+    rows, widths = label_functionals(code, "x")
     return _factorized_distributions(code, rates, rows, widths, MODE_X, "px")
 
 
@@ -320,7 +306,7 @@ def sector_distributions_z(
     code: CssCode, rates: Sequence[float]
 ) -> List[SectorDistribution]:
     """Exact (a, kx) tables for independent Z errors, one per rate (mirror of X)."""
-    rows, widths = _z_side_functionals(code)
+    rows, widths = label_functionals(code, "z")
     return _factorized_distributions(code, rates, rows, widths, MODE_Z, "pz")
 
 
@@ -356,8 +342,8 @@ def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistrib
     in [−bound, 0) are set to 0.
     """
     n = code.n
-    x_rows, _ = _x_side_functionals(code)
-    z_rows, _ = _z_side_functionals(code)
+    x_rows, _ = label_functionals(code, "x")
+    z_rows, _ = label_functionals(code, "z")
     m = len(x_rows) + len(z_rows)
     if m > MAX_LABEL_BITS or n > MAX_SUPPORT_BITS:
         raise TooLarge(

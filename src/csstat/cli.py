@@ -542,8 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (CodeFormatError, CommutationViolation, FileNotFoundError,
-            IsADirectoryError, ValueError) as exc:
+    except (CodeFormatError, CommutationViolation, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalInvariantError as exc:

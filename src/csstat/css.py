@@ -16,7 +16,9 @@ is established by tests, not assumed.
 An error pair (Ex, Ez) is classified by its sector label: the syndrome of Ex
 against the independent Z checks (b), the syndrome of Ez against the
 independent X checks (a), and the logical parities kz_i = <logical_z[i], Ex>,
-kx_i = <logical_x[i], Ez>.
+kx_i = <logical_x[i], Ez>. label_functionals packs one side's label as parity
+rows and label_generators gives the dual basis: the representative error of
+each sector is the XOR of the generators at its label's set bits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -114,18 +116,6 @@ class CssCode:
         """Syndrome of a Z-error against the independent X checks (a)."""
         return matvec(self.Hx_red, ez)
 
-    def logical_parities_z(self, ex: BitVector) -> BitVector:
-        """kz: overlap parities of an X-error with the Z-type logicals."""
-        return BitVector.from_bits(
-            dot(self.logical_z.row(i), ex) for i in range(self.k)
-        )
-
-    def logical_parities_x(self, ez: BitVector) -> BitVector:
-        """kx: overlap parities of a Z-error with the X-type logicals."""
-        return BitVector.from_bits(
-            dot(self.logical_x.row(i), ez) for i in range(self.k)
-        )
-
 
 def logical_operators(Hz: BitMatrix, Hx: BitMatrix) -> Tuple[BitMatrix, BitMatrix]:
     """Extract k paired logical operators, each pure X- or pure Z-type.
@@ -209,51 +199,84 @@ def sector_of(code: CssCode, ex: BitVector, ez: BitVector) -> SectorKey:
     return SectorKey(
         a=code.syndrome_x(ez),
         b=code.syndrome_z(ex),
-        kx=code.logical_parities_x(ez),
-        kz=code.logical_parities_z(ex),
+        kx=matvec(code.logical_x, ez),
+        kz=matvec(code.logical_z, ex),
     )
 
 
-def pivot_columns(red: BitMatrix) -> List[int]:
-    """Pivot column of each row of an RREF matrix: its lowest set bit."""
-    return [(bits & -bits).bit_length() - 1 for bits in red.row_bits]
+def label_functionals(code: CssCode, side: str) -> Tuple[List[int], Dict[str, int]]:
+    """(rows, widths) of the packed sector label of one side's errors.
+
+    Label bit j is the error's parity against rows[j]: the k parity logicals
+    (kz for X errors) in the low bits, then the independent checks (b), so
+    the label syndrome << k | logical is the sector's table index.
+    """
+    if side == "x":
+        rows = code.logical_z.row_bits + code.Hz_red.row_bits
+        return list(rows), {"b": code.rank_z, "kz": code.k}
+    if side == "z":
+        rows = code.logical_x.row_bits + code.Hx_red.row_bits
+        return list(rows), {"a": code.rank_x, "kx": code.k}
+    raise ValueError(f"side must be 'x' or 'z', got {side!r}")
 
 
-def _lift(red: BitMatrix, syndrome: BitVector) -> int:
-    """Bits of the error with syndrome bit j on row j's pivot column."""
-    return sum(1 << pc for j, pc in enumerate(pivot_columns(red)) if syndrome[j])
+def label_generators(code: CssCode, side: str) -> List[int]:
+    """Dual basis of label_functionals: generator j's label is bit j alone.
+
+    The first k are the shift logicals (logical_x on the X side). Check row
+    j's is the unit error on its RREF pivot column (its lowest set bit, which
+    no other reduced row touches), XOR the shift logicals whose parity it trips.
+    """
+    rows, _ = label_functionals(code, side)
+    shifts = (code.logical_x if side == "x" else code.logical_z).row_bits
+    gens = list(shifts)
+    for row in rows[code.k:]:
+        unit = gen = row & -row
+        for z, x in zip(rows[:code.k], shifts):
+            if z & unit:
+                gen ^= x
+        gens.append(gen)
+    return gens
+
+
+def sector_representatives(code: CssCode, side: str) -> List[int]:
+    """Representative error of every sector of one side, in packed-label order.
+
+    Entry u is the XOR of the label generators at the set bits of u, built by
+    doubling: the first 2^j entries XOR generator j give the next 2^j.
+    """
+    reps = [0]
+    for gen in label_generators(code, side):
+        reps += [e ^ gen for e in reps]
+    return reps
+
+
+def _representative(
+    code: CssCode, side: str, syndrome: BitVector, logical: BitVector
+) -> BitVector:
+    gens = label_generators(code, side)
+    if syndrome.n != len(gens) - code.k or logical.n != code.k:
+        raise ValueError("sector label widths do not match the code")
+    label, e = syndrome.bits << code.k | logical.bits, 0
+    for j, gen in enumerate(gens):
+        if label >> j & 1:
+            e ^= gen
+    return BitVector(code.n, e)
 
 
 def representative_x(code: CssCode, b: BitVector, kz: BitVector) -> BitVector:
     """Canonical X-error with syndrome b and logical parities kz.
 
-    Lift b through the RREF pivots (put bit b_j on pivot column j: unit
-    columns of the reduced checks make this an exact solve with free
-    variables zero), then XOR in logical_x rows until the kz parities match.
-    Deterministic; any other representative differs by an X-stabilizer.
+    The XOR of the X-side label generators at the set bits of the packed
+    label b << k | kz. Deterministic; any other representative differs by an
+    X-stabilizer.
     """
-    if b.n != code.rank_z or kz.n != code.k:
-        raise ValueError("sector label widths do not match the code")
-    e = BitVector(code.n, _lift(code.Hz_red, b))
-    kz0 = code.logical_parities_z(e)
-    diff = kz ^ kz0
-    for i in range(code.k):
-        if diff[i]:
-            e = e ^ code.logical_x.row(i)
-    return e
+    return _representative(code, "x", b, kz)
 
 
 def representative_z(code: CssCode, a: BitVector, kx: BitVector) -> BitVector:
     """Mirror of representative_x for Z-errors (syndrome a, parities kx)."""
-    if a.n != code.rank_x or kx.n != code.k:
-        raise ValueError("sector label widths do not match the code")
-    e = BitVector(code.n, _lift(code.Hx_red, a))
-    kx0 = code.logical_parities_x(e)
-    diff = kx ^ kx0
-    for i in range(code.k):
-        if diff[i]:
-            e = e ^ code.logical_z.row(i)
-    return e
+    return _representative(code, "z", a, kx)
 
 
 def _min_weight_coset(logicals: BitMatrix, stabilizers: BitMatrix, n: int) -> int:

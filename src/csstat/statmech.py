@@ -32,7 +32,7 @@ from .channels import (
     sector_distribution_x,
     sector_distribution_z,
 )
-from .css import CssCode, TooLarge, representative_x, representative_z
+from .css import CssCode, TooLarge, sector_representatives
 from .gf2 import BitMatrix, BitVector, kernel_basis
 
 MAX_EXACT_SPINS = 24  # partition_exact streams 2^spins configurations
@@ -48,21 +48,6 @@ SPECIES_COUPLED = "coupled"
 # models use the family matching their species; the y family appears only in
 # coupled models.
 FAMILIES = ("x", "z", "y")
-
-
-@dataclass(frozen=True)
-class Term:
-    """One multi-spin interaction: sign * prod(spins at sites)."""
-
-    sites: Tuple[int, ...]
-    sign: int  # +1 or -1, from the representative error bit(s)
-    family: str
-
-    def __post_init__(self) -> None:
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -137,14 +122,6 @@ class SmModel:
     species: str
     sigma_spins: int
 
-    @property
-    def terms(self) -> Tuple[Term, ...]:
-        """The terms as Term records, for serialization and inspection."""
-        return tuple(
-            Term(sites=mask_sites(mask), sign=sign, family=family)
-            for mask, sign, family in zip(self.masks, self.signs, self.families)
-        )
-
 
 def mask_sites(mask: int) -> Tuple[int, ...]:
     """Spin indices set in a term mask, lowest first."""
@@ -160,7 +137,7 @@ def nishimori_beta(p: float) -> float:
 
 def _signs(e_rep: BitVector) -> Tuple[int, ...]:
     """Per-qubit term signs (-1)**e_rep[l]."""
-    return tuple(1 - 2 * bit for bit in e_rep)
+    return tuple(1 - 2 * (e_rep.bits >> l & 1) for l in range(e_rep.n))
 
 
 def _single_register(h: BitMatrix, e_rep: BitVector, species: str) -> SmModel:
@@ -388,23 +365,18 @@ def verify_sector_identity(
 
     The side's model is built once; each sector swaps in only its signs.
     """
-    beta = nishimori_beta(p)
-    couplings = Couplings.uniform(beta)
+    couplings = Couplings.uniform(nishimori_beta(p))
     zero = BitVector(code.n, 0)
     if side == "x":
         dist, base = sector_distribution_x(code, p), build_sm_x(code, zero)
-        syn_bits, representative = code.rank_z, representative_x
     elif side == "z":
         dist, base = sector_distribution_z(code, p), build_sm_z(code, zero)
-        syn_bits, representative = code.rank_x, representative_z
     else:
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
-    grid = dist.by_syndrome()
     sign_rows = (
-        _signs(representative(code, BitVector(syn_bits, syn), BitVector(code.k, log)))
-        for syn, log in np.ndindex(grid.shape)
+        _signs(BitVector(code.n, e)) for e in sector_representatives(code, side)
     )
-    return _identity_report(base, sign_rows, couplings, code.n, grid.ravel().tolist())
+    return _identity_report(base, sign_rows, couplings, code.n, dist.table.tolist())
 
 
 def verify_sector_identity_coupled(
@@ -413,11 +385,14 @@ def verify_sector_identity_coupled(
     """Check the two-register model against a joint sector table."""
     if dist.mode != MODE_JOINT:
         raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
+    if dist.widths != {"a": code.rank_x, "b": code.rank_z, "kx": code.k, "kz": code.k}:
+        raise ValueError("dist's sector label widths do not match the code")
     couplings = Couplings.from_pauli(noise)
     base = build_sm_coupled(code, BitVector(code.n, 0), BitVector(code.n, 0))
-    sign_rows = (_coupled_signs(representative_x(code, key.b, key.kz),
-                                representative_z(code, key.a, key.kx))
-                 for key in dist.keys())
+    # the joint index is z_label << m_x | x_label: Z outer, X inner
+    reps_x = [BitVector(code.n, e) for e in sector_representatives(code, "x")]
+    sign_rows = (_coupled_signs(ex, BitVector(code.n, ez))
+                 for ez in sector_representatives(code, "z") for ex in reps_x)
     return _identity_report(base, sign_rows, couplings, code.n, dist.table.tolist())
 
 
@@ -482,12 +457,11 @@ def domain_wall_free_energy(
     couplings = Couplings.uniform(beta)
     ln_norm = log_normalization(couplings, code.n, code.Dx, SPECIES_X)
     base = build_sm_x(code, BitVector(code.n, 0))
-    shape = (1 << code.rank_z, 1 << code.k)
-    sign_rows = (
-        _signs(representative_x(code, BitVector(code.rank_z, b), BitVector(code.k, u)))
-        for b, u in np.ndindex(shape)
-    )
-    ln_z = np.fromiter(partition_sums(base, sign_rows, couplings), float).reshape(shape)
+    _check_exact_size(base)  # before the 2^(rank_z + k) representatives
+    reps = sector_representatives(code, "x")
+    sign_rows = (_signs(BitVector(code.n, e)) for e in reps)
+    ln_z = np.fromiter(partition_sums(base, sign_rows, couplings), float)
+    ln_z = ln_z.reshape(-1, 1 << code.k)
     partner = ln_z[:, np.arange(ln_z.shape[1]) ^ k_shift.bits]
     prob = np.exp(ln_z + ln_norm)
     return float((prob * (ln_z - partner)).sum()) / math.log(2.0)
@@ -508,8 +482,8 @@ def sm_to_json_dict(
         "sigma_spins": model.sigma_spins,
         "degeneracy_exponent": model.degeneracy_exponent,
         "terms": [
-            {"sites": list(t.sites), "sign": t.sign, "family": t.family}
-            for t in model.terms
+            {"sites": list(mask_sites(mask)), "sign": sign, "family": family}
+            for mask, sign, family in zip(model.masks, model.signs, model.families)
         ],
         "symmetry_basis": [v.to01() for v in model.symmetry_basis],
     }
@@ -525,20 +499,19 @@ def sm_to_json_dict(
 def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
     if data.get("format") != "sm-model v1":
         raise ValueError(f"unsupported model format {data.get('format')!r}")
-    num_spins = data["num_spins"]
-    terms = [
-        Term(sites=tuple(t["sites"]), sign=t["sign"], family=t["family"])
-        for t in data["terms"]
-    ]
-    masks = tuple(sum(1 << i for i in t.sites) for t in terms)
-    if any(m >> num_spins or mask_sites(m) != t.sites for m, t in zip(masks, terms)):
+    num_spins, terms = data["num_spins"], data["terms"]
+    if any(t["sign"] not in (+1, -1) or t["family"] not in FAMILIES for t in terms):
+        raise ValueError(f"term signs must be +-1 and families one of {FAMILIES}")
+    sites = [tuple(t["sites"]) for t in terms]
+    masks = tuple(sum(1 << i for i in s) for s in sites)
+    if any(m >> num_spins or mask_sites(m) != s for m, s in zip(masks, sites)):
         raise ValueError(f"term sites must be increasing spin indices < {num_spins}")
     sym = tuple(BitVector.from01(s) for s in data["symmetry_basis"])
     model = SmModel(
         num_spins=num_spins,
         masks=masks,
-        families=tuple(t.family for t in terms),
-        signs=tuple(t.sign for t in terms),
+        families=tuple(t["family"] for t in terms),
+        signs=tuple(t["sign"] for t in terms),
         symmetry_basis=sym,
         degeneracy_exponent=data["degeneracy_exponent"],
         species=data["species"],

@@ -237,6 +237,12 @@ def four22() -> CssCode:
     return new_css(m, m)
 
 
+# family -> (constructor, number of 'x'-separated dims it takes)
+_FAMILIES = {
+    "steane": (steane, 0), "four22": (four22, 0), "toric2d": (toric2d, 1),
+    "toric3d": (toric3d, 1), "xcube": (xcube, 1), "surface2d": (surface2d, 2),
+    "color666": (color666, 2),
+}
 _SELECTOR_RE = re.compile(r"^(?P<family>[a-z0-9]+)(?::(?P<dims>[0-9x]+))?$")
 
 
@@ -251,27 +257,14 @@ def from_selector(selector: str) -> CssCode:
     """
     match = _SELECTOR_RE.match(selector)
     if match and not os.path.exists(selector):
-        family = match.group("family")
-        dims_text = match.group("dims")
-        dims = [int(d) for d in dims_text.split("x")] if dims_text else []
-        if family == "steane" and not dims:
-            return steane()
-        if family == "four22" and not dims:
-            return four22()
-        if family == "toric2d" and len(dims) == 1:
-            return toric2d(dims[0])
-        if family == "toric3d" and len(dims) == 1:
-            return toric3d(dims[0])
-        if family == "xcube" and len(dims) == 1:
-            return xcube(dims[0])
-        if family == "surface2d" and len(dims) == 2:
-            return surface2d(dims[0], dims[1])
-        if family == "color666" and len(dims) == 2:
-            return color666(dims[0], dims[1])
-        if family in ("steane", "four22", "toric2d", "toric3d", "xcube",
-                      "surface2d", "color666"):
+        family, dims_text = match.group("family"), match.group("dims")
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown code family {family!r}")
+        build, arity = _FAMILIES[family]
+        dims = dims_text.split("x") if dims_text else []
+        if len(dims) != arity or not all(dims):
             raise ValueError(f"bad dims for {family}: {dims_text!r}")
-        raise ValueError(f"unknown code family {family!r}")
+        return build(*map(int, dims))
     from .css import from_text
 
     with open(selector, "r", encoding="ascii") as fh:

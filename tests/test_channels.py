@@ -29,11 +29,9 @@ from csstat.channels import (
     _check_enumerator_size,
     _coset_enumerator,
     _walsh_hadamard,
-    _x_side_functionals,
-    _z_side_functionals,
 )
 from csstat.cli import parse_noise
-from csstat.css import TooLarge, code_hash, sector_of
+from csstat.css import TooLarge, code_hash, label_functionals, sector_of
 from csstat.gf2 import BitVector
 from csstat.info import coherent_information_factorized
 from csstat.statmech import kw_check
@@ -76,8 +74,8 @@ def _joint_pairs_oracle(code, noise):
     overlaps.
     """
     n = code.n
-    x_rows, x_widths = _x_side_functionals(code)
-    z_rows, z_widths = _z_side_functionals(code)
+    x_rows, x_widths = label_functionals(code, "x")
+    z_rows, z_widths = label_functionals(code, "z")
     x_cols = _label_columns(x_rows, n)
     z_cols = _label_columns(z_rows, n)
     x_bits = sum(x_widths.values())  # width of the (b, kz) part
@@ -263,8 +261,8 @@ def test_marginal_of_non_canonical_fields():
          "surface2d:3x4"],
 )
 def test_coset_enumerator_matches_brute_force(code):
-    for functionals in (_x_side_functionals, _z_side_functionals):
-        rows, _ = functionals(code)
+    for side in ("x", "z"):
+        rows, _ = label_functionals(code, side)
         counts = _coset_enumerator(rows, code.n)
         assert np.array_equal(counts, brute_force_enumerator(rows, code.n))
         m = len(rows)

@@ -325,6 +325,26 @@ def test_exit_code_input_errors(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ic-sweep", "--code", "four22", "--p-start", "0.1", "--p-stop", "0.1",
+         "--points", "1", "--out", "{file}/x.csv"),
+        ("verify", "{file}/x.css", "0.1"),
+        ("sm-export", "steane", "x:000:0", "{file}/o.json"),
+    ],
+    ids=["ic-sweep --out", "verify code file", "sm-export out"],
+)
+def test_path_under_a_regular_file_is_an_input_error(tmp_path, capsys, argv):
+    # the OS refuses such a path with NotADirectoryError; exit code 1 means
+    # "bound exceeded", so it must exit 2 with an error line, not a traceback
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    code, _, err = run(capsys, *(a.format(file=regular) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_argparse_errors_use_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

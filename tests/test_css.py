@@ -17,23 +17,22 @@ from csstat.css import (
     dot,
     from_text,
     matvec,
+    label_functionals,
+    label_generators,
     new_css,
-    pivot_columns,
     representative_x,
     representative_z,
+    sector_representatives,
     to_text,
     with_logical_basis,
 )
-from csstat.gf2 import BitMatrix, BitVector, kernel_basis, rank, row_reduce
+from csstat.gf2 import BitMatrix, BitVector, kernel_basis, rank
 from csstat.zoo import (
-    color666,
     four22,
     from_selector,
     steane,
     surface2d,
     toric2d,
-    toric3d,
-    xcube,
 )
 
 
@@ -132,8 +131,8 @@ def test_sector_label_is_homomorphism():
         for e2 in all_errors(code.n):
             e = e1 ^ e2
             assert code.syndrome_z(e) == code.syndrome_z(e1) ^ code.syndrome_z(e2)
-            assert code.logical_parities_z(e) == (
-                code.logical_parities_z(e1) ^ code.logical_parities_z(e2)
+            assert matvec(code.logical_z, e) == (
+                matvec(code.logical_z, e1) ^ matvec(code.logical_z, e2)
             )
 
 
@@ -143,7 +142,7 @@ def test_stabilizer_shift_fixes_sector():
     for r in range(code.Hx.rows):
         shifted = e ^ code.Hx.row(r)
         assert code.syndrome_z(shifted) == code.syndrome_z(e)
-        assert code.logical_parities_z(shifted) == code.logical_parities_z(e)
+        assert matvec(code.logical_z, shifted) == matvec(code.logical_z, e)
 
 
 def test_sector_counting_exhaustive():
@@ -152,7 +151,7 @@ def test_sector_counting_exhaustive():
     for code in (four22(), toric2d(2)):
         seen = {}
         for e in all_errors(code.n):
-            key = (code.syndrome_z(e).bits, code.logical_parities_z(e).bits)
+            key = (code.syndrome_z(e).bits, matvec(code.logical_z, e).bits)
             seen[key] = seen.get(key, 0) + 1
         assert len(seen) == 1 << (code.rank_z + code.k)
         assert set(seen.values()) == {1 << code.rank_x}
@@ -166,7 +165,7 @@ def test_representatives_hit_their_sector():
                 kz = BitVector(code.k, kz_bits)
                 e = representative_x(code, b, kz)
                 assert code.syndrome_z(e) == b
-                assert code.logical_parities_z(e) == kz
+                assert matvec(code.logical_z, e) == kz
         # and the mirror side
         for a_bits in range(1 << code.rank_x):
             for kx_bits in range(1 << code.k):
@@ -174,16 +173,68 @@ def test_representatives_hit_their_sector():
                 kx = BitVector(code.k, kx_bits)
                 ez = representative_z(code, a, kx)
                 assert code.syndrome_x(ez) == a
-                assert code.logical_parities_x(ez) == kx
+                assert matvec(code.logical_x, ez) == kx
 
 
-def test_pivots_read_from_reduced_checks():
-    # representatives lift syndromes through the pivots of Hz_red / Hx_red;
-    # they must be the pivots row_reduce reports, so outputs stay unchanged
-    for code in (four22(), steane(), toric2d(2), toric2d(3), surface2d(3, 4),
-                 color666(3, 3), toric3d(2), xcube(2)):
-        assert pivot_columns(code.Hz_red) == row_reduce(code.Hz)[1]
-        assert pivot_columns(code.Hx_red) == row_reduce(code.Hx)[1]
+# sha256 of each side's representatives as hex ints in packed-label order
+# (index syndrome << k | logical), recorded when every representative was a
+# pivot lift plus a logical fix-up. The representatives set every sector
+# model's disorder, so every statmech number depends on them.
+REPRESENTATIVE_DIGESTS = [
+    ("four22", "x", "28ef92254f8cc2dcd0056feea8556b216658c574a53eadabba6a29e9e08a85e2"),
+    ("four22", "z", "67397c22e8fc72c43b6e5ee44ca975d8890e1d51361bf89854f36f10e377c05b"),
+    ("steane", "x", "ad976c370bcbf24bb1c4664a65d41db3c2a9aed11994450dc7e35f76c18f9f41"),
+    ("steane", "z", "ad976c370bcbf24bb1c4664a65d41db3c2a9aed11994450dc7e35f76c18f9f41"),
+    ("toric2d:2", "x", "c8e60d2c0173cdf4e52c1b5afca77d3c8496a4490aefcb8f8c95f6a9c0dff51e"),
+    ("toric2d:2", "z", "370f3cce611266b7dc314f4524c66917e77fb05c1f14da0d7eab0e68852845cf"),
+    ("toric2d:3", "x", "f38ad13e410f37f6e06962d319f71c5c2914773f04cf2bd41b5b6d411ad53f33"),
+    ("toric2d:3", "z", "94b4ab4d19d0a7acf97bef2799688f1761eab73a91f5d49f19a11baf242e62ef"),
+    ("surface2d:3x4", "x", "d247005d6ab53dff21cc24a417ff8fc45380b5af39812b1c72ca8403da3eff3d"),
+    ("surface2d:3x4", "z", "1229d65ba0147ba42a3ffd1887f0f625d1ecf777090ffa4000e03177f050ac75"),
+    ("color666:3x3", "x", "0a239f83fad6942af7d1ca4af37fae164e5fb26c43b07bdf776a14d7e1d9fca5"),
+    ("color666:3x3", "z", "a044ef779c774b3114f65f12f985624f07bcf3ba29538ba9298f245071d6db84"),
+]
+
+
+def _hex_digest(ints):
+    return hashlib.sha256(" ".join(format(e, "x") for e in ints).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("selector,side,digest", REPRESENTATIVE_DIGESTS)
+def test_representatives_are_pinned(selector, side, digest):
+    code = from_selector(selector)
+    syn_bits = code.rank_z if side == "x" else code.rank_x
+    representative = representative_x if side == "x" else representative_z
+    reps = [
+        representative(code, BitVector(syn_bits, label >> code.k),
+                       BitVector(code.k, label & ((1 << code.k) - 1))).bits
+        for label in range(1 << (syn_bits + code.k))
+    ]
+    assert _hex_digest(reps) == digest
+    assert _hex_digest(sector_representatives(code, side)) == digest
+
+
+@settings(max_examples=200)
+@given(random_css_pairs())
+def test_label_generators_are_the_dual_basis(pair):
+    hz, hx = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCodeWarning)
+        code = new_css(hz, hx)
+    for side in ("x", "z"):
+        rows, widths = label_functionals(code, side)
+        gens = label_generators(code, side)
+        assert len(rows) == len(gens) == sum(widths.values())
+        for i, row in enumerate(rows):
+            for j, gen in enumerate(gens):
+                assert (row & gen).bit_count() & 1 == (i == j)
+
+
+def test_label_side_must_be_x_or_z():
+    code = steane()
+    for fn in (label_functionals, label_generators, sector_representatives):
+        with pytest.raises(ValueError, match="side"):
+            fn(code, "y")
 
 
 def test_distance_goldens():

@@ -24,7 +24,6 @@ from csstat.statmech import (
     SPECIES_COUPLED,
     SPECIES_X,
     Couplings,
-    Term,
     build_sm_coupled,
     build_sm_x,
     build_sm_z,
@@ -64,7 +63,7 @@ def test_four22_partition_closed_form():
     code = four22()
     model = trivial_x_model(code)
     assert model.num_spins == 1
-    assert len(model.terms) == code.n
+    assert len(model.masks) == len(model.signs) == code.n
     beta = 0.37
     lnz = partition_exact(model, Couplings.uniform(beta))
     assert abs(lnz - math.log(2 * math.cosh(4 * beta))) < 1e-14
@@ -92,6 +91,8 @@ def test_sector_identity_coupled():
     assert rep.max_abs_dev < 1e-12
     with pytest.raises(ValueError, match="joint"):
         verify_sector_identity_coupled(code, noise, sector_distribution_x(code, 0.1))
+    with pytest.raises(ValueError, match="widths"):
+        verify_sector_identity_coupled(steane(), noise, joint)
 
 
 def test_gauge_covariance():
@@ -116,9 +117,8 @@ def test_symmetry_basis_is_a_symmetry():
     model = trivial_x_model(code)
     assert len(model.symmetry_basis) == code.Dx
     for s in model.symmetry_basis:
-        for t in model.terms:
-            overlap = sum(s[i] for i in t.sites)
-            assert overlap % 2 == 0
+        for mask in model.masks:
+            assert (s.bits & mask).bit_count() % 2 == 0
 
 
 def test_high_temperature_series():
@@ -167,9 +167,8 @@ def test_coupled_model_structure():
     assert model.sigma_spins == code.Hx.rows
     # three coupling families, n terms each
     by_family = {}
-    for t in model.terms:
-        by_family.setdefault(t.family, 0)
-        by_family[t.family] += 1
+    for family in model.families:
+        by_family[family] = by_family.get(family, 0) + 1
     assert by_family == {"x": code.n, "z": code.n, "y": code.n}
     with pytest.raises(ValueError):
         build_sm_coupled(code, BitVector(code.n - 1, 0), BitVector(code.n, 0))
@@ -239,11 +238,6 @@ def test_exact_observables_matches_finite_difference():
     assert abs(energy + (up - down) / (2 * h)) < 1e-7
 
 
-def test_term_validation():
-    with pytest.raises(ValueError):
-        Term(sites=(0, 1), sign=2, family="x")
-
-
 def test_json_round_trip(tmp_path):
     code = toric2d(2)
     e = representative_x(code, BitVector(code.rank_z, 5), BitVector(code.k, 2))
@@ -293,11 +287,9 @@ def test_normalization_is_shared_across_sectors():
 
 
 def _term_arrays(model, couplings):
-    masks = np.array(
-        [sum(1 << s for s in t.sites) for t in model.terms], dtype=np.uint64
-    )
+    masks = np.array(model.masks, dtype=np.uint64)
     weights = np.array(
-        [t.sign * couplings.for_family(t.family) for t in model.terms],
+        [s * couplings.for_family(f) for s, f in zip(model.signs, model.families)],
         dtype=np.float64,
     )
     return masks, weights
@@ -465,6 +457,23 @@ def test_sector_identity_surface_3x4(side, sectors, spins):
     assert rep.sectors_checked == sectors
     assert rep.num_spins == spins
     assert rep.max_abs_dev < 1e-12
+
+
+def test_identity_deviations_are_pinned():
+    # exact floats recorded when each sector's representative was solved
+    # for separately; the sector loops must pair the same rows and values
+    code = surface2d(3, 4)
+    assert verify_sector_identity(code, 0.1, "x").max_abs_dev == 2.7755575615628914e-16
+    assert verify_sector_identity(code, 0.1, "z").max_abs_dev == 4.718447854656915e-16
+    st = steane()
+    noise = parse_noise("depolarizing").rates_at(0.1)
+    joint = sector_distribution_joint(st, noise)
+    assert (verify_sector_identity_coupled(st, noise, joint).max_abs_dev
+            == 1.6653345369377348e-16)
+    dw = domain_wall_free_energy(toric2d(3), 0.1, BitVector.from01("01"))
+    assert dw.hex() == "0x1.c3b5d3b4c74e5p+1"
+    with pytest.raises(ValueError, match="side"):
+        verify_sector_identity(code, 0.1, "y")
 
 
 def _sm_export_models():

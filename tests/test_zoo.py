@@ -103,6 +103,10 @@ def test_from_selector_families():
         from_selector("toric2d")  # missing dims
     with pytest.raises(ValueError):
         from_selector("hypercube:4")
+    for selector in ("toric2d:3x", "surface2d:3xx4", "toric2d:x3"):
+        family, dims = selector.split(":")
+        with pytest.raises(ValueError, match=f"bad dims for {family}: '{dims}'"):
+            from_selector(selector)
 
 
 def test_from_selector_reads_files(tmp_path):
