@@ -28,8 +28,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .css import CssCode, SectorKey, TooLarge, code_hash, label_functionals
-from .gf2 import BitVector
+from .css import CssCode, TooLarge, code_hash, label_functionals
 
 MAX_LABEL_BITS = 20  # 2^m label combinations per transform
 MAX_SUPPORT_BITS = 63  # functional supports are packed into uint64
@@ -94,25 +93,28 @@ def error_weight_prob(weight: int, n: int, p: float) -> float:
 # has one axis per present field in C order (a, kx, b, kz).
 AXES = ("a", "kx", "b", "kz")
 SYNDROME_FIELDS = ("a", "b")
+_MODES = {
+    frozenset({"b", "kz"}): MODE_X,
+    frozenset({"a", "kx"}): MODE_Z,
+    frozenset(AXES): MODE_JOINT,
+}
 
 
 @dataclass(frozen=True, eq=False)
 class SectorDistribution:
     """Exact probability table over sector labels.
 
-    mode fixes which SectorKey fields are present: factorized-x uses
-    (b, kz), factorized-z uses (a, kx), joint all four. table is a read-only
-    float64 array of length 2^(Σ widths), one entry per realizable sector
-    (zero-probability ones included), indexed by the packed label: kz in the
-    lowest bits, then b, kx and a. view() gives one axis per present field in
-    (a, kx, b, kz) order and by_syndrome() a (syndrome, logical) matrix;
-    index() and keys() convert to and from SectorKey at the edges.
+    widths names the present label fields and their bit widths. table is a
+    read-only float64 array of length 2^(Σ widths), one entry per realizable
+    sector (zero-probability ones included), indexed by the packed label: kz
+    in the lowest bits, then b, kx and a. view() gives one axis per present
+    field in (a, kx, b, kz) order and by_syndrome() a (syndrome, logical)
+    matrix.
     """
 
     code_hash: str
     n: int
     k: int
-    mode: str
     widths: Dict[str, int]  # field name -> bit width, in (a, b, kx, kz) order
     table: np.ndarray
     noise: Dict[str, float] = field(default_factory=dict)
@@ -124,6 +126,12 @@ class SectorDistribution:
             raise ValueError(f"table has shape {table.shape}, expected ({size},)")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
+
+    @property
+    def mode(self) -> str:
+        """factorized-x for (b, kz), factorized-z for (a, kx), joint for all
+        four fields, marginal for any other set."""
+        return _MODES.get(frozenset(self.widths), "marginal")
 
     @property
     def axes(self) -> Tuple[str, ...]:
@@ -142,25 +150,6 @@ class SectorDistribution:
         log = [i for i, f in enumerate(axes) if f not in SYNDROME_FIELDS]
         rows = 1 << sum(self.widths[axes[i]] for i in syn)
         return self.view().transpose(syn + log).reshape(rows, -1)
-
-    def index(self, key: SectorKey) -> int:
-        """Table index of key's sector; key fields the table lacks are ignored."""
-        cell = []
-        for name in self.axes:
-            vec = getattr(key, name)
-            if vec is None or vec.n != self.widths[name]:
-                raise ValueError(f"key field {name} is not {self.widths[name]} bits")
-            cell.append(vec.bits)
-        return int(np.ravel_multi_index(cell, self.view().shape))
-
-    def keys(self) -> List[SectorKey]:
-        """SectorKey of every table entry, in index order."""
-        axes = self.axes
-        cells = np.unravel_index(np.arange(len(self.table)), self.view().shape)
-        return [
-            SectorKey(**{f: BitVector(self.widths[f], v) for f, v in zip(axes, cell)})
-            for cell in zip(*(c.tolist() for c in cells))
-        ]
 
     def total(self) -> float:
         return math.fsum(self.table.tolist())
@@ -265,7 +254,7 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     return counts
 
 
-def _factorized_distributions(code, rates, rows, widths, mode, name):
+def _factorized_distributions(code, rates, rows, widths, name):
     """One table per rate from one enumerator build, one mat-vec per distinct
     rate (a single product over all rates sums in another order: not
     bit-identical). Tables are frozen, so a repeated rate shares one object."""
@@ -281,7 +270,7 @@ def _factorized_distributions(code, rates, rows, widths, mode, name):
         wtab = np.array([error_weight_prob(w, n, p) for w in range(n + 1)])
         # label = syndrome << k | logical is already the packed table index
         dist = SectorDistribution(
-            code_hash=digest, n=n, k=code.k, mode=mode, widths=widths,
+            code_hash=digest, n=n, k=code.k, widths=widths,
             table=counts @ wtab, noise={name: p},
         )
         dist.check()
@@ -299,7 +288,7 @@ def sector_distributions_x(
     realized by 2^(n − m) strings) and sums to 1 within 1e-12.
     """
     rows, widths = label_functionals(code, "x")
-    return _factorized_distributions(code, rates, rows, widths, MODE_X, "px")
+    return _factorized_distributions(code, rates, rows, widths, "px")
 
 
 def sector_distributions_z(
@@ -307,7 +296,7 @@ def sector_distributions_z(
 ) -> List[SectorDistribution]:
     """Exact (a, kx) tables for independent Z errors, one per rate (mirror of X)."""
     rows, widths = label_functionals(code, "z")
-    return _factorized_distributions(code, rates, rows, widths, MODE_Z, "pz")
+    return _factorized_distributions(code, rates, rows, widths, "pz")
 
 
 def sector_distribution_x(code: CssCode, px: float) -> SectorDistribution:
@@ -376,7 +365,6 @@ def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistrib
         code_hash=code_hash(code),
         n=n,
         k=code.k,
-        mode=MODE_JOINT,
         widths=widths,
         table=probs.ravel(),
         noise={"ptx": noise.ptx, "pty": noise.pty, "ptz": noise.ptz},
@@ -390,28 +378,18 @@ def marginalize(dist: SectorDistribution, keep: Iterable[str]) -> SectorDistribu
 
     A sum over the dropped axes of dist.view(); the kept axes stay in
     (a, kx, b, kz) order, so the result uses the same packed-label layout
-    over its own fields. The result's mode is the canonical one when the
-    kept fields match it, else 'marginal'.
+    over its own fields.
     """
     keep_set = frozenset(keep)
     present = frozenset(dist.widths)
     if not keep_set <= present:
         raise ValueError(f"cannot keep {sorted(keep_set - present)}: absent")
     dropped = tuple(i for i, f in enumerate(dist.axes) if f not in keep_set)
-    if keep_set == {"b", "kz"}:
-        mode = MODE_X
-    elif keep_set == {"a", "kx"}:
-        mode = MODE_Z
-    elif keep_set == {"a", "b", "kx", "kz"}:
-        mode = dist.mode
-    else:
-        mode = "marginal"
     widths = {f: w for f, w in dist.widths.items() if f in keep_set}
     return SectorDistribution(
         code_hash=dist.code_hash,
         n=dist.n,
         k=dist.k,
-        mode=mode,
         widths=widths,
         table=dist.view().sum(axis=dropped).ravel(),
         noise=dist.noise,
@@ -455,7 +433,7 @@ def from_json_dict(data: dict) -> SectorDistribution:
     """Inverse of to_json_dict (bit-exact on probabilities).
 
     Raises ValueError unless the keys name each of the 2^(Σ widths) sector
-    labels exactly once.
+    labels exactly once and the stored mode is the one the widths imply.
     """
     widths = {str(f): int(w) for f, w in data["widths"].items()}
     labels = _json_labels(widths)
@@ -468,15 +446,20 @@ def from_json_dict(data: dict) -> SectorDistribution:
         )
     table = np.empty(len(labels))
     table[index_of[keys]] = [float(p) for p in data["table"].values()]
-    return SectorDistribution(
+    dist = SectorDistribution(
         code_hash=str(data["code_hash"]),
         n=int(data["n"]),
         k=int(data["k"]),
-        mode=str(data["mode"]),
         widths=widths,
         table=table,
         noise={str(k): float(v) for k, v in data.get("noise", {}).items()},
     )
+    if data["mode"] != dist.mode:
+        raise ValueError(
+            f"mode {data['mode']!r} contradicts widths {sorted(widths)}, "
+            f"which make it {dist.mode!r}"
+        )
+    return dist
 
 
 def save_json(dist: SectorDistribution, path: str) -> None:

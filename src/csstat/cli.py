@@ -95,8 +95,12 @@ def parse_noise(text: str) -> NoiseSpec:
         if len(parts) != 3:
             raise ValueError("general noise needs three weights: general:<wx>,<wy>,<wz>")
         wx, wy, wz = (float(w) for w in parts)
-        if min(wx, wy, wz) < 0 or wx + wy + wz <= 0:
-            raise ValueError("noise weights must be nonnegative with a positive sum")
+        # written so that NaN and infinite weights or sums fail
+        if not (0 <= min(wx, wy, wz) and 0 < wx + wy + wz < math.inf):
+            raise ValueError(
+                f"noise weights {wx},{wy},{wz} must be finite and nonnegative "
+                "with a finite positive sum"
+            )
         return NoiseSpec("general", weights=(wx, wy, wz))
     raise ValueError(
         f"unknown noise spec {text!r}; expected independent | independent:pz=<v> "
@@ -198,13 +202,13 @@ def _sweep_rows(
         if spec.joint:
             noise = spec.rates_at(p)
             dist = sector_distribution_joint(code, noise)
-            report = info.bound_report(dist, code.k)
+            report = info.bound_report(dist)
             rel_source = marginalize(dist, ["b", "kz"])
             extra = [noise.ptx, noise.pty, noise.ptz]
             p_x = p_z = p
         else:
             p_x, p_z = rates[i]
-            report = info.bound_report((dists_x[i], dists_z[i]), code.k)
+            report = info.bound_report((dists_x[i], dists_z[i]))
             rel_source = dists_x[i]
             extra = []
         rel = info.relative_entropy(rel_source, k0, k0p).value
@@ -316,15 +320,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"engine: exact-enumeration spins_x={reports['x'].num_spins} "
         f"spins_z={reports['z'].num_spins} configs={configs}"
     )
-    worst = 0.0
     for side, rep in reports.items():
         print(
             f"side {side}: sectors={rep.sectors_checked} "
             f"max_abs_dev={rep.max_abs_dev:.3e}"
         )
-        worst = max(worst, rep.max_abs_dev)
+    devs = [rep.max_abs_dev for rep in reports.values()]
+    # max() would drop a NaN deviation; a NaN fails the check below
+    worst = math.nan if any(map(math.isnan, devs)) else max(devs)
     tolerance = 1e-9
-    if worst > tolerance:
+    if not worst <= tolerance:
         print(f"FAIL: deviation {worst:.3e} exceeds {tolerance}")
         return EXIT_INTERNAL
     print(f"ok (tolerance {tolerance})")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -71,25 +71,6 @@ class CodeFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class SectorKey:
-    """Sector label (a, b, kx, kz); fields absent from a mode are None.
-
-    a has length rank_x, b rank_z, kx and kz length k, all fixed by the
-    owning code.
-    """
-
-    a: Optional[BitVector] = None
-    b: Optional[BitVector] = None
-    kx: Optional[BitVector] = None
-    kz: Optional[BitVector] = None
-
-    def fields(self) -> Tuple[str, ...]:
-        return tuple(
-            name for name in ("a", "b", "kx", "kz") if getattr(self, name) is not None
-        )
-
-
-@dataclass(frozen=True)
 class CssCode:
     """A validated CSS code with derived structure. Immutable."""
 
@@ -104,7 +85,7 @@ class CssCode:
     logical_x: BitMatrix  # k × n, X-type supports, rows in ker(Hz)
     logical_z: BitMatrix  # k × n, Z-type supports, rows in ker(Hx)
     # Canonical independent checks: the nonzero rows of RREF(Hz) / RREF(Hx).
-    # Syndromes are reported against these, so sector keys have fixed width.
+    # Syndromes are reported against these, so sector labels have fixed width.
     Hz_red: BitMatrix = field(repr=False, default=None)
     Hx_red: BitMatrix = field(repr=False, default=None)
 
@@ -189,18 +170,6 @@ def new_css(Hz: BitMatrix, Hx: BitMatrix) -> CssCode:
         logical_z=lz,
         Hz_red=BitMatrix(n, Rz.row_bits[:rank_z]),
         Hx_red=BitMatrix(n, Rx.row_bits[:rank_x]),
-    )
-
-
-def sector_of(code: CssCode, ex: BitVector, ez: BitVector) -> SectorKey:
-    """Full sector label of an error pair (pure, total)."""
-    if ex.n != code.n or ez.n != code.n:
-        raise ValueError("error length does not match qubit count")
-    return SectorKey(
-        a=code.syndrome_x(ez),
-        b=code.syndrome_z(ex),
-        kx=matvec(code.logical_x, ez),
-        kz=matvec(code.logical_z, ex),
     )
 
 

@@ -47,7 +47,7 @@ def _conditional_term(dist: SectorDistribution) -> float:
 
 
 def coherent_information_factorized(
-    dist_x: SectorDistribution, dist_z: SectorDistribution, k: int
+    dist_x: SectorDistribution, dist_z: SectorDistribution
 ) -> InfoResult:
     """Coherent information in bits for independent X/Z noise.
 
@@ -61,12 +61,12 @@ def coherent_information_factorized(
         raise ValueError(f"dist_z must be {MODE_Z}, got {dist_z.mode}")
     if dist_x.code_hash != dist_z.code_hash:
         raise ValueError("dist_x and dist_z come from different codes")
-    value = k + _conditional_term(dist_z) + _conditional_term(dist_x)
+    value = dist_x.k + _conditional_term(dist_z) + _conditional_term(dist_x)
     noise = {**dist_x.noise, **dist_z.noise}
-    return InfoResult(value=value, k=k, noise=noise)
+    return InfoResult(value=value, k=dist_x.k, noise=noise)
 
 
-def coherent_information_general(dist: SectorDistribution, k: int) -> InfoResult:
+def coherent_information_general(dist: SectorDistribution) -> InfoResult:
     """Coherent information in bits from a joint (correlated-species) table.
 
     value = k + Σ P·log2(P / P_(a,b)) with the syndrome marginal taken over
@@ -75,8 +75,8 @@ def coherent_information_general(dist: SectorDistribution, k: int) -> InfoResult
     """
     if dist.mode != MODE_JOINT:
         raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
-    value = k + _conditional_term(dist)
-    return InfoResult(value=value, k=k, noise=dict(dist.noise))
+    value = dist.k + _conditional_term(dist)
+    return InfoResult(value=value, k=dist.k, noise=dict(dist.noise))
 
 
 def relative_entropy(
@@ -141,28 +141,28 @@ class BoundReport:
         return not self.violations
 
 
-def bound_report(dist: DistOrPair, k: int) -> BoundReport:
+def bound_report(dist: DistOrPair) -> BoundReport:
     """Evaluate ic, decoder successes, and their inequality chain.
 
     Args:
         dist: a joint SectorDistribution, or a (dist_x, dist_z) pair for
             factorized noise (both sides are needed for the coherent
             information, and the per-side successes multiply).
-        k: logical qubit count.
 
     Checks 2·ml − 1 ≤ sampling ≤ ml ≤ 1 and 2^(ic−k) ≤ sampling ≤ 1 plus
     |ic| ≤ k, reporting violations as flags instead of raising, so sweeps can
     use this as a property harness.
     """
     if isinstance(dist, SectorDistribution):
-        ic = coherent_information_general(dist, k).value
+        result = coherent_information_general(dist)
         ml = ml_success(dist)
         samp = sampling_success(dist)
     else:
         dist_x, dist_z = dist
-        ic = coherent_information_factorized(dist_x, dist_z, k).value
+        result = coherent_information_factorized(dist_x, dist_z)
         ml = ml_success(dist_x) * ml_success(dist_z)
         samp = sampling_success(dist_x) * sampling_success(dist_z)
+    ic, k = result.value, result.k
     jensen = 2.0 ** (ic - k)
     lower = 2.0 * ml - 1.0
     violations = []

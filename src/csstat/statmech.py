@@ -132,7 +132,10 @@ def nishimori_beta(p: float) -> float:
     """Coupling matched to flip rate p: exp(-2*beta) = p / (1 - p)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"nishimori_beta needs 0 < p < 1, got {p}")
-    return 0.5 * math.log((1.0 - p) / p)
+    beta = 0.5 * math.log((1.0 - p) / p)
+    if not math.isfinite(beta):
+        raise ValueError(f"nishimori_beta({p}) is not finite: (1 - p)/p overflows")
+    return beta
 
 
 def _signs(e_rep: BitVector) -> Tuple[int, ...]:
@@ -350,12 +353,14 @@ class IdentityReport:
 
 
 def _identity_report(base, sign_rows, couplings, n, p_true) -> IdentityReport:
-    """Worst |normalized Z - p| over sectors given as sign rows of base."""
+    """Worst |normalized Z - p| over sectors given as sign rows of base; NaN
+    if any deviation is NaN (np.max propagates it, max() would drop it)."""
     ln_norm = log_normalization(couplings, n, base.degeneracy_exponent, base.species)
-    worst = 0.0
-    for ln_z, p in zip(partition_sums(base, sign_rows, couplings), p_true):
-        worst = max(worst, abs(math.exp(ln_z + ln_norm) - p))
-    return IdentityReport(len(p_true), worst, base.num_spins)
+    devs = [
+        abs(math.exp(ln_z + ln_norm) - p)
+        for ln_z, p in zip(partition_sums(base, sign_rows, couplings), p_true)
+    ]
+    return IdentityReport(len(p_true), float(np.max(devs)), base.num_spins)
 
 
 def verify_sector_identity(
@@ -419,8 +424,14 @@ def kw_check(code: CssCode, beta_x: float) -> KwReport:
         raise ValueError("kw_check needs beta_x > 0 so tanh(beta_x) > 0")
     t = math.tanh(beta_x)
     beta_z = -0.5 * math.log(t)
-    p_x = 1.0 / (1.0 + math.exp(2.0 * beta_x))
-    p_z = 1.0 / (1.0 + math.exp(2.0 * beta_z))
+    try:
+        p_x = 1.0 / (1.0 + math.exp(2.0 * beta_x))
+        p_z = 1.0 / (1.0 + math.exp(2.0 * beta_z))
+    except OverflowError:
+        raise ValueError(
+            f"beta_x = {beta_x} is out of range: exp(2*beta) overflows for "
+            f"beta_x or its dual beta_z = {beta_z}"
+        ) from None
     trivial_x = sector_distribution_x(code, p_x).by_syndrome()[0]  # b = 0
     trivial_z = sector_distribution_z(code, p_z).by_syndrome()[0, 0]
     summed = math.fsum(trivial_x.tolist())

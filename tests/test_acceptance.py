@@ -77,7 +77,6 @@ def ic_factorized(code, p):
     return coherent_information_factorized(
         sector_distribution_x(code, p),
         sector_distribution_z(code, p),
-        code.k,
     ).value
 
 
@@ -121,7 +120,6 @@ def test_criterion_2_bound_chain():
                     sector_distribution_x(code, p),
                     sector_distribution_z(code, p),
                 ),
-                code.k,
             )
             violations += len(rep.violations)
             if not (-code.k - SLACK <= rep.ic_bits <= code.k + SLACK):
@@ -205,11 +203,10 @@ def test_criterion_5_depolarizing_consistency():
             joint = sector_distribution_joint(
                 code, depolarizing_from_independent(px, pz)
             )
-            a = coherent_information_general(joint, code.k).value
+            a = coherent_information_general(joint).value
             b = coherent_information_factorized(
                 sector_distribution_x(code, px),
                 sector_distribution_z(code, pz),
-                code.k,
             ).value
             worst = max(worst, abs(a - b))
     elapsed = time.monotonic() - t0

@@ -31,11 +31,35 @@ from csstat.channels import (
     _walsh_hadamard,
 )
 from csstat.cli import parse_noise
-from csstat.css import TooLarge, code_hash, label_functionals, sector_of
-from csstat.gf2 import BitVector
+from csstat.css import TooLarge, code_hash, label_functionals
+from csstat.gf2 import BitVector, matvec
 from csstat.info import coherent_information_factorized
 from csstat.statmech import kw_check
 from csstat.zoo import color666, four22, from_selector, steane, surface2d, toric2d
+
+
+def _fields(widths, label):
+    """{field: value} of a packed label: kz in the lowest bits, then b, kx, a."""
+    out = {}
+    for f in ("kz", "b", "kx", "a"):
+        if f in widths:
+            out[f] = label & ((1 << widths[f]) - 1)
+            label >>= widths[f]
+    return out
+
+
+def _packed_label(code, widths, ex, ez):
+    """Packed label of (ex, ez) over widths' fields, from the syndromes and
+    logical parities of the code (not from label_functionals)."""
+    values = {
+        "a": code.syndrome_x(ez), "b": code.syndrome_z(ex),
+        "kx": matvec(code.logical_x, ez), "kz": matvec(code.logical_z, ex),
+    }
+    label = 0
+    for f in ("a", "kx", "b", "kz"):
+        if f in widths:
+            label = label << widths[f] | values[f].bits
+    return label
 
 
 def brute_force_enumerator(rows, n):
@@ -135,7 +159,6 @@ def _joint_pairs_oracle(code, noise):
         code_hash=code_hash(code),
         n=n,
         k=code.k,
-        mode=MODE_JOINT,
         widths=widths,
         table=probs.ravel(),
         noise={"ptx": noise.ptx, "pty": noise.pty, "ptz": noise.ptz},
@@ -164,7 +187,7 @@ def test_four22_even_weight_mass():
     p = 0.1
     dist = sector_distribution_x(four22(), p)
     mass_b0 = math.fsum(
-        prob for key, prob in zip(dist.keys(), dist.table) if key.b.bits == 0
+        prob for i, prob in enumerate(dist.table) if _fields(dist.widths, i)["b"] == 0
     )
     expect = (1 - p) ** 4 + 6 * p**2 * (1 - p) ** 2 + p**4
     assert abs(mass_b0 - expect) < 1e-15
@@ -180,8 +203,9 @@ def test_half_rate_is_uniform():
 
 def test_zero_rate_is_point_mass():
     dist = sector_distribution_z(steane(), 0.0)
-    for key, p in zip(dist.keys(), dist.table):
-        trivial = key.a.is_zero() and key.kx.is_zero()
+    for i, p in enumerate(dist.table):
+        key = _fields(dist.widths, i)
+        trivial = key["a"] == 0 and key["kx"] == 0
         assert p == (1.0 if trivial else 0.0)
 
 
@@ -213,13 +237,14 @@ def test_self_dual_code_mirror_symmetry():
     p = 0.17
     dx = sector_distribution_x(steane(), p)
     dz = sector_distribution_z(steane(), p)
-    for key, prob in zip(dx.keys(), dx.table):
+    for i, prob in enumerate(dx.table):
+        key = _fields(dx.widths, i)
         twins = [
-            kz for kz in dz.keys()
-            if kz.a == key.b and kz.kx == key.kz
+            j for j in range(len(dz.table))
+            if _fields(dz.widths, j) == {"a": key["b"], "kx": key["kz"]}
         ]
         assert len(twins) == 1
-        assert abs(dz.table[dz.index(twins[0])] - prob) < 1e-15
+        assert abs(dz.table[twins[0]] - prob) < 1e-15
 
 
 def test_joint_marginals_match_factorized():
@@ -232,17 +257,16 @@ def test_joint_marginals_match_factorized():
     assert mx.mode == MODE_X and mz.mode == MODE_Z
     fx = sector_distribution_x(code, px)
     fz = sector_distribution_z(code, pz)
-    for key, prob in zip(fx.keys(), fx.table):
-        assert abs(mx.table[mx.index(key)] - prob) < 1e-13
-    for key, prob in zip(fz.keys(), fz.table):
-        assert abs(mz.table[mz.index(key)] - prob) < 1e-13
+    # equal widths, in the same order, give each sector the same index
+    for marginal, factorized in ((mx, fx), (mz, fz)):
+        assert list(marginal.widths.items()) == list(factorized.widths.items())
+        assert np.all(np.abs(marginal.table - factorized.table) < 1e-13)
 
 
 def test_joint_mode_populates_all_fields():
     joint = sector_distribution_joint(four22(), PauliNoise(0.05, 0.02, 0.08))
     assert joint.mode == MODE_JOINT
-    key = joint.keys()[0]
-    assert key.fields() == ("a", "b", "kx", "kz")
+    assert tuple(joint.widths) == ("a", "b", "kx", "kz")
     code = four22()
     assert len(joint.table) == 1 << (code.rank_x + code.rank_z + 2 * code.k)
 
@@ -404,10 +428,27 @@ def test_json_bytes_are_pinned():
             "6654385955650cc0f7407cd8252b1a4df4f352143000d733aba8041695705e43",
         "toric2d:2 z":
             "7724be577c9c9f7f1e634481b24bc2b07a22a9de261ba168641305ecb10facfb",
+        "four22 marginal b":
+            "abd220cf0d73e2b04e974058a208c12ad12810732d74869d22c29bf83a1950ce",
     }
-    for name, dist in _json_tables().items():
+    tables = _json_tables()
+    tables["four22 marginal b"] = marginalize(tables["four22 joint"], ["b"])
+    assert tables["four22 marginal b"].mode == "marginal"
+    for name, dist in tables.items():
         text = json.dumps(to_json_dict(dist), indent=1)
         assert hashlib.sha256(text.encode()).hexdigest() == want[name], name
+
+
+def test_json_mode_must_match_widths():
+    # the mode is derived from the widths; a file whose stored mode says
+    # otherwise is rejected, not loaded under the wrong name
+    for dist in _json_tables().values():
+        data = to_json_dict(dist)
+        assert from_json_dict(data).mode == data["mode"]
+        for wrong in (MODE_X, MODE_Z, MODE_JOINT, "marginal"):
+            if wrong != data["mode"]:
+                with pytest.raises(ValueError, match="contradicts widths"):
+                    from_json_dict({**data, "mode": wrong})
 
 
 def test_joint_json_keys_match_oracle():
@@ -448,9 +489,9 @@ def _pauli_pair_prob(ex, ez, noise, n):
 
 def _check_layout(dist, brute):
     assert np.all(np.abs(brute - dist.table) <= 1e-15)
-    for i, key in enumerate(dist.keys()):
-        assert dist.index(key) == i
-        cell = tuple(getattr(key, f).bits for f in dist.axes)
+    for i in range(len(dist.table)):
+        key = _fields(dist.widths, i)
+        cell = tuple(key[f] for f in dist.axes)
         assert dist.view()[cell] == dist.table[i]
 
 
@@ -462,8 +503,8 @@ def test_joint_layout_matches_brute_force(code):
     for ex in range(1 << code.n):
         vx = BitVector(code.n, ex)
         for ez in range(1 << code.n):
-            key = sector_of(code, vx, BitVector(code.n, ez))
-            brute[dist.index(key)] += _pauli_pair_prob(ex, ez, noise, code.n)
+            label = _packed_label(code, dist.widths, vx, BitVector(code.n, ez))
+            brute[label] += _pauli_pair_prob(ex, ez, noise, code.n)
     _check_layout(dist, brute)
 
 
@@ -522,7 +563,7 @@ def test_check_rejects_nan_and_inf(bad):
     table = np.full(4, 0.25)
     table[1] = bad
     dist = SectorDistribution(
-        code_hash="", n=2, k=1, mode=MODE_X, widths={"b": 1, "kz": 1}, table=table
+        code_hash="", n=2, k=1, widths={"b": 1, "kz": 1}, table=table
     )
     with pytest.raises(InternalInvariantError):
         dist.check()
@@ -538,8 +579,9 @@ def test_factorized_layout_matches_brute_force():
         brute = np.zeros(len(dist.table))
         for bits in range(1 << code.n):
             e = BitVector(code.n, bits)
-            key = sector_of(code, e, zero) if side == "x" else sector_of(code, zero, e)
-            brute[dist.index(key)] += error_weight_prob(e.weight(), code.n, p)
+            ex, ez = (e, zero) if side == "x" else (zero, e)
+            label = _packed_label(code, dist.widths, ex, ez)
+            brute[label] += error_weight_prob(e.weight(), code.n, p)
         _check_layout(dist, brute)
 
 
@@ -547,12 +589,12 @@ def test_round_trip_preserves_info_quantities(tmp_path):
     code = steane()
     dx = sector_distribution_x(code, 0.1)
     dz = sector_distribution_z(code, 0.1)
-    before = coherent_information_factorized(dx, dz, code.k).value
+    before = coherent_information_factorized(dx, dz).value
     px = tmp_path / "x.json"
     pz = tmp_path / "z.json"
     save_json(dx, str(px))
     save_json(dz, str(pz))
     after = coherent_information_factorized(
-        load_json(str(px)), load_json(str(pz)), code.k
+        load_json(str(px)), load_json(str(pz))
     ).value
     assert after == before  # identical, not merely close

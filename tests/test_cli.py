@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from csstat import info
+from csstat import info, statmech
 from csstat.cli import format_cell, main, parse_noise
 from csstat.statmech import load_model_json, nishimori_beta, partition_exact
 from csstat.zoo import four22
@@ -158,8 +158,8 @@ def test_sweep_provenance_names_engine(capsys, argv, engine):
 def test_bound_violation_exits_internal(capsys, monkeypatch):
     real = info.bound_report
 
-    def violated(dist, k):
-        return dataclasses.replace(real(dist, k), violations=("ml 1.5 exceeds 1",))
+    def violated(dist):
+        return dataclasses.replace(real(dist), violations=("ml 1.5 exceeds 1",))
 
     monkeypatch.setattr(info, "bound_report", violated)
     code, out, err = run(
@@ -345,6 +345,55 @@ def test_path_under_a_regular_file_is_an_input_error(tmp_path, capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "toric2d:2", "1e-320"), "nishimori_beta(1e-320) is not finite"),
+        (("sm-export", "toric2d:2", "x:000:00", "{dir}/o.json", "--p", "1e-320"),
+         "nishimori_beta(1e-320) is not finite"),
+        (("kw-check", "surface2d:2x2", "355"), "beta_x = 355.0"),
+        (("kw-check", "surface2d:2x2", "5e-324"), "beta_x = 5e-324"),
+        (("ic-sweep", "--code", "steane", "--p-start", "0.1", "--p-stop", "0.1",
+          "--points", "1", "--noise", "general:1e308,1e308,1e308"),
+         "noise weights 1e+308,1e+308,1e+308"),
+        (("ic-sweep", "--code", "steane", "--p-start", "0.1", "--p-stop", "0.1",
+          "--points", "1", "--noise", "general:1,nan,1"),
+         "noise weights 1.0,nan,1.0"),
+    ],
+    ids=["verify p=1e-320", "sm-export p=1e-320", "kw-check 355", "kw-check 5e-324",
+         "general 1e308", "general nan"],
+)
+def test_out_of_range_floats_are_input_errors(tmp_path, capsys, argv, message):
+    # each used to print a false pass, zero noise, a misleading message or
+    # an OverflowError traceback; sm-export used to write Infinity into JSON
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_verify_fails_on_a_nan_partition_sum(capsys, monkeypatch):
+    # four22 has 8 sectors a side, X first. A NaN ln Z in the second Z
+    # sector must survive both worst-deviation folds; max() keeps a NaN only
+    # when it comes first, so a finite sector and side ahead of it hid it
+    real = statmech.partition_exact
+    calls = []
+
+    def tenth_nan(*args):
+        calls.append(None)
+        return math.nan if len(calls) == 10 else real(*args)
+
+    monkeypatch.setattr(statmech, "partition_exact", tenth_nan)
+    code, out, _ = run(capsys, "verify", "four22", "0.1")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[4].startswith("side x: sectors=8 max_abs_dev=")
+    assert lines[4] != "side x: sectors=8 max_abs_dev=nan"
+    assert lines[5] == "side z: sectors=8 max_abs_dev=nan"
+    assert lines[6] == "FAIL: deviation nan exceeds 1e-09"
+
+
 def test_argparse_errors_use_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -366,6 +415,15 @@ def test_noise_grammar():
     for bad in ("gaussian", "general:1,2", "general:-1,1,1", "independent:pz=2"):
         with pytest.raises(ValueError):
             parse_noise(bad)
+
+
+@pytest.mark.parametrize(
+    "weights", ["1e308,1e308,1e308", "1,nan,1", "nan,1,1", "1,inf,1", "-inf,1,1"]
+)
+def test_general_noise_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="finite") as exc:
+        parse_noise("general:" + weights)
+    assert ",".join(str(float(w)) for w in weights.split(",")) in str(exc.value)
 
 
 def test_format_cell():

@@ -1,6 +1,5 @@
 """Information quantities: endpoints, inequalities, basis independence."""
 
-import dataclasses
 import math
 
 import pytest
@@ -30,7 +29,7 @@ from csstat.zoo import four22, steane, surface2d, toric2d
 
 def ic_factorized(code, p):
     return coherent_information_factorized(
-        sector_distribution_x(code, p), sector_distribution_z(code, p), code.k
+        sector_distribution_x(code, p), sector_distribution_z(code, p)
     ).value
 
 
@@ -48,11 +47,10 @@ def test_joint_agrees_with_factorized():
         joint = sector_distribution_joint(
             code, depolarizing_from_independent(px, pz)
         )
-        a = coherent_information_general(joint, code.k).value
+        a = coherent_information_general(joint).value
         b = coherent_information_factorized(
             sector_distribution_x(code, px),
             sector_distribution_z(code, pz),
-            code.k,
         ).value
         assert abs(a - b) < 1e-12
 
@@ -80,7 +78,7 @@ def test_decoder_chain_holds():
             sector_distribution_x(code, p),
             sector_distribution_z(code, p),
         )
-        rep = bound_report(pair, code.k)
+        rep = bound_report(pair)
         assert not rep.violations
         assert rep.appendix_lower <= rep.sampling + 1e-10
         assert rep.jensen_lower <= rep.sampling + 1e-10
@@ -89,7 +87,7 @@ def test_decoder_chain_holds():
         joint = sector_distribution_joint(
             code, depolarizing_from_independent(p, min(0.49, p + 0.07))
         )
-        rep = bound_report(joint, code.k)
+        rep = bound_report(joint)
         assert not rep.violations
 
 
@@ -119,15 +117,15 @@ def test_self_dual_sides_contribute_equally():
     p = 0.13
     dx = sector_distribution_x(code, p)
     dz = sector_distribution_z(code, p)
-    full = coherent_information_factorized(dx, dz, code.k).value
+    full = coherent_information_factorized(dx, dz).value
     # swap-in a fresh Z table at the same rate: value unchanged
     assert abs(
-        coherent_information_factorized(dx, sector_distribution_z(code, p), code.k).value
+        coherent_information_factorized(dx, sector_distribution_z(code, p)).value
         - full
     ) < 1e-15
     half = (full - code.k) / 2
     one_sided = coherent_information_factorized(
-        dx, sector_distribution_z(code, 0.0), code.k
+        dx, sector_distribution_z(code, 0.0)
     ).value
     assert abs((one_sided - code.k) - half) < 1e-12
 
@@ -137,13 +135,13 @@ def test_mode_and_code_mismatch_rejected():
     dx = sector_distribution_x(code, 0.1)
     dz = sector_distribution_z(code, 0.1)
     with pytest.raises(ValueError):
-        coherent_information_factorized(dz, dx, code.k)  # swapped modes
+        coherent_information_factorized(dz, dx)  # swapped modes
     with pytest.raises(ValueError):
         coherent_information_factorized(
-            dx, sector_distribution_z(steane(), 0.1), 1
+            dx, sector_distribution_z(steane(), 0.1)
         )  # different codes
     with pytest.raises(ValueError):
-        coherent_information_general(dx, code.k)  # not a joint table
+        coherent_information_general(dx)  # not a joint table
 
 
 def test_relative_entropy_shift_only():
@@ -189,12 +187,23 @@ def test_relative_entropy_validates_labels():
         relative_entropy(dist, BitVector(1, 0), BitVector(1, 1))  # wrong width
 
 
+def _fields(widths, label):
+    """{field: value} of a packed label: kz in the lowest bits, then b, kx, a."""
+    out = {}
+    for f in ("kz", "b", "kx", "a"):
+        if f in widths:
+            out[f] = label & ((1 << widths[f]) - 1)
+            label >>= widths[f]
+    return out
+
+
 def _loop_reductions(dist, shift=0):
-    """Per-entry loops over keys(): (Σ P log2 P/P_syn, ml, sampling, D)."""
+    """Per-entry loops over the labels: (Σ P log2 P/P_syn, ml, sampling, D)."""
     syn_fields = [f for f in ("a", "b") if f in dist.widths]
+    keys = [_fields(dist.widths, i) for i in range(len(dist.table))]
     groups = {}
-    for key, p in zip(dist.keys(), dist.table.tolist()):
-        groups.setdefault(tuple(getattr(key, f) for f in syn_fields), []).append(p)
+    for key, p in zip(keys, dist.table.tolist()):
+        groups.setdefault(tuple(key[f] for f in syn_fields), []).append(p)
     cond = samp = 0.0
     for ps in groups.values():
         p_syn = math.fsum(ps)
@@ -204,11 +213,10 @@ def _loop_reductions(dist, shift=0):
     ml = math.fsum(max(ps) for ps in groups.values())
     rel = None
     if dist.mode == MODE_X:
-        table = dict(zip(dist.keys(), dist.table.tolist()))
+        table = {(key["b"], key["kz"]): p for key, p in zip(keys, dist.table.tolist())}
         rel = 0.0
-        for key, p in table.items():
-            partner_key = dataclasses.replace(key, kz=key.kz ^ BitVector(dist.k, shift))
-            partner = table[partner_key]
+        for (b, kz), p in table.items():
+            partner = table[(b, kz ^ shift)]
             if p > 0.0 and partner <= 0.0:
                 rel = math.inf
             elif p > 0.0:
@@ -229,14 +237,14 @@ def test_reductions_match_per_entry_loops(code):
             assert ml_success(dist) == ml
             assert abs(sampling_success(dist) - samp) < 1e-13
             if dist is joint:
-                got = coherent_information_general(dist, code.k).value - code.k
+                got = coherent_information_general(dist).value - code.k
                 assert abs(got - cond) < 1e-13
             if rel is not None:
                 got = relative_entropy(
                     dist, BitVector(code.k, 0), BitVector(code.k, 1)
                 ).value
                 assert got == rel or abs(got - rel) < 1e-13
-        factorized = coherent_information_factorized(dx, dz, code.k).value
+        factorized = coherent_information_factorized(dx, dz).value
         want = code.k + _loop_reductions(dx)[0] + _loop_reductions(dz)[0]
         assert abs(factorized - want) < 1e-13
 
@@ -252,7 +260,7 @@ def test_finite_size_ordering_of_coherent_information():
             xs = sector_distributions_x(code, ps)
             zs = sector_distributions_z(code, ps)
             curves.append([
-                coherent_information_factorized(x, z, code.k).value / code.k
+                coherent_information_factorized(x, z).value / code.k
                 for x, z in zip(xs, zs)
             ])
         for i, p in enumerate(ps):

@@ -55,6 +55,11 @@ def test_nishimori_beta():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             nishimori_beta(bad)
+    # (1 - p)/p overflows to inf below about 5.6e-309
+    assert nishimori_beta(1e-300) == 0.5 * math.log((1.0 - 1e-300) / 1e-300)
+    for tiny in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="not finite"):
+            nishimori_beta(tiny)
 
 
 def test_four22_partition_closed_form():
