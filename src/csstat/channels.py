@@ -432,10 +432,19 @@ def to_json_dict(dist: SectorDistribution) -> dict:
 def from_json_dict(data: dict) -> SectorDistribution:
     """Inverse of to_json_dict (bit-exact on probabilities).
 
-    Raises ValueError unless the keys name each of the 2^(Σ widths) sector
+    Raises ValueError unless the widths name only the fields a, b, kx and kz
+    (kx and kz k bits wide), the keys name each of the 2^(Σ widths) sector
     labels exactly once and the stored mode is the one the widths imply.
     """
     widths = {str(f): int(w) for f, w in data["widths"].items()}
+    k = int(data["k"])
+    for name, width in widths.items():
+        if name not in AXES:
+            raise ValueError(
+                f"widths name unknown field {name!r}; fields are {', '.join(AXES)}"
+            )
+        if width < 0 or (name in ("kx", "kz") and width != k):
+            raise ValueError(f"field {name!r} has width {width} (k = {k})")
     labels = _json_labels(widths)
     index_of = np.empty_like(labels)
     index_of[labels] = np.arange(len(labels))
@@ -449,7 +458,7 @@ def from_json_dict(data: dict) -> SectorDistribution:
     dist = SectorDistribution(
         code_hash=str(data["code_hash"]),
         n=int(data["n"]),
-        k=int(data["k"]),
+        k=k,
         widths=widths,
         table=table,
         noise={str(k): float(v) for k, v in data.get("noise", {}).items()},

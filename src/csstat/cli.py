@@ -432,6 +432,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "burn_in": args.burn_in, "replicas": args.replicas, "seed": args.seed,
     }
     prov = _provenance("mc", args.selector, code, params)
+    # one spin per check row of the side's matrix, one term per qubit
+    spins = (code.Hx if args.side == "x" else code.Hz).rows
+    proposals = len(grid) * args.samples * args.replicas * args.sweeps * spins
+    prov.append(
+        f"engine: metropolis spins={spins} terms={code.n} proposals={proposals}"
+    )
     _emit_table(args.out, args.format, prov, MC_COLUMNS, rows)
     return EXIT_OK
 

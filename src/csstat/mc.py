@@ -19,6 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .channels import InternalInvariantError
 from .css import CssCode
 from .gf2 import BitVector
 from .statmech import (
@@ -112,63 +113,103 @@ def _blocked(series: np.ndarray) -> Tuple[float, float]:
 def _run_replica(
     model: SmModel, beta: float, sweeps: int, burn_in: int, stream_seed: int
 ):
-    """One chain; returns (energy-per-spin series, spin snapshots) post burn."""
+    """One chain; returns (energy-per-spin series, spin snapshots) post burn.
+
+    State: the +-1 term products prod, total = sum(prod) and h[i], the number
+    of negative terms at spin i; metropolis describes the thresholds.
+    """
     num_spins = model.num_spins
     sites = [mask_sites(mask) for mask in model.masks]
-    by_spin: List[List[int]] = [[] for _ in range(num_spins)]
+    spin_terms: List[List[int]] = [[] for _ in range(num_spins)]
+    # (term, other site) pairs of each spin: flipping the spin moves the
+    # term's sign out of (or into) the other site's count of negative terms
+    spin_pairs: List[List[Tuple[int, int]]] = [[] for _ in range(num_spins)]
     for t_idx, term_sites in enumerate(sites):
         for s in term_sites:
-            by_spin[s].append(t_idx)
-    spin_terms = [tuple(lst) for lst in by_spin]
-    max_deg = max((len(t) for t in spin_terms), default=0)
-    # Acceptance lookup for dH = 2*m, m = 1..max_deg (dH <= 0 always accepts).
-    accept = [1.0] + [math.exp(-2.0 * beta * m) for m in range(1, max_deg + 1)]
+            spin_terms[s].append(t_idx)
+            spin_pairs[s] += [(t_idx, o) for o in term_sites if o != s]
+    deg = [len(t) for t in spin_terms]
+    max_deg = max(deg, default=0)
+    # Acceptance probability of dH = 2*m for m = 1..max_deg (m <= 0 always
+    # accepts); the thresholds below need it non-increasing when beta >= 0.
+    accept = [math.exp(-2.0 * beta * m) for m in range(1, max_deg + 1)]
+    if beta >= 0 and any(a < b for a, b in zip(accept, accept[1:])):
+        raise InternalInvariantError(
+            f"acceptance table increases at beta={beta}: {accept}"
+        )
 
     init = uniforms(np.arange(num_spins, dtype=np.uint64), stream_seed)
-    spins = [1 if u < 0.5 else -1 for u in init.tolist()]
+    spins = bytearray(0 if u < 0.5 else 1 for u in init.tolist())  # 1: down
     prod = []
+    h = [0] * num_spins
     for sign, term_sites in zip(model.signs, sites):
         v = sign
         for s in term_sites:
-            v *= spins[s]
+            if spins[s]:
+                v = -v
         prod.append(v)
+        if v < 0:
+            for s in term_sites:
+                h[s] += 1
+    total = sum(prod)
 
     meas = sweeps - burn_in
     energy = np.empty(meas, dtype=np.float64)
-    snaps = np.empty((meas, num_spins), dtype=np.int8)
+    snaps = []
+    deg_row = np.array(deg, dtype=np.int64)
     block = max(1, _UNIFORMS_PER_DRAW // num_spins)
     for sweep in range(sweeps):
         at = sweep % block
         if at == 0:  # sweeps [s0, s1) take counters [(1+s0)*S, (1+s1)*S)
-            end = (1 + min(sweeps, sweep + block)) * num_spins
+            drawn_sweeps = min(sweeps, sweep + block) - sweep
+            end = (1 + sweep + drawn_sweeps) * num_spins
             counters = np.arange((1 + sweep) * num_spins, end, dtype=np.uint64)
-            drawn = uniforms(counters, stream_seed).tolist()
-        u = drawn[at * num_spins:(at + 1) * num_spins]
+            u = uniforms(counters, stream_seed)
+            reach = np.zeros(len(u), dtype=np.int64)  # A(u) = #{m : u < accept[m]}
+            for a in accept:
+                reach += u < a
+            # flip iff m <= A(u), i.e. h[i] >= K = max(0, ceil((deg_i - A) / 2))
+            need = (np.tile(deg_row, drawn_sweeps) - reach + 1) // 2
+            thresholds = np.maximum(need, 0).tolist()
+        k_row = thresholds[at * num_spins:(at + 1) * num_spins]
         for i in range(num_spins):
-            terms_i = spin_terms[i]
-            m = 0
-            for t in terms_i:
-                m += prod[t]
-            # dH = 2*m; accept with min(1, exp(-beta*dH))
-            if m <= 0 or u[i] < accept[m]:
-                spins[i] = -spins[i]
-                for t in terms_i:
+            h_i = h[i]
+            if h_i >= k_row[i]:
+                d = deg[i]
+                total += 4 * h_i - 2 * d
+                h[i] = d - h_i
+                spins[i] ^= 1
+                for t, s in spin_pairs[i]:
+                    h[s] += prod[t]
+                for t in spin_terms[i]:
                     prod[t] = -prod[t]
         if sweep >= burn_in:
-            j = sweep - burn_in
-            energy[j] = -sum(prod) / num_spins if num_spins else 0.0
-            snaps[j] = spins
-    return energy, snaps
+            energy[sweep - burn_in] = -total / num_spins
+            snaps.append(bytes(spins))
+    down = np.frombuffer(b"".join(snaps), dtype=np.int8).reshape(meas, num_spins)
+    return energy, 1 - 2 * down
 
 
 def metropolis(model: SmModel, beta: float, cfg: McConfig) -> McObservables:
     """Sample a single-register model at coupling beta.
 
-    Fixed proposal order (spin 0..S-1 each sweep), cached term products for
-    O(degree) energy differences, and each sweep's uniforms sliced from one
-    draw of up to _UNIFORMS_PER_DRAW that covers whole sweeps. Replicas
-    run sequentially on streams derived from cfg.seed; the overlap pairs every
-    two replicas and averages.
+    Fixed proposal order (spin 0..S-1 each sweep), and each sweep's uniforms
+    sliced from one draw of up to _UNIFORMS_PER_DRAW that covers whole
+    sweeps. Replicas run sequentially on streams derived from cfg.seed; the
+    overlap pairs every two replicas and averages.
+
+    The rule is min(1, e^{-beta dH}): flipping spin i, with m = deg_i -
+    2*h[i] for h[i] its count of negative terms, costs dH = 2*m and is
+    accepted iff m <= 0 or u < accept[m] = e^{-2 beta m}. Each uniform is
+    turned, once per draw, into A(u) = #{m in 1..max_deg : u < accept[m]}.
+    For beta >= 0 the table is non-increasing (checked), so that set is the
+    prefix 1..A(u); for beta < 0 every entry exceeds 1 > u, so A(u) =
+    max_deg. Either way the rule holds exactly when m <= A(u), which is
+    h[i] >= K = max(0, ceil((deg_i - A(u)) / 2)). The same uniforms meet
+    the same float compares, so the chain is the one the direct rule gives,
+    bit for bit. A rejected proposal costs one integer compare; a flip
+    updates h at the other sites of its terms, so the cost follows the flip
+    rate, not the proposal count.
 
     Caveat: zero-cost flips are always accepted (min(1, e^0) = 1), so on a
     landscape with flat directions the fixed-order sweep traverses them

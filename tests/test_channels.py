@@ -451,6 +451,26 @@ def test_json_mode_must_match_widths():
                     from_json_dict({**data, "mode": wrong})
 
 
+@pytest.mark.parametrize(
+    "widths, k, mode, message",
+    [
+        ({"q": 1}, 1, "marginal", "unknown field 'q'"),
+        ({"b": 1, "q": 1}, 1, "marginal", "unknown field 'q'"),
+        ({"b": 1, "kz": 1}, 2, MODE_X, "field 'kz' has width 1"),
+    ],
+)
+def test_json_rejects_bad_widths(widths, k, mode, message):
+    # a field outside (a, b, kx, kz) or a logical field narrower than k is
+    # named in the error, not left to a reshape failure or loaded silently
+    size = 1 << sum(widths.values())
+    data = {
+        "code_hash": "", "n": 4, "k": k, "mode": mode, "widths": widths,
+        "noise": {}, "table": {format(i, "x"): 1 / size for i in range(size)},
+    }
+    with pytest.raises(ValueError, match=message):
+        from_json_dict(data)
+
+
 def test_joint_json_keys_match_oracle():
     noise = PauliNoise(0.03, 0.01, 0.05)
     engine = to_json_dict(sector_distribution_joint(four22(), noise))

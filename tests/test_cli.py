@@ -276,6 +276,10 @@ def test_mc_subcommand_schema(capsys):
     ]
     assert float(rows[0][1]) == nishimori_beta(0.1)
     assert float(rows[0][6]) == 2.0
+    # 4 spins (X checks) and 8 terms (qubits); 1 point x 2 samples x 2
+    # replicas x 200 sweeps x 4 spins proposals
+    provenance = [l for l in out.splitlines() if l.startswith("#")]
+    assert provenance[4] == "# engine: metropolis spins=4 terms=8 proposals=3200"
 
 
 def test_exit_code_too_large(capsys):

@@ -4,13 +4,19 @@ import dataclasses
 import hashlib
 import json
 import math
+from types import SimpleNamespace
+from typing import List
 
 import numpy as np
 import pytest
 
+from csstat import mc
+from csstat.channels import InternalInvariantError
 from csstat.gf2 import BitVector
 from csstat.mc import (
+    _UNIFORMS_PER_DRAW,
     McConfig,
+    _run_replica,
     derive_seed,
     metropolis,
     nishimori_scan,
@@ -19,13 +25,16 @@ from csstat.mc import (
     uniforms,
 )
 from csstat.statmech import (
-    Couplings,
+    SmModel,
+    _signs,
     build_sm_coupled,
     build_sm_x,
+    build_sm_z,
     exact_observables,
+    mask_sites,
     nishimori_beta,
 )
-from csstat.zoo import four22, surface2d, toric2d
+from csstat.zoo import four22, from_selector, surface2d, toric2d
 
 
 def test_splitmix64_known_vectors():
@@ -201,3 +210,94 @@ def test_scan_input_validation():
         nishimori_scan(code, "x", [0.0], 1, cfg)  # beta undefined at p = 0
     with pytest.raises(ValueError):
         nishimori_scan(code, "x", [0.1], 0, cfg)
+
+
+# The direct rule as a sequential loop: every proposal sums its terms and
+# compares its uniform with accept[m]. Oracle for the threshold kernel.
+def _oracle_replica(
+    model: SmModel, beta: float, sweeps: int, burn_in: int, stream_seed: int
+):
+    """One chain; returns (energy-per-spin series, spin snapshots) post burn."""
+    num_spins = model.num_spins
+    sites = [mask_sites(mask) for mask in model.masks]
+    by_spin: List[List[int]] = [[] for _ in range(num_spins)]
+    for t_idx, term_sites in enumerate(sites):
+        for s in term_sites:
+            by_spin[s].append(t_idx)
+    spin_terms = [tuple(lst) for lst in by_spin]
+    max_deg = max((len(t) for t in spin_terms), default=0)
+    # Acceptance lookup for dH = 2*m, m = 1..max_deg (dH <= 0 always accepts).
+    accept = [1.0] + [math.exp(-2.0 * beta * m) for m in range(1, max_deg + 1)]
+
+    init = uniforms(np.arange(num_spins, dtype=np.uint64), stream_seed)
+    spins = [1 if u < 0.5 else -1 for u in init.tolist()]
+    prod = []
+    for sign, term_sites in zip(model.signs, sites):
+        v = sign
+        for s in term_sites:
+            v *= spins[s]
+        prod.append(v)
+
+    meas = sweeps - burn_in
+    energy = np.empty(meas, dtype=np.float64)
+    snaps = np.empty((meas, num_spins), dtype=np.int8)
+    block = max(1, _UNIFORMS_PER_DRAW // num_spins)
+    for sweep in range(sweeps):
+        at = sweep % block
+        if at == 0:  # sweeps [s0, s1) take counters [(1+s0)*S, (1+s1)*S)
+            end = (1 + min(sweeps, sweep + block)) * num_spins
+            counters = np.arange((1 + sweep) * num_spins, end, dtype=np.uint64)
+            drawn = uniforms(counters, stream_seed).tolist()
+        u = drawn[at * num_spins:(at + 1) * num_spins]
+        for i in range(num_spins):
+            terms_i = spin_terms[i]
+            m = 0
+            for t in terms_i:
+                m += prod[t]
+            # dH = 2*m; accept with min(1, exp(-beta*dH))
+            if m <= 0 or u[i] < accept[m]:
+                spins[i] = -spins[i]
+                for t in terms_i:
+                    prod[t] = -prod[t]
+        if sweep >= burn_in:
+            j = sweep - burn_in
+            energy[j] = -sum(prod) / num_spins if num_spins else 0.0
+            snaps[j] = spins
+    return energy, snaps
+
+
+@pytest.mark.parametrize("p", [0.05, 0.11, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize(
+    "selector, side",
+    [
+        ("toric2d:3", "x"),
+        ("toric2d:3", "z"),
+        ("surface2d:3x4", "x"),  # boundary spins of odd degree, 1-site terms
+        ("color666:3x3", "z"),  # 3-site terms
+        ("steane", "x"),
+    ],
+)
+def test_thresholds_match_direct_rule(selector, side, p):
+    # the integer thresholds against the direct rule, bit for bit. p = 0.5
+    # is beta = 0 and p = 0.7 is beta < 0, where every A(u) = max_deg and
+    # every proposal flips; the run crosses two draw edges and ends in a
+    # partial draw
+    code = from_selector(selector)
+    base = (build_sm_x if side == "x" else build_sm_z)(code, BitVector(code.n, 0))
+    error = sample_disorder(code, p, derive_seed(17, round(p * 100)))
+    model = dataclasses.replace(base, signs=_signs(error))
+    beta = nishimori_beta(p)
+    sweeps = 2 * (_UNIFORMS_PER_DRAW // model.num_spins) + 7
+    got = _run_replica(model, beta, sweeps, 5, derive_seed(3, round(p * 100)))
+    want = _oracle_replica(model, beta, sweeps, 5, derive_seed(3, round(p * 100)))
+    assert np.array_equal(got[0], want[0])
+    assert got[1].dtype == want[1].dtype
+    assert np.array_equal(got[1], want[1])
+
+
+def test_increasing_acceptance_table_is_refused(monkeypatch):
+    # the thresholds are exact only for a non-increasing table at beta >= 0
+    monkeypatch.setattr(mc, "math", SimpleNamespace(exp=lambda x: -x))
+    model = build_sm_x(toric2d(2), BitVector(8, 0))
+    with pytest.raises(InternalInvariantError, match="increases"):
+        _run_replica(model, 0.3, 40, 8, 1)
