@@ -312,6 +312,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         side: statmech.verify_sector_identity(code, args.p, side=side)
         for side in ("x", "z")
     }
+    for side, rep in reports.items():
+        stages = " ".join(f"{stage} {s:.4f}s" for stage, s in rep.times.items())
+        print(f"# time side {side}: {stages}", file=sys.stderr)
     print(f"csstat {__version__} verify")
     print(f"code: {args.selector} hash={code_hash(code)}")
     print(f"p={args.p}")

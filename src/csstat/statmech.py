@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+import time
+from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +38,9 @@ from .css import CssCode, TooLarge, sector_representatives
 from .gf2 import BitMatrix, BitVector, kernel_basis
 
 MAX_EXACT_SPINS = 24  # partition_exact streams 2^spins configurations
-MAX_OBSERVABLE_SPINS = 18  # exact_observables holds them all in memory
 _LOW_BITS = 10  # spins enumerated inside each chunk's parity block
 _CHUNK = 1 << 18  # multiply-adds per chunk; bigger products wake BLAS threads, a loss
+_ROW_BLOCK = 1 << 12  # sign rows unpacked at once, so memory does not grow with sectors
 
 SPECIES_X = "x"
 SPECIES_Z = "z"
@@ -221,28 +223,34 @@ def _parity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(a & b) & np.uint8(1))
 
 
-def _low_parity(model: SmModel) -> np.ndarray:
-    """The low block: each term's +-1 parity against each low configuration."""
-    low = np.arange(1 << min(model.num_spins, _LOW_BITS), dtype=np.uint64)
-    return _parity(np.array(model.masks, dtype=np.uint64)[:, None], low)
+def _parity_blocks(model: SmModel) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of every sum over model that do not depend on its signs.
+
+    The high block P[hi, t] pairs each term with each configuration of the
+    bits above _LOW_BITS, the low block P[t, lo] with each configuration of
+    the bits below, and family[t] indexes the term's coupling in FAMILIES.
+    """
+    masks = np.array(model.masks, dtype=np.uint64)
+    low = min(model.num_spins, _LOW_BITS)
+    hi = np.arange(0, 1 << model.num_spins, 1 << low, dtype=np.uint64)
+    lo = np.arange(1 << low, dtype=np.uint64)
+    family = np.array([FAMILIES.index(f) for f in model.families], dtype=np.intp)
+    return _parity(hi[:, None], masks), _parity(masks[:, None], lo), family
 
 
-def _exponent_chunks(model: SmModel, weights: np.ndarray, lo_parity=None):
+def _exponent_chunks(weights: np.ndarray, blocks) -> Iterator[np.ndarray]:
     """sum_t weights[t] * prod(spins of term t) for every configuration c, in order.
 
     Spin i of c is (-1)**bit_i(c), so the exponents are P @ weights with the
     parity matrix P[c, t] = (-1)**popcount(c & mask_t). P factors over the
     configuration bits below and above _LOW_BITS, so each chunk of high rows
-    is one product with the low block, at most _CHUNK multiply-adds.
+    is one product with the low block, at most _CHUNK multiply-adds. blocks
+    is _parity_blocks(model).
     """
-    lo_parity = _low_parity(model) if lo_parity is None else lo_parity
-    masks = np.array(model.masks, dtype=np.uint64)
-    low = min(model.num_spins, _LOW_BITS)
-    hi = np.arange(0, 1 << model.num_spins, 1 << low, dtype=np.uint64)
-    rows = max(1, _CHUNK // (max(1, len(masks)) << low))
-    for start in range(0, len(hi), rows):
-        signed = _parity(hi[start:start + rows, None], masks) * weights
-        yield (signed @ lo_parity).ravel()
+    high, low, _ = blocks
+    rows = max(1, _CHUNK // (max(1, high.shape[1]) * low.shape[1]))
+    for start in range(0, len(high), rows):
+        yield ((high[start:start + rows] * weights) @ low).ravel()
 
 
 def _check_exact_size(model: SmModel) -> None:
@@ -254,14 +262,15 @@ def _check_exact_size(model: SmModel) -> None:
         )
 
 
-def partition_exact(model: SmModel, couplings: Couplings, lo_parity=None) -> float:
-    """ln Z by exhaustive enumeration (num_spins <= MAX_EXACT_SPINS). lo_parity,
-    if given, is _low_parity(model), which depends only on the masks."""
+def partition_exact(model: SmModel, couplings: Couplings, blocks=None) -> float:
+    """ln Z by exhaustive enumeration (num_spins <= MAX_EXACT_SPINS). blocks,
+    if given, is _parity_blocks(model), which does not depend on the signs."""
     _check_exact_size(model)
-    coupling = {f: couplings.for_family(f) for f in FAMILIES}
-    weights = np.array([s * coupling[f] for s, f in zip(model.signs, model.families)])
+    blocks = _parity_blocks(model) if blocks is None else blocks
+    coupling = np.array([couplings.for_family(f) for f in FAMILIES])
+    weights = np.asarray(model.signs) * coupling[blocks[2]]
     ln_z = -math.inf
-    for expo in _exponent_chunks(model, weights, lo_parity):
+    for expo in _exponent_chunks(weights, blocks):
         shift = float(expo.max())
         part = shift + math.log(float(np.exp(expo - shift).sum()))
         ln_z = max(ln_z, part) + math.log1p(math.exp(-abs(ln_z - part)))
@@ -272,11 +281,15 @@ def partition_sums(
     model: SmModel, sign_rows: Iterable[Sequence[int]], couplings: Couplings
 ) -> Iterator[float]:
     """ln Z of model with each row of term signs in turn, read lazily, one
-    sector at a time; the low parity block is built once for all rows."""
+    sector at a time; the parity blocks are built once for all rows."""
     _check_exact_size(model)
-    lo_parity = _low_parity(model)
+    blocks = _parity_blocks(model)
+    head = (model.num_spins, model.masks, model.families)
+    tail = (model.symmetry_basis, model.degeneracy_exponent, model.species,
+            model.sigma_spins)
     for signs in sign_rows:
-        yield partition_exact(replace(model, signs=signs), couplings, lo_parity)
+        # positional, in field order: half the cost of dataclasses.replace
+        yield partition_exact(SmModel(*head, signs, *tail), couplings, blocks)
 
 
 def log_normalization(
@@ -310,34 +323,6 @@ def log_sector_probability(
     )
 
 
-def exact_observables(model: SmModel, beta: float):
-    """(ln Z, <H>, pair-correlation matrix) for a single-register model.
-
-    H = -sum_t sign_t * prod(spins), the energy the mc module samples; the
-    Boltzmann weight is exp(-beta*H). Correlations <s_i s_j> give an exact
-    overlap oracle: for independent replicas <q**2> is the mean of their
-    squares. Dense enumeration, so limited to MAX_OBSERVABLE_SPINS spins.
-    """
-    if model.species == SPECIES_COUPLED:
-        raise ValueError("exact_observables handles single-register models only")
-    if model.num_spins > MAX_OBSERVABLE_SPINS:
-        raise TooLarge(
-            f"exact_observables stores all 2**{model.num_spins} configurations; "
-            f"limit is {MAX_OBSERVABLE_SPINS} spins"
-        )
-    neg_h = np.concatenate(list(_exponent_chunks(model, np.array(model.signs, float))))
-    expo = beta * neg_h
-    shift = float(expo.max())
-    w = np.exp(expo - shift)
-    zw = float(w.sum())
-    ln_z = shift + math.log(zw)
-    mean_h = float(-(neg_h * w).sum() / zw)
-    configs = np.arange(1 << model.num_spins, dtype=np.uint64)
-    spins = _parity(configs[:, None], 1 << np.arange(model.num_spins, dtype=np.uint64))
-    corr = (spins * w[:, None]).T @ spins / zw
-    return ln_z, mean_h, corr
-
-
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
@@ -345,22 +330,60 @@ def exact_observables(model: SmModel, beta: float):
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Worst-case agreement between spin-model and enumerated probabilities."""
+    """Worst-case agreement between spin-model and enumerated probabilities.
+
+    times holds the seconds per stage: the sector table ("table", when the
+    check built it), the representatives ("rows"), their sign rows and sums
+    ("sums").
+    """
 
     sectors_checked: int
     max_abs_dev: float
     num_spins: int  # each sector enumerated 2**num_spins configurations
+    times: Dict[str, float] = field(compare=False)
 
 
-def _identity_report(base, sign_rows, couplings, n, p_true) -> IdentityReport:
+def _sign_blocks(n: int, reps: Iterable[int]) -> Iterator[np.ndarray]:
+    """Per-qubit signs (-1)**bit_l(e) of each representative e, as int8 rows.
+
+    Representatives are read lazily, _ROW_BLOCK at a time, and each block is
+    unpacked from little-endian bytes at once; row for row this equals
+    _signs(BitVector(n, e)).
+    """
+    width = (n + 7) // 8
+    reps = iter(reps)
+    while block := list(islice(reps, _ROW_BLOCK)):
+        packed = np.frombuffer(
+            b"".join(e.to_bytes(width, "little") for e in block), dtype=np.uint8
+        ).reshape(len(block), width)
+        bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+        yield 1 - 2 * bits.astype(np.int8)
+
+
+def _coupled_sign_blocks(
+    n: int, reps_x: Sequence[int], reps_z: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """Rows of _coupled_signs(ex, ez), Z outer and X inner (the joint index
+    z_label << m_x | x_label), in blocks of at most _ROW_BLOCK rows."""
+    for sz in chain.from_iterable(_sign_blocks(n, reps_z)):
+        for sx in _sign_blocks(n, reps_x):
+            triples = (sx, np.broadcast_to(sz, sx.shape), sx * sz)
+            yield np.stack(triples, axis=2).reshape(len(sx), 3 * n)
+
+
+def _identity_report(base, sign_rows, couplings, n, p_true, times) -> IdentityReport:
     """Worst |normalized Z - p| over sectors given as sign rows of base; NaN
-    if any deviation is NaN (np.max propagates it, max() would drop it)."""
+    if any deviation is NaN (np.max propagates it, max() would drop it).
+    times gains the seconds spent on the rows and their sums ("sums")."""
     ln_norm = log_normalization(couplings, n, base.degeneracy_exponent, base.species)
-    devs = [
-        abs(math.exp(ln_z + ln_norm) - p)
-        for ln_z, p in zip(partition_sums(base, sign_rows, couplings), p_true)
-    ]
-    return IdentityReport(len(p_true), float(np.max(devs)), base.num_spins)
+    start = time.perf_counter()
+    devs = np.fromiter(
+        (abs(math.exp(ln_z + ln_norm) - p)
+         for ln_z, p in zip(partition_sums(base, sign_rows, couplings), p_true)),
+        float, count=len(p_true),
+    )
+    times["sums"] = time.perf_counter() - start
+    return IdentityReport(len(p_true), float(np.max(devs)), base.num_spins, times)
 
 
 def verify_sector_identity(
@@ -372,16 +395,18 @@ def verify_sector_identity(
     """
     couplings = Couplings.uniform(nishimori_beta(p))
     zero = BitVector(code.n, 0)
+    start = time.perf_counter()
     if side == "x":
         dist, base = sector_distribution_x(code, p), build_sm_x(code, zero)
     elif side == "z":
         dist, base = sector_distribution_z(code, p), build_sm_z(code, zero)
     else:
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
-    sign_rows = (
-        _signs(BitVector(code.n, e)) for e in sector_representatives(code, side)
-    )
-    return _identity_report(base, sign_rows, couplings, code.n, dist.table.tolist())
+    table = time.perf_counter()
+    reps = sector_representatives(code, side)
+    times = {"table": table - start, "rows": time.perf_counter() - table}
+    rows = chain.from_iterable(_sign_blocks(code.n, reps))
+    return _identity_report(base, rows, couplings, code.n, dist.table.tolist(), times)
 
 
 def verify_sector_identity_coupled(
@@ -394,11 +419,11 @@ def verify_sector_identity_coupled(
         raise ValueError("dist's sector label widths do not match the code")
     couplings = Couplings.from_pauli(noise)
     base = build_sm_coupled(code, BitVector(code.n, 0), BitVector(code.n, 0))
-    # the joint index is z_label << m_x | x_label: Z outer, X inner
-    reps_x = [BitVector(code.n, e) for e in sector_representatives(code, "x")]
-    sign_rows = (_coupled_signs(ex, BitVector(code.n, ez))
-                 for ez in sector_representatives(code, "z") for ex in reps_x)
-    return _identity_report(base, sign_rows, couplings, code.n, dist.table.tolist())
+    start = time.perf_counter()
+    reps_x, reps_z = (sector_representatives(code, side) for side in "xz")
+    times = {"rows": time.perf_counter() - start}
+    rows = chain.from_iterable(_coupled_sign_blocks(code.n, reps_x, reps_z))
+    return _identity_report(base, rows, couplings, code.n, dist.table.tolist(), times)
 
 
 @dataclass(frozen=True)
@@ -469,8 +494,9 @@ def domain_wall_free_energy(
     ln_norm = log_normalization(couplings, code.n, code.Dx, SPECIES_X)
     base = build_sm_x(code, BitVector(code.n, 0))
     _check_exact_size(base)  # before the 2^(rank_z + k) representatives
-    reps = sector_representatives(code, "x")
-    sign_rows = (_signs(BitVector(code.n, e)) for e in reps)
+    sign_rows = chain.from_iterable(
+        _sign_blocks(code.n, sector_representatives(code, "x"))
+    )
     ln_z = np.fromiter(partition_sums(base, sign_rows, couplings), float)
     ln_z = ln_z.reshape(-1, 1 << code.k)
     partner = ln_z[:, np.arange(ln_z.shape[1]) ^ k_shift.bits]

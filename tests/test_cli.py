@@ -4,13 +4,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
 from csstat import info, statmech
+from csstat.channels import sector_distribution_joint
 from csstat.cli import format_cell, main, parse_noise
+from csstat.gf2 import BitVector
 from csstat.statmech import load_model_json, nishimori_beta, partition_exact
-from csstat.zoo import four22
+from csstat.zoo import four22, steane, toric2d
 
 
 def run(capsys, *argv):
@@ -375,6 +378,47 @@ def test_out_of_range_floats_are_input_errors(tmp_path, capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o.json").exists()
+
+
+def test_one_partition_sum_per_sector(capsys, monkeypatch):
+    # the verify benchmark counts partition_exact calls as sectors and the
+    # 2**num_spins of each call's first argument as configurations, so every
+    # sector loop makes one call per sector with its own model
+    real = statmech.partition_exact
+    spins = []
+
+    def counted(*args):
+        spins.append(args[0].num_spins)
+        return real(*args)
+
+    monkeypatch.setattr(statmech, "partition_exact", counted)
+    code, _, _ = run(capsys, "verify", "surface2d:3x4", "0.1")
+    assert code == 0
+    assert len(spins) == 512 + 1024
+    assert sum(1 << s for s in spins) == 524288
+    spins.clear()
+    statmech.domain_wall_free_energy(toric2d(3), 0.1, BitVector.from01("01"))
+    assert spins == [9] * 1024
+    spins.clear()
+    noise = parse_noise("depolarizing").rates_at(0.1)
+    joint = sector_distribution_joint(steane(), noise)
+    statmech.verify_sector_identity_coupled(steane(), noise, joint)
+    assert spins == [6] * 256
+
+
+def test_verify_writes_stage_times_to_stderr(capsys):
+    # one line per side on stderr; stdout stays a function of the inputs
+    code, out, err = run(capsys, "verify", "four22", "0.1")
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for side, line in zip("xz", lines):
+        assert re.fullmatch(
+            rf"# time side {side}: table \d+\.\d{{4}}s "
+            rf"rows \d+\.\d{{4}}s sums \d+\.\d{{4}}s",
+            line,
+        ), line
+    assert "# time" not in out
 
 
 def test_verify_fails_on_a_nan_partition_sum(capsys, monkeypatch):

@@ -30,11 +30,11 @@ from csstat.statmech import (
     build_sm_coupled,
     build_sm_x,
     build_sm_z,
-    exact_observables,
     mask_sites,
     nishimori_beta,
 )
 from csstat.zoo import four22, from_selector, surface2d, toric2d
+from oracles import exact_observables
 
 
 def test_splitmix64_known_vectors():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from csstat.statmech import (
     build_sm_x,
     build_sm_z,
     domain_wall_free_energy,
-    exact_observables,
     kw_check,
     load_model_json,
     log_normalization,
@@ -43,6 +43,7 @@ from csstat.statmech import (
     verify_sector_identity_coupled,
 )
 from csstat.zoo import four22, from_selector, steane, surface2d, toric2d
+from oracles import exact_observables
 
 
 def trivial_x_model(code):
@@ -379,7 +380,8 @@ def test_partition_exact_across_many_chunks(monkeypatch):
     monkeypatch.setattr(statmech, "_CHUNK", 576)
     for model, ln_z, obs in zip(_sector_models(code, "x"), whole, observed):
         assert len(model.masks) == 18 and model.num_spins == 9
-        assert len(list(statmech._exponent_chunks(model, np.ones(18)))) == 16
+        blocks = statmech._parity_blocks(model)
+        assert len(list(statmech._exponent_chunks(np.ones(18), blocks))) == 16
         chunked = partition_exact(model, couplings)
         assert abs(chunked - _partition_oracle(model, couplings, chunk=32)) < 1e-12
         assert abs(chunked - ln_z) < 1e-12
@@ -429,22 +431,24 @@ def _error_rows(n, count, salt):
         ("surface2d:3x4", "5d0a6b28252046bf3dbf08d27b66f828019b0c221a5d94e42df7c58e478cd553"),
     ],
 )
-def test_partition_sums_equal_per_model_sums(selector, digest):
-    # one low parity block for many sign rows gives each row's ln Z bit for
-    # bit; the digest was recorded when every sum built its own block
+def test_partition_sums_equal_per_model_sums(selector, digest, monkeypatch):
+    # one set of parity blocks for many sign rows gives each row's ln Z bit
+    # for bit; the digest was recorded when every sum built its own block
+    monkeypatch.setattr(statmech, "_ROW_BLOCK", 3)
     code = from_selector(selector)
     zero = BitVector(code.n, 0)
     uniform = Couplings.uniform(nishimori_beta(0.1))
     coupled = Couplings.from_pauli(depolarizing_from_independent(0.1, 0.1))
+    x_errors, z_errors = _error_rows(code.n, 8, 1), _error_rows(code.n, 8, 2)
     values = []
-    for base, couplings, rows in (
+    for base, couplings, rows, reps in (
         (build_sm_x(code, zero), uniform,
-         [statmech._signs(e) for e in _error_rows(code.n, 8, 1)]),
+         [statmech._signs(e) for e in x_errors], [e.bits for e in x_errors]),
         (build_sm_z(code, zero), uniform,
-         [statmech._signs(e) for e in _error_rows(code.n, 8, 2)]),
+         [statmech._signs(e) for e in z_errors], [e.bits for e in z_errors]),
         (build_sm_coupled(code, zero, zero), coupled,
          [statmech._coupled_signs(ex, ez) for ex, ez in
-          zip(_error_rows(code.n, 4, 3), _error_rows(code.n, 4, 4))]),
+          zip(_error_rows(code.n, 4, 3), _error_rows(code.n, 4, 4))], None),
     ):
         got = list(partition_sums(base, rows, couplings))
         assert got == [partition_exact(replace(base, signs=r), couplings) for r in rows]
@@ -453,7 +457,50 @@ def test_partition_sums_equal_per_model_sums(selector, digest):
         pending = iter(rows)
         next(partition_sums(base, pending, couplings))
         assert len(list(pending)) == len(rows) - 1
+        if reps is None:
+            continue
+        # int8 rows from the block builder give the same sums, and it reads
+        # the representatives one block of _ROW_BLOCK at a time
+        built = chain.from_iterable(statmech._sign_blocks(code.n, reps))
+        assert list(partition_sums(base, built, couplings)) == got
+        pending = iter(reps)
+        built = chain.from_iterable(statmech._sign_blocks(code.n, pending))
+        next(partition_sums(base, built, couplings))
+        assert len(list(pending)) == len(reps) - 3
     assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == digest
+
+
+def _wide_rows(n, count):
+    """count pseudo-random n-bit patterns that reach every bit up to 256."""
+    return [
+        int.from_bytes(hashlib.sha256(f"{n}:{i}".encode()).digest(), "little")
+        & ((1 << n) - 1)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 81])
+def test_sign_blocks_equal_per_row_signs(n, monkeypatch):
+    monkeypatch.setattr(statmech, "_ROW_BLOCK", 4)
+    reps = [0, (1 << n) - 1] + _wide_rows(n, 9)
+    blocks = list(statmech._sign_blocks(n, reps))
+    assert [b.shape for b in blocks] == [(4, n), (4, n), (3, n)]
+    assert all(b.dtype == np.int8 for b in blocks)
+    rows = [tuple(row.tolist()) for b in blocks for row in b]
+    assert rows == [statmech._signs(BitVector(n, e)) for e in reps]
+    # coupled rows run Z outer, X inner, as the joint index z << m_x | x
+    reps_x, reps_z = reps[:6], reps[5:]
+    blocks = list(statmech._coupled_sign_blocks(n, reps_x, reps_z))
+    assert all(b.dtype == np.int8 and len(b) <= 4 for b in blocks)
+    rows = [tuple(row.tolist()) for b in blocks for row in b]
+    assert rows == [
+        statmech._coupled_signs(BitVector(n, ex), BitVector(n, ez))
+        for ez in reps_z for ex in reps_x
+    ]
+    # Z representatives are read one block at a time too
+    pending = iter(reps_z)
+    next(statmech._coupled_sign_blocks(n, reps_x, pending))
+    assert len(list(pending)) == len(reps_z) - 4
 
 
 @pytest.mark.parametrize("side, sectors, spins", [("x", 512, 9), ("z", 1024, 8)])
