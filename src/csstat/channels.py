@@ -32,6 +32,7 @@ from .css import CssCode, TooLarge, code_hash, label_functionals
 
 MAX_LABEL_BITS = 20  # 2^m label combinations per transform
 MAX_SUPPORT_BITS = 63  # functional supports are packed into uint64
+_BLOCK_ROWS = 1 << 12  # rows of A converted to float64 at once, in place
 
 MODE_X = "factorized-x"
 MODE_Z = "factorized-z"
@@ -172,28 +173,32 @@ def _krawtchouk_table(n: int) -> np.ndarray:
     """K[d, w] = Σ_j (−1)^j C(d, j) C(n−d, w−j), the Krawtchouk polynomial.
 
     K_w(d; n) is the signed count of weight-w strings against a fixed
-    weight-d support: Σ_{|E|=w} (−1)^<s, E> for any s with |s| = d.
+    weight-d support: Σ_{|E|=w} (−1)^<s, E> for any s with |s| = d. Row d is
+    an int64 convolution, exact: |partial sums| ≤ C(n, w) < 2^63 for n ≤ 63.
     """
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    table = np.empty((n + 1, n + 1), dtype=np.int64)
     for d in range(n + 1):
-        row = [0] * (n + 1)
-        for j in range(d + 1):
-            signed = -math.comb(d, j) if j & 1 else math.comb(d, j)
-            for i in range(n - d + 1):
-                row[i + j] += signed * math.comb(n - d, i)
-        table[d] = row
+        signed = np.array([(-1) ** j * math.comb(d, j) for j in range(d + 1)])
+        table[d] = np.convolve(signed, [math.comb(n - d, i) for i in range(n - d + 1)])
     return table
 
 
 def _walsh_hadamard(a: np.ndarray) -> None:
-    """In-place unnormalized Walsh–Hadamard transform along axis 0."""
-    size = a.shape[0]
+    """In-place unnormalized Walsh–Hadamard transform along axis 0.
+
+    Each butterfly maps (x, y) to (x + y, x − y). Integers take x − y as
+    (x + y) − 2y, with no copy of x: exact, as int64 wraps modulo 2^64 and the
+    results fit. Floats copy x, since (x + y) − 2y rounds differently.
+    """
+    size, integer = a.shape[0], a.dtype.kind == "i"
     half = 1
     while half < size:
-        pairs = a.reshape(size // (2 * half), 2, half, -1)
-        top = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
+        top, bottom = a.reshape(size // (2 * half), 2, half, -1).swapaxes(0, 1)
+        x = top if integer else top.copy()
+        top += bottom
+        if integer:
+            bottom *= 2
+        np.subtract(x, bottom, out=bottom)
         half *= 2
 
 
@@ -237,19 +242,17 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     """
     m = len(rows)
     _check_enumerator_size(n, m)
-    counts = _krawtchouk_table(n)[np.bitwise_count(_combination_supports(rows))]
+    krawtchouk = _krawtchouk_table(n)  # row 0 is C(n, w)
+    counts = krawtchouk[np.bitwise_count(_combination_supports(rows))]
     _walsh_hadamard(counts)
-    if np.any(counts & ((1 << m) - 1)):
-        raise InternalInvariantError(
-            f"Walsh–Hadamard sums not divisible by 2^{m}"
-        )
+    if np.bitwise_or.reduce(counts, axis=None) & ((1 << m) - 1):
+        raise InternalInvariantError(f"Walsh–Hadamard sums not divisible by 2^{m}")
     counts >>= m
     if counts.min() < 0:
         raise InternalInvariantError("negative coset weight count")
     if np.any(counts.sum(axis=1, dtype=np.uint64) != np.uint64(1 << (n - m))):
         raise InternalInvariantError(f"a coset does not hold 2^{n - m} strings")
-    binomials = np.array([math.comb(n, w) for w in range(n + 1)], dtype=np.uint64)
-    if np.any(counts.sum(axis=0, dtype=np.uint64) != binomials):
+    if np.any(counts.sum(axis=0) != krawtchouk[0]):
         raise InternalInvariantError("weight-w counts do not sum to C(n, w)")
     return counts
 
@@ -262,7 +265,10 @@ def _factorized_distributions(code, rates, rows, widths, name):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} = {p} is not a probability")
     n, digest = code.n, code_hash(code)
-    counts = _coset_enumerator(rows, n).astype(np.float64)
+    counts = _coset_enumerator(rows, n)
+    for block in counts.reshape(-1, min(len(counts), _BLOCK_ROWS), n + 1):
+        block.view(np.float64)[...] = block  # numpy copies the int64 block first
+    counts = counts.view(np.float64)
     tables = {}
     for p in rates:
         if p in tables:

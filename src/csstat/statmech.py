@@ -126,8 +126,12 @@ class SmModel:
 
 
 def mask_sites(mask: int) -> Tuple[int, ...]:
-    """Spin indices set in a term mask, lowest first."""
-    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+    """Spin indices set in a term mask (>= 0), lowest first, one step per set bit."""
+    sites = []
+    while mask > 0:
+        sites.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(sites)
 
 
 def nishimori_beta(p: float) -> float:
@@ -223,34 +227,17 @@ def _parity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(a & b) & np.uint8(1))
 
 
-def _parity_blocks(model: SmModel) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The parts of every sum over model that do not depend on its signs.
-
-    The high block P[hi, t] pairs each term with each configuration of the
-    bits above _LOW_BITS, the low block P[t, lo] with each configuration of
-    the bits below, and family[t] indexes the term's coupling in FAMILIES.
-    """
+def _parity_blocks(model: SmModel, couplings: Couplings) -> Tuple[np.ndarray, ...]:
+    """The parts of every sum over model that do not depend on its signs:
+    the high block P[hi, t] over the configurations of the bits above
+    _LOW_BITS, and the low block c_t * P[t, lo] over those below, each term's
+    parity times its family coupling c_t."""
     masks = np.array(model.masks, dtype=np.uint64)
     low = min(model.num_spins, _LOW_BITS)
     hi = np.arange(0, 1 << model.num_spins, 1 << low, dtype=np.uint64)
     lo = np.arange(1 << low, dtype=np.uint64)
-    family = np.array([FAMILIES.index(f) for f in model.families], dtype=np.intp)
-    return _parity(hi[:, None], masks), _parity(masks[:, None], lo), family
-
-
-def _exponent_chunks(weights: np.ndarray, blocks) -> Iterator[np.ndarray]:
-    """sum_t weights[t] * prod(spins of term t) for every configuration c, in order.
-
-    Spin i of c is (-1)**bit_i(c), so the exponents are P @ weights with the
-    parity matrix P[c, t] = (-1)**popcount(c & mask_t). P factors over the
-    configuration bits below and above _LOW_BITS, so each chunk of high rows
-    is one product with the low block, at most _CHUNK multiply-adds. blocks
-    is _parity_blocks(model).
-    """
-    high, low, _ = blocks
-    rows = max(1, _CHUNK // (max(1, high.shape[1]) * low.shape[1]))
-    for start in range(0, len(high), rows):
-        yield ((high[start:start + rows] * weights) @ low).ravel()
+    coupling = np.array([couplings.for_family(f) for f in model.families])
+    return _parity(hi[:, None], masks), coupling[:, None] * _parity(masks[:, None], lo)
 
 
 def _check_exact_size(model: SmModel) -> None:
@@ -263,16 +250,22 @@ def _check_exact_size(model: SmModel) -> None:
 
 
 def partition_exact(model: SmModel, couplings: Couplings, blocks=None) -> float:
-    """ln Z by exhaustive enumeration (num_spins <= MAX_EXACT_SPINS). blocks,
-    if given, is _parity_blocks(model), which does not depend on the signs."""
+    """ln Z by exhaustive enumeration (num_spins <= MAX_EXACT_SPINS).
+
+    The exponents are P @ (signs * couplings) for the parity matrix
+    P[c, t] = (-1)**popcount(c & mask_t), which factors over the bits above
+    and below _LOW_BITS: each chunk of high rows is one product
+    (high * signs) @ low of at most _CHUNK multiply-adds. blocks, if given,
+    is _parity_blocks(model, couplings)."""
     _check_exact_size(model)
-    blocks = _parity_blocks(model) if blocks is None else blocks
-    coupling = np.array([couplings.for_family(f) for f in FAMILIES])
-    weights = np.asarray(model.signs) * coupling[blocks[2]]
+    high, low = _parity_blocks(model, couplings) if blocks is None else blocks
+    rows = max(1, _CHUNK // (max(1, high.shape[1]) * low.shape[1]))
     ln_z = -math.inf
-    for expo in _exponent_chunks(weights, blocks):
-        shift = float(expo.max())
-        part = shift + math.log(float(np.exp(expo - shift).sum()))
+    for start in range(0, len(high), rows):
+        expo = (high[start:start + rows] * model.signs) @ low
+        shift = float(np.maximum.reduce(expo, axis=None))
+        np.exp(np.subtract(expo, shift, out=expo), out=expo)
+        part = shift + math.log(np.add.reduce(expo, axis=None))
         ln_z = max(ln_z, part) + math.log1p(math.exp(-abs(ln_z - part)))
     return ln_z
 
@@ -283,7 +276,7 @@ def partition_sums(
     """ln Z of model with each row of term signs in turn, read lazily, one
     sector at a time; the parity blocks are built once for all rows."""
     _check_exact_size(model)
-    blocks = _parity_blocks(model)
+    blocks = _parity_blocks(model, couplings)
     head = (model.num_spins, model.masks, model.families)
     tail = (model.symmetry_basis, model.degeneracy_exponent, model.species,
             model.sigma_spins)

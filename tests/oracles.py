@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 
-from csstat import statmech
 from csstat.css import TooLarge
 from csstat.statmech import SPECIES_COUPLED, SmModel
 
 MAX_OBSERVABLE_SPINS = 18  # exact_observables holds every configuration in memory
+
+
+def _parity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(-1)**popcount(a & b), broadcast: spin or term values per configuration."""
+    return 1.0 - 2.0 * (np.bitwise_count(a & b) & np.uint8(1))
 
 
 def exact_observables(model: SmModel, beta: float):
@@ -17,7 +21,8 @@ def exact_observables(model: SmModel, beta: float):
     H = -sum_t sign_t * prod(spins), the energy the mc module samples; the
     Boltzmann weight is exp(-beta*H). Correlations <s_i s_j> give an exact
     overlap oracle: for independent replicas <q**2> is the mean of their
-    squares. Dense enumeration, so limited to MAX_OBSERVABLE_SPINS spins.
+    squares. Dense enumeration, one term at a time, so limited to
+    MAX_OBSERVABLE_SPINS spins.
     """
     if model.species == SPECIES_COUPLED:
         raise ValueError("exact_observables handles single-register models only")
@@ -26,17 +31,17 @@ def exact_observables(model: SmModel, beta: float):
             f"exact_observables stores all 2**{model.num_spins} configurations; "
             f"limit is {MAX_OBSERVABLE_SPINS} spins"
         )
-    weights = np.array(model.signs, float)
-    blocks = statmech._parity_blocks(model)
-    neg_h = np.concatenate(list(statmech._exponent_chunks(weights, blocks)))
+    configs = np.arange(1 << model.num_spins, dtype=np.uint64)
+    neg_h = np.zeros(len(configs))
+    for mask, sign in zip(model.masks, model.signs):
+        neg_h += sign * _parity(configs, np.uint64(mask))
     expo = beta * neg_h
     shift = float(expo.max())
     w = np.exp(expo - shift)
     zw = float(w.sum())
     ln_z = shift + math.log(zw)
     mean_h = float(-(neg_h * w).sum() / zw)
-    configs = np.arange(1 << model.num_spins, dtype=np.uint64)
-    spins = statmech._parity(
+    spins = _parity(
         configs[:, None], 1 << np.arange(model.num_spins, dtype=np.uint64)
     )
     corr = (spins * w[:, None]).T @ spins / zw

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from csstat.channels import (
     to_json_dict,
     _check_enumerator_size,
     _coset_enumerator,
+    _krawtchouk_table,
     _walsh_hadamard,
 )
 from csstat.cli import parse_noise
@@ -294,6 +296,60 @@ def test_coset_enumerator_matches_brute_force(code):
         assert np.all(counts.sum(axis=1) == 1 << (code.n - m))
         binomials = [math.comb(code.n, w) for w in range(code.n + 1)]
         assert counts.sum(axis=0).tolist() == binomials
+
+
+def _krawtchouk_oracle(n):
+    """K[d, w] by the defining sum, term by term in Python ints."""
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for d in range(n + 1):
+        row = [0] * (n + 1)
+        for j in range(d + 1):
+            signed = -math.comb(d, j) if j & 1 else math.comb(d, j)
+            for i in range(n - d + 1):
+                row[i + j] += signed * math.comb(n - d, i)
+        table[d] = row
+    return table
+
+
+def test_krawtchouk_table_matches_defining_sum():
+    for n in range(64):
+        assert np.array_equal(_krawtchouk_table(n), _krawtchouk_oracle(n)), n
+
+
+def test_integer_walsh_hadamard_is_exact():
+    # the integer butterfly takes x - y as (x + y) - 2y in place; it must
+    # equal the transform in Python ints, also where -2y wraps int64 while
+    # every result fits
+    rng = np.random.default_rng(7)
+    a = rng.integers(-(1 << 57), 1 << 57, size=(32, 3), dtype=np.int64)
+    a[:, 2] = 1 << 57  # this column sums to 2^62 in the first row
+    got = a.copy()
+    _walsh_hadamard(got)
+    want = [[sum((-1) ** (u & v).bit_count() * int(a[v, c]) for v in range(32))
+             for c in range(3)] for u in range(32)]
+    assert got.tolist() == want
+    wraps = np.array([[1], [(1 << 62) + 5]], dtype=np.int64)
+    _walsh_hadamard(wraps)
+    assert wraps.tolist() == [[(1 << 62) + 6], [-(1 << 62) - 4]]
+
+
+def test_enumerator_memory_peaks_near_one_table():
+    # the transform, the divisibility check and the float conversion each
+    # work in place or one block at a time, so no step holds a second A
+    code = toric2d(4)
+    rows, _ = label_functionals(code, "x")
+    a_bytes = 8 * (code.n + 1) << len(rows)
+    tracemalloc.start()
+    try:
+        _coset_enumerator(rows, code.n)
+        enumerator_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sector_distributions_x(code, [0.1])
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enumerator_peak < 1.1 * a_bytes
+    assert sweep_peak < 1.25 * a_bytes
 
 
 def test_enumerator_reaches_toric2d_4():

@@ -8,6 +8,8 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csstat import statmech
 from csstat.cli import parse_noise
@@ -18,7 +20,13 @@ from csstat.channels import (
     sector_distribution_joint,
     sector_distribution_x,
 )
-from csstat.css import TooLarge, from_text, representative_x, representative_z
+from csstat.css import (
+    TooLarge,
+    from_text,
+    representative_x,
+    representative_z,
+    sector_representatives,
+)
 from csstat.gf2 import BitVector
 from csstat.info import relative_entropy
 from csstat.statmech import (
@@ -33,6 +41,7 @@ from csstat.statmech import (
     load_model_json,
     log_normalization,
     log_sector_probability,
+    mask_sites,
     nishimori_beta,
     partition_exact,
     partition_sums,
@@ -48,6 +57,25 @@ from oracles import exact_observables
 
 def trivial_x_model(code):
     return build_sm_x(code, BitVector(code.n, 0))
+
+
+def _sites_by_position(mask):
+    """mask_sites as first written: one step per bit position."""
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=(1 << 200) - 1)
+    | st.sets(st.integers(0, 300), max_size=6).map(lambda s: sum(1 << i for i in s))
+)
+def test_mask_sites_matches_bit_positions(mask):
+    assert mask_sites(mask) == _sites_by_position(mask)
+
+
+def test_mask_sites_edges():
+    for mask in (0, 1, 1 << 63, 1 << 64, (1 << 65) - 1, 1 << 64 | 1 << 3):
+        assert mask_sites(mask) == _sites_by_position(mask)
 
 
 def test_nishimori_beta():
@@ -369,6 +397,20 @@ def test_partition_exact_matches_oracle_on_coupled_model():
         assert abs(got - _partition_oracle(model, couplings)) < 1e-12
 
 
+class _CountingNumpy:
+    """numpy with a count of np.exp calls; partition_exact makes one per chunk."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+
 def test_partition_exact_across_many_chunks(monkeypatch):
     # a 3-bit low block and a budget of 576 = 4 * 18 * 2^3 multiply-adds
     # give chunks of 4 high rows (32 configurations): 16 chunks for 2^9
@@ -378,11 +420,15 @@ def test_partition_exact_across_many_chunks(monkeypatch):
     observed = [exact_observables(m, 0.7) for m in _sector_models(code, "x")]
     monkeypatch.setattr(statmech, "_LOW_BITS", 3)
     monkeypatch.setattr(statmech, "_CHUNK", 576)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(statmech, "np", counting)
     for model, ln_z, obs in zip(_sector_models(code, "x"), whole, observed):
         assert len(model.masks) == 18 and model.num_spins == 9
-        blocks = statmech._parity_blocks(model)
-        assert len(list(statmech._exponent_chunks(np.ones(18), blocks))) == 16
+        high, low = statmech._parity_blocks(model, couplings)
+        assert high.shape == (64, 18) and low.shape == (18, 8)
+        counting.exp_calls = 0
         chunked = partition_exact(model, couplings)
+        assert counting.exp_calls == 16
         assert abs(chunked - _partition_oracle(model, couplings, chunk=32)) < 1e-12
         assert abs(chunked - ln_z) < 1e-12
         # exact_observables pairs each exponent with its configuration's spins
@@ -526,6 +572,50 @@ def test_identity_deviations_are_pinned():
     assert dw.hex() == "0x1.c3b5d3b4c74e5p+1"
     with pytest.raises(ValueError, match="side"):
         verify_sector_identity(code, 0.1, "y")
+
+
+def _sector_ln_z(selector, side):
+    """ln Z of every sector of one side (or the depolarizing coupled model),
+    in sector order, through the loop the identity checks use."""
+    code = from_selector(selector)
+    zero = BitVector(code.n, 0)
+    reps_x, reps_z = (sector_representatives(code, s) for s in "xz")
+    if side == "coupled":
+        base = build_sm_coupled(code, zero, zero)
+        couplings = Couplings.from_pauli(parse_noise("depolarizing").rates_at(0.1))
+        blocks = statmech._coupled_sign_blocks(code.n, reps_x, reps_z)
+    else:
+        base = (build_sm_x if side == "x" else build_sm_z)(code, zero)
+        couplings = Couplings.uniform(nishimori_beta(0.1))
+        blocks = statmech._sign_blocks(code.n, reps_x if side == "x" else reps_z)
+    return list(partition_sums(base, chain.from_iterable(blocks), couplings))
+
+
+@pytest.mark.parametrize(
+    "selector, side, low_bits, digest",
+    [
+        ("surface2d:3x4", "x", None,
+         "4737dc967bfbebaef8fd0aacd05dc30e8f2b165216a276f509477d6028c8081d"),
+        ("surface2d:3x4", "z", None,
+         "84fd3872f56b37549ef0201ffa5ac69c188f5629251c5b40208af0dd512db221"),
+        ("toric2d:3", "z", None,
+         "ec501c57d4993bee6cd4e4c53f97e8ab2bd46aa321bf11c02a3ac947bb730793"),
+        ("steane", "coupled", None,
+         "f5b678dff84fb3a7a19d39ee5f9f18947179a6b71c931e0c6e2dfc6ee5743cb7"),
+        ("toric2d:3", "x", 3,
+         "b0c2b5f407acbf407635907d6a72cf29b8d11f15f3ab1dfb180eacfbe76b3cfd"),
+    ],
+)
+def test_sector_ln_z_is_pinned(selector, side, low_bits, digest, monkeypatch):
+    # sha256 of float.hex of every sector's ln Z, recorded when each sum
+    # multiplied its couplings into the weights per call; a 3-bit low block
+    # and a budget of 576 multiply-adds spread each sum over 16 chunks of 4
+    # high rows
+    if low_bits is not None:
+        monkeypatch.setattr(statmech, "_LOW_BITS", low_bits)
+        monkeypatch.setattr(statmech, "_CHUNK", 576)
+    text = " ".join(v.hex() for v in _sector_ln_z(selector, side))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _sm_export_models():
