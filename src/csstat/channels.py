@@ -101,6 +101,54 @@ _MODES = {
 }
 
 
+_SUM_BLOCK = 1 << 16  # entries per exact_sum pass: keeps its bincounts exact
+
+# exact_sum buckets entries by key = bits >> 52 (sign bit, then the biased
+# exponent e). An entry with e ≥ 1 is (2^52 + f)·2^(e−1075) and one with
+# e = 0 is 2f·2^(0−1075), for the 52-bit fraction f; bits >> 27 is
+# key·2^25 + (f >> 27), so subtracting _KEY_OFFSET per entry leaves the high
+# part of the significand with its hidden bit.
+_KEY_OFFSET = np.array([(key - (key % 2048 > 0)) << 25 for key in range(4096)])
+_LOW_27 = np.uint64((1 << 27) - 1)
+_OCTAVE_WEIGHTS = 1 << np.arange(8)
+
+
+def exact_sum(values) -> float:
+    """math.fsum(values) for a float64 array, with no Python float list.
+
+    The correctly rounded sum of every entry, as exact as fsum (Shewchuk,
+    DCG 18, 1997): bit for bit equal to math.fsum(values.tolist()), −0.0
+    and subnormals included. Each block of entries is bucketed by sign and
+    exponent; per bucket, np.bincount adds the count, the significands'
+    high parts (below 2^26) and their low 27 bits, all exactly in float64.
+    Eight buckets at a time are folded in int64, then into one Python int N,
+    and the result is the single correctly rounded division N / 2^1075.
+    As in fsum, an inf or NaN entry makes the result the fsum of the
+    non-finite entries, and an overflowing sum raises OverflowError.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    total = 0
+    for start in range(0, x.size, _SUM_BLOCK):
+        bits = x[start:start + _SUM_BLOCK].view(np.uint64)
+        key = (bits >> np.uint64(52)).view(np.int64)
+        count = np.bincount(key)
+        size = count.size
+        if size > 2047 and count[2047::2048].any():  # e = 2047: inf or NaN
+            return math.fsum(x[~np.isfinite(x)].tolist())
+        # rows: significand sums in units of 2^27 and of 1, per key
+        sums = np.zeros((2, -(-size // 8) * 8), dtype=np.int64)
+        sums[0, :size] = np.bincount(key, bits >> np.uint64(27))
+        sums[0, :size] -= count * _KEY_OFFSET[:size]
+        sums[1, :size] = np.bincount(key, bits & _LOW_27)
+        sums[:, ::2048] <<= 1  # e = 0 has the scale of e = 1
+        high, low = (sums.reshape(2, -1, 8) @ _OCTAVE_WEIGHTS).tolist()
+        for octave, (h, l) in enumerate(zip(high, low)):
+            if h or l:
+                part = ((h << 27) + l) << (8 * (octave % 256))
+                total += -part if octave >= 256 else part
+    return total / (1 << 1075)
+
+
 @dataclass(frozen=True, eq=False)
 class SectorDistribution:
     """Exact probability table over sector labels.
@@ -153,7 +201,7 @@ class SectorDistribution:
         return self.view().transpose(syn + log).reshape(rows, -1)
 
     def total(self) -> float:
-        return math.fsum(self.table.tolist())
+        return exact_sum(self.table)
 
     def check(self) -> None:
         # both tests are written so that a NaN entry fails them

@@ -463,8 +463,9 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
         "--noise",
         default="independent",
         help="independent | independent:pz=<v> | depolarizing | "
-        "general:<wx>,<wy>,<wz>  (joint kinds sweep the total rate and "
-        "append pt_x,pt_y,pt_z columns)",
+        "general:<wx>,<wy>,<wz>  (joint kinds append pt_x,pt_y,pt_z columns; "
+        "depolarizing is X(p) and Z(p) flips together, pt = (p(1-p), p^2, "
+        "p(1-p)); general splits the swept total rate p by its weights)",
     )
     _add_output_flags(p)
 

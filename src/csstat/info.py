@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channels import MODE_JOINT, MODE_X, MODE_Z, SectorDistribution
+from .channels import MODE_JOINT, MODE_X, MODE_Z, SectorDistribution, exact_sum
 from .gf2 import BitVector
 
 # Inequalities below hold exactly in exact arithmetic; this absolute slack
@@ -38,12 +38,71 @@ class InfoResult:
     noise: Dict[str, float] = field(default_factory=dict)
 
 
-def _conditional_term(dist: SectorDistribution) -> float:
-    """Σ P·log2(P / P_syndrome) — minus the conditional logical entropy."""
+def _pairwise(ufunc: np.ufunc, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Combine equal-length arrays elementwise in numpy's pairwise-sum order.
+
+    The same tree as numpy's own add.reduce over a contiguous axis: left to
+    right below 8 operands, eight interleaved accumulators and their balanced
+    sum up to 128, and halves (cut at a multiple of 8) above. So
+    _pairwise(np.add, list(rows.T)) is rows.sum(axis=1) bit for bit, at the
+    cost of one vector operation per column instead of a reduction over
+    rows only 2^k wide.
+    """
+    n = len(columns)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return ufunc(_pairwise(ufunc, columns[:half]), _pairwise(ufunc, columns[half:]))
+    if n < 8:
+        acc = columns[0].copy()
+    else:
+        lanes = [c.copy() for c in columns[:8]]
+        for start in range(8, n - n % 8, 8):
+            for lane, c in zip(lanes, columns[start:start + 8]):
+                ufunc(lane, c, out=lane)
+        acc = ufunc(ufunc(ufunc(lanes[0], lanes[1]), ufunc(lanes[2], lanes[3])),
+                    ufunc(ufunc(lanes[4], lanes[5]), ufunc(lanes[6], lanes[7])))
+    for c in columns[1 if n < 8 else n - n % 8:]:
+        ufunc(acc, c, out=acc)
+    return acc
+
+
+def _syndrome_rows(dist: SectorDistribution) -> Tuple[np.ndarray, np.ndarray]:
+    """by_syndrome() and its row sums P(syndrome), in rows.sum(axis=1) order."""
     rows = dist.by_syndrome()
-    p_syn = np.broadcast_to(rows.sum(axis=1, keepdims=True), rows.shape)
+    return rows, _pairwise(np.add, list(rows.T))
+
+
+def _conditional_term(rows: np.ndarray, p_syn: np.ndarray) -> float:
+    """Σ P·log2(P / P_syndrome) — minus the conditional logical entropy."""
     live = rows > 0.0
-    return float(np.sum(rows[live] * np.log2(rows[live] / p_syn[live])))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with P_syndrome = 0
+        ratio = (rows / p_syn[:, None])[live]
+    return float(np.sum(rows[live] * np.log2(ratio)))
+
+
+def _ml_term(rows: np.ndarray) -> float:
+    """Σ over syndromes of the largest sector probability, correctly rounded."""
+    return exact_sum(_pairwise(np.maximum, list(rows.T)))
+
+
+def _sampling_term(rows: np.ndarray, p_syn: np.ndarray) -> float:
+    """Σ P² / P_syndrome over syndromes of positive probability."""
+    live = p_syn > 0.0
+    return float(np.sum(rows[live] ** 2 / p_syn[live, None]))
+
+
+def _check_pair(dist_x: SectorDistribution, dist_z: SectorDistribution) -> None:
+    if dist_x.mode != MODE_X:
+        raise ValueError(f"dist_x must be {MODE_X}, got {dist_x.mode}")
+    if dist_z.mode != MODE_Z:
+        raise ValueError(f"dist_z must be {MODE_Z}, got {dist_z.mode}")
+    if dist_x.code_hash != dist_z.code_hash:
+        raise ValueError("dist_x and dist_z come from different codes")
+
+
+def _check_joint(dist: SectorDistribution) -> None:
+    if dist.mode != MODE_JOINT:
+        raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
 
 
 def coherent_information_factorized(
@@ -55,13 +114,9 @@ def coherent_information_factorized(
     minus a conditional entropy, so the result lies in [−k, k], equals k at
     zero noise and −k at px = pz = 1/2.
     """
-    if dist_x.mode != MODE_X:
-        raise ValueError(f"dist_x must be {MODE_X}, got {dist_x.mode}")
-    if dist_z.mode != MODE_Z:
-        raise ValueError(f"dist_z must be {MODE_Z}, got {dist_z.mode}")
-    if dist_x.code_hash != dist_z.code_hash:
-        raise ValueError("dist_x and dist_z come from different codes")
-    value = dist_x.k + _conditional_term(dist_z) + _conditional_term(dist_x)
+    _check_pair(dist_x, dist_z)
+    value = (dist_x.k + _conditional_term(*_syndrome_rows(dist_z))
+             + _conditional_term(*_syndrome_rows(dist_x)))
     noise = {**dist_x.noise, **dist_z.noise}
     return InfoResult(value=value, k=dist_x.k, noise=noise)
 
@@ -73,9 +128,8 @@ def coherent_information_general(dist: SectorDistribution) -> InfoResult:
     both logical labels. Reduces to the factorized form when the table is a
     product.
     """
-    if dist.mode != MODE_JOINT:
-        raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
-    value = dist.k + _conditional_term(dist)
+    _check_joint(dist)
+    value = dist.k + _conditional_term(*_syndrome_rows(dist))
     return InfoResult(value=value, k=dist.k, noise=dict(dist.noise))
 
 
@@ -110,7 +164,7 @@ def ml_success(dist: SectorDistribution) -> float:
     single side this is the per-side success; multiply the two sides for the
     total (bound_report does).
     """
-    return math.fsum(dist.by_syndrome().max(axis=1).tolist())
+    return _ml_term(dist.by_syndrome())
 
 
 def sampling_success(dist: SectorDistribution) -> float:
@@ -119,10 +173,14 @@ def sampling_success(dist: SectorDistribution) -> float:
     Σ P² / P_syndrome — the chance that an error and an independent sample
     from the same posterior share a sector. Never exceeds ml_success.
     """
-    rows = dist.by_syndrome()
-    p_syn = rows.sum(axis=1)
-    live = p_syn > 0.0
-    return float(np.sum(rows[live] ** 2 / p_syn[live, None]))
+    return _sampling_term(*_syndrome_rows(dist))
+
+
+def _side_terms(dist: SectorDistribution) -> Tuple[float, float, float]:
+    """(conditional term, ML success, sampling success), reading the table
+    once: one by_syndrome() and one row sum shared by two of them."""
+    rows, p_syn = _syndrome_rows(dist)
+    return _conditional_term(rows, p_syn), _ml_term(rows), _sampling_term(rows, p_syn)
 
 
 @dataclass(frozen=True)
@@ -154,15 +212,19 @@ def bound_report(dist: DistOrPair) -> BoundReport:
     use this as a property harness.
     """
     if isinstance(dist, SectorDistribution):
-        result = coherent_information_general(dist)
-        ml = ml_success(dist)
-        samp = sampling_success(dist)
+        _check_joint(dist)
+        cond, ml, samp = _side_terms(dist)
+        k = dist.k
+        ic = k + cond
     else:
         dist_x, dist_z = dist
-        result = coherent_information_factorized(dist_x, dist_z)
-        ml = ml_success(dist_x) * ml_success(dist_z)
-        samp = sampling_success(dist_x) * sampling_success(dist_z)
-    ic, k = result.value, result.k
+        _check_pair(dist_x, dist_z)
+        cond_x, ml_x, samp_x = _side_terms(dist_x)
+        cond_z, ml_z, samp_z = _side_terms(dist_z)
+        k = dist_x.k
+        ic = k + cond_z + cond_x
+        ml = ml_x * ml_z
+        samp = samp_x * samp_z
     jensen = 2.0 ** (ic - k)
     lower = 2.0 * ml - 1.0
     violations = []

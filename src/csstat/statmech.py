@@ -31,6 +31,7 @@ from .channels import (
     MODE_JOINT,
     PauliNoise,
     SectorDistribution,
+    exact_sum,
     sector_distribution_x,
     sector_distribution_z,
 )
@@ -452,7 +453,7 @@ def kw_check(code: CssCode, beta_x: float) -> KwReport:
         ) from None
     trivial_x = sector_distribution_x(code, p_x).by_syndrome()[0]  # b = 0
     trivial_z = sector_distribution_z(code, p_z).by_syndrome()[0, 0]
-    summed = math.fsum(trivial_x.tolist())
+    summed = exact_sum(trivial_x)
     raw = float(trivial_x[0])
     rhs = (
         code.n * math.log1p(t)

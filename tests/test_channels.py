@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csstat.channels import (
     MODE_JOINT,
@@ -17,6 +19,7 @@ from csstat.channels import (
     SectorDistribution,
     depolarizing_from_independent,
     error_weight_prob,
+    exact_sum,
     from_json_dict,
     load_json,
     marginalize,
@@ -674,3 +677,99 @@ def test_round_trip_preserves_info_quantities(tmp_path):
         load_json(str(px)), load_json(str(pz))
     ).value
     assert after == before  # identical, not merely close
+
+
+# ---------------------------------------------------------------------------
+# exact_sum: math.fsum's correctly rounded sum, without a Python float list
+# ---------------------------------------------------------------------------
+
+
+def _same_float(a, b):
+    """Equal bit for bit, so 0.0 and -0.0 differ and NaN equals NaN."""
+    return a.hex() == b.hex()
+
+
+def _ties(draw_pairs):
+    """Entries whose exact sums fall halfway between two doubles."""
+    out = []
+    for a, sign in draw_pairs:
+        out += [a, sign * math.ulp(a) / 2]
+    return out
+
+
+_finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+_probabilities = st.one_of(
+    st.just(0.0), st.just(-0.0), st.floats(min_value=1e-300, max_value=1.0)
+)
+_subnormals = st.integers(-(1 << 52) + 1, (1 << 52) - 1).map(lambda f: f * 5e-324)
+_tie_pairs = st.lists(
+    st.tuples(st.floats(min_value=2.0**-1000, max_value=1.0), st.sampled_from([1, -1])),
+    min_size=1, max_size=4,
+).map(_ties)
+_summands = st.one_of(
+    st.lists(_finite, max_size=200),
+    st.lists(_probabilities, min_size=1, max_size=200),
+    st.lists(_subnormals, min_size=1, max_size=50),
+    st.lists(st.one_of(_subnormals, _probabilities), min_size=1, max_size=50),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=5),
+    _tie_pairs,
+    _finite.map(lambda x: [x]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_summands)
+def test_exact_sum_equals_fsum(values):
+    assert _same_float(exact_sum(np.array(values, dtype=np.float64)), math.fsum(values))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [-0.0], [0.0, -0.0], [5e-324], [-5e-324], [1.0, 2.0**-53],
+     [1.0, 2.0**-53, 2.0**-1074], [1.0 + 2.0**-52, 2.0**-53], [2.0**-1022, -5e-324],
+     [1e300, -1e300, 1e-300], [0.1] * 10],
+)
+def test_exact_sum_edge_values(values):
+    assert _same_float(exact_sum(np.array(values, dtype=np.float64)), math.fsum(values))
+
+
+@pytest.mark.parametrize(
+    "values", [[math.inf, 1.0], [-math.inf, 2.0], [math.nan, 1.0], [math.inf, math.nan]]
+)
+def test_exact_sum_non_finite_like_fsum(values):
+    assert _same_float(exact_sum(np.array(values)), math.fsum(values))
+
+
+def test_exact_sum_raises_like_fsum():
+    with pytest.raises(ValueError):
+        exact_sum(np.array([math.inf, 1.0, -math.inf]))
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1.7e308, 1.7e308]))
+
+
+def test_exact_sum_on_a_2_20_array():
+    # several blocks, every sign and magnitude from subnormal to 1e300
+    rng = np.random.default_rng(7)
+    size = 1 << 20
+    values = rng.normal(size=size) * np.exp2(rng.integers(-1074, 990, size=size))
+    values[::97] = -0.0
+    values[::89] = rng.integers(-(1 << 52), 1 << 52, size=len(values[::89])) * 5e-324
+    assert _same_float(exact_sum(values), math.fsum(values.tolist()))
+    probabilities = rng.random(size) ** 16
+    assert _same_float(exact_sum(probabilities), math.fsum(probabilities.tolist()))
+
+
+def test_check_makes_no_per_entry_python_objects():
+    # a Python float per entry would be 32 bytes, four times the table
+    table = np.random.default_rng(3).random(1 << 20)
+    table /= table.sum()
+    dist = SectorDistribution(
+        code_hash="", n=20, k=1, widths={"b": 19, "kz": 1}, table=table
+    )
+    tracemalloc.start()
+    try:
+        dist.check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.nbytes

@@ -220,9 +220,19 @@ def test_verify_and_kw(capsys):
          "3c797ba0391ed8b4b9c1cf9bea4270f504cf265b14546a8fe3c92d266c1ab2d4"),
         (("verify", "surface2d:3x4", "0.1"),
          "27edf0762058d19a687533f75444e467e8cdb07b6561ded4afbe3e8cabf1c030"),
+        (("ic-sweep", "--code", "surface2d:3x3", "--noise", "depolarizing",
+          "--p-start", "0", "--p-stop", "0.3", "--points", "4"),
+         "3eb447aaeffb9fb24c0e211080dc35fef13072387bddcd7dfcf47869c53c83e5"),
+        (("ic-sweep", "--code", "steane", "--noise", "depolarizing",
+          "--p-start", "0", "--p-stop", "0.5", "--points", "6"),
+         "310caa94f899b34675c188c4377bd68f79d9c7a858e0c0cca8bb8d3e7e236fa4"),
+        (("ic-sweep", "--code", "toric2d:2", "--noise", "general:1,0.5,2",
+          "--p-start", "0", "--p-stop", "0.75", "--points", "6"),
+         "9ae30c68df5442087112bab2e25459f9ebdc2588c6d75b98375a1ad746faa995"),
     ],
     ids=["ic-sweep-toric2d-3", "ic-sweep-color666-pz", "decoder-sweep-steane",
-         "verify-surface2d-3x4"],
+         "verify-surface2d-3x4", "ic-sweep-surface2d-3x3-depol",
+         "ic-sweep-steane-depol", "ic-sweep-toric2d-2-general"],
 )
 def test_stdout_is_pinned(capsys, argv, digest):
     # sha256 of the whole stdout, recorded when every sweep point built its

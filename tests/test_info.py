@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from csstat.channels import (
@@ -23,6 +24,7 @@ from csstat.info import (
     ml_success,
     relative_entropy,
     sampling_success,
+    _pairwise,
 )
 from csstat.zoo import four22, steane, surface2d, toric2d
 
@@ -228,7 +230,7 @@ def _loop_reductions(dist, shift=0):
                          ids=["four22", "steane", "toric2d:2"])
 def test_reductions_match_per_entry_loops(code):
     # the array reductions sum in another order than the loops, so they agree
-    # to rounding only; ml_success uses fsum and matches exactly
+    # to rounding only; ml_success sums exactly, as fsum does, and matches exactly
     for p in (0.0, 0.07, 0.3):
         joint = sector_distribution_joint(code, depolarizing_from_independent(p, p))
         dx, dz = sector_distribution_x(code, p), sector_distribution_z(code, p)
@@ -269,3 +271,14 @@ def test_finite_size_ordering_of_coherent_information():
                 assert all(a < b for a, b in zip(by_size, by_size[1:])), (p, by_size)
             else:
                 assert all(a > b for a, b in zip(by_size, by_size[1:])), (p, by_size)
+
+
+@pytest.mark.parametrize("num_rows", [3, 4096])
+@pytest.mark.parametrize("cols", [1, 2, 3, 4, 7, 8, 9, 16, 24, 128, 136, 256, 1000])
+def test_column_reductions_match_row_reductions(num_rows, cols):
+    # bound_report's row sums follow numpy's pairwise order column by column;
+    # the pinned sweep outputs rely on this being rows.sum(axis=1) bit for bit
+    rng = np.random.default_rng(cols)
+    rows = rng.random((num_rows, cols)) * np.exp(rng.normal(0.0, 5.0, (num_rows, cols)))
+    assert np.array_equal(_pairwise(np.add, list(rows.T)), rows.sum(axis=1))
+    assert np.array_equal(_pairwise(np.maximum, list(rows.T)), rows.max(axis=1))
