@@ -11,6 +11,7 @@ strings "inf" and "nan", never as floating specials.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -423,7 +424,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
         seed=args.seed,
         replicas=args.replicas,
     )
-    scan = mc.nishimori_scan(code, args.side, grid, args.samples, cfg)
+    scan = mc.nishimori_scan(
+        code, args.side, grid, args.samples, cfg,
+        log=lambda line: print(f"# {line}", file=sys.stderr),
+    )
     rows = [
         [r.p, r.beta, r.mean_energy, r.energy_err, r.ea_overlap, r.ea_err,
          float(r.samples)]
@@ -470,6 +474,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     _add_output_flags(p)
 
 
+@functools.cache  # parsing keeps no state in the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csstat",

@@ -14,8 +14,10 @@ single integer.
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,13 +192,32 @@ def _run_replica(
     return energy, 1 - 2 * down
 
 
-def metropolis(model: SmModel, beta: float, cfg: McConfig) -> McObservables:
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _processes(replicas: int) -> int:
+    """Processes a scan runs its replicas in: never more than the CPUs."""
+    return min(replicas, _cpu_count())
+
+
+def metropolis(
+    model: SmModel, beta: float, cfg: McConfig, *, pool=None
+) -> McObservables:
     """Sample a single-register model at coupling beta.
 
     Fixed proposal order (spin 0..S-1 each sweep), and each sweep's uniforms
     sliced from one draw of up to _UNIFORMS_PER_DRAW that covers whole
-    sweeps. Replicas run sequentially on streams derived from cfg.seed; the
-    overlap pairs every two replicas and averages.
+    sweeps. Replica r runs on stream derive_seed(cfg.seed, r); the overlap
+    pairs every two replicas and averages. With a process pool (one that
+    nishimori_scan opens), this process runs the first ceil(R / P) replicas
+    for P = _processes(R) and the pool runs the rest; each chain is a pure
+    function of its arguments and the results are kept in replica order, so
+    the observables are bit-identical to running every replica here.
 
     The rule is min(1, e^{-beta dH}): flipping spin i, with m = deg_i -
     2*h[i] for h[i] its count of negative terms, costs dH = 2*m and is
@@ -223,14 +244,15 @@ def metropolis(model: SmModel, beta: float, cfg: McConfig) -> McObservables:
         raise ValueError("metropolis samples single-register models only")
     if model.num_spins == 0:
         raise ValueError("model has no spins")
-    energies = []
-    snapshots = []
-    for r in range(cfg.replicas):
-        e, s = _run_replica(
-            model, beta, cfg.sweeps, cfg.burn_in, derive_seed(cfg.seed, r)
-        )
-        energies.append(e)
-        snapshots.append(s)
+    args = (model, beta, cfg.sweeps, cfg.burn_in)
+    seeds = [derive_seed(cfg.seed, r) for r in range(cfg.replicas)]
+    local = len(seeds)
+    if pool is not None:
+        local = -(-len(seeds) // _processes(cfg.replicas))
+    futures = [pool.submit(_run_replica, *args, seed) for seed in seeds[local:]]
+    chains = [_run_replica(*args, seed) for seed in seeds[:local]]
+    chains += [f.result() for f in futures]
+    energies, snapshots = zip(*chains)
     mean_e, err_e = _blocked(np.mean(energies, axis=0))
     if cfg.replicas < 2:
         return McObservables(mean_e, err_e, math.nan, math.nan)
@@ -268,7 +290,7 @@ class ScanRow:
 
 def _scan_point(
     code: CssCode, base: SmModel, p: float, p_index: int, disorder_samples: int,
-    cfg: McConfig,
+    cfg: McConfig, pool,
 ) -> ScanRow:
     beta = nishimori_beta(p)
     results: List[McObservables] = []
@@ -276,7 +298,7 @@ def _scan_point(
         e_rep = sample_disorder(code, p, derive_seed(cfg.seed, p_index, j, 0))
         model = replace(base, signs=_signs(e_rep))
         run_cfg = replace(cfg, seed=derive_seed(cfg.seed, p_index, j, 1))
-        results.append(metropolis(model, beta, run_cfg))
+        results.append(metropolis(model, beta, run_cfg, pool=pool))
     n_s = len(results)
     e_means = np.array([r.mean_energy for r in results])
     e_errs = np.array([r.energy_err for r in results])
@@ -300,12 +322,19 @@ def nishimori_scan(
     p_grid: Sequence[float],
     disorder_samples: int,
     cfg: McConfig,
+    *,
+    log: Optional[Callable[[str], None]] = None,
 ) -> List[ScanRow]:
     """Disorder-averaged Metropolis runs at beta = nishimori_beta(p).
 
     Every sample's streams are derived from (cfg.seed, point index, sample
     index), so the output is a pure function of cfg.seed. The side's model is
     built once; each disorder sample swaps in only its signs.
+
+    Replicas run in _processes(cfg.replicas) processes: this one plus a pool
+    of forked workers, opened once for the scan and joined before it returns
+    or raises. Without the fork start method they all run here. log, if
+    given, receives "mc processes=<P>" once and "time p=<p>: <s>s" per point.
     """
     if side not in ("x", "z"):
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
@@ -315,7 +344,31 @@ def nishimori_scan(
         if not 0.0 < p < 1.0:
             raise ValueError(f"scan rates must satisfy 0 < p < 1, got {p}")
     base = (build_sm_x if side == "x" else build_sm_z)(code, BitVector(code.n, 0))
-    return [
-        _scan_point(code, base, p, idx, disorder_samples, cfg)
-        for idx, p in enumerate(p_grid)
-    ]
+    # Imported here, not at the top: after `import csstat.cli` they take
+    # another 15-30 ms and 1.2 MiB, which every command would pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    processes = _processes(cfg.replicas) if fork else 1
+    if log is not None:
+        log(f"mc processes={processes}")
+
+    def scan(pool) -> List[ScanRow]:
+        rows = []
+        for idx, p in enumerate(p_grid):
+            start = time.perf_counter()
+            rows.append(_scan_point(code, base, p, idx, disorder_samples, cfg, pool))
+            if log is not None:
+                log(f"time p={p:.6g}: {time.perf_counter() - start:.4f}s")
+        return rows
+
+    if processes == 1:
+        return scan(None)
+    # fork, not spawn: a spawned worker imports numpy and csstat afresh, about
+    # 0.2 s a scan, more than a pooled mc_scan call takes. Chains call no
+    # BLAS routine, so the parent's idle OpenBLAS threads do not matter.
+    with ProcessPoolExecutor(
+        max_workers=processes - 1, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        return scan(pool)

@@ -10,7 +10,7 @@ import pytest
 
 from csstat import info, statmech
 from csstat.channels import sector_distribution_joint
-from csstat.cli import format_cell, main, parse_noise
+from csstat.cli import build_parser, format_cell, main, parse_noise
 from csstat.gf2 import BitVector
 from csstat.statmech import load_model_json, nishimori_beta, partition_exact
 from csstat.zoo import four22, steane, toric2d
@@ -276,7 +276,7 @@ def test_sm_export_coupled_requires_joint_noise(tmp_path, capsys):
 
 
 def test_mc_subcommand_schema(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "mc", "toric2d:2", "--p-start", "0.1", "--p-stop", "0.1",
         "--points", "1", "--samples", "2", "--sweeps", "200",
         "--burn-in", "40", "--seed", "3",
@@ -293,6 +293,11 @@ def test_mc_subcommand_schema(capsys):
     # replicas x 200 sweeps x 4 spins proposals
     provenance = [l for l in out.splitlines() if l.startswith("#")]
     assert provenance[4] == "# engine: metropolis spins=4 terms=8 proposals=3200"
+    # the process count and the point's time go to stderr, not stdout
+    processes, point = err.splitlines()
+    assert re.fullmatch(r"# mc processes=[12]", processes), processes
+    assert re.fullmatch(r"# time p=0\.1: \d+\.\d{4}s", point), point
+    assert "# time" not in out and "processes" not in out
 
 
 def test_exit_code_too_large(capsys):
@@ -450,6 +455,33 @@ def test_verify_fails_on_a_nan_partition_sum(capsys, monkeypatch):
     assert lines[4] != "side x: sectors=8 max_abs_dev=nan"
     assert lines[5] == "side z: sectors=8 max_abs_dev=nan"
     assert lines[6] == "FAIL: deviation nan exceeds 1e-09"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ic-sweep", "--code", "steane"],  # missing required flags: exit 2
+        ["--version"],
+        ["ic-sweep", "--code", "steane", "--p-start", "0.1", "--p-stop", "0.2",
+         "--points", "2"],
+    ],
+)
+def test_repeated_calls_share_the_parser_and_agree(capsys, argv):
+    def call():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = call()
+    assert first[1] or first[2]
+    assert call() == first and call() == first
 
 
 def test_argparse_errors_use_exit_code_2():

@@ -1,9 +1,11 @@
 """Metropolis sampling against exact enumeration oracles."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 from types import SimpleNamespace
 from typing import List
 
@@ -180,6 +182,79 @@ def test_scan_rows_are_pinned():
     assert hashlib.sha256(payload.encode()).hexdigest() == (
         "f0e381281a5f9ee2cbced593355fbb1a88440aba936efe793b9a8595cfd17da4"
     )
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_pinned_rows_hold_with_and_without_the_pool(monkeypatch, cpus):
+    # one CPU runs every replica here; three run replicas = 2 in two
+    # processes and replicas = 3 in three, one chain each
+    monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
+    test_scan_rows_are_pinned()
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_scan(monkeypatch):
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+    cfg = McConfig(sweeps=40, burn_in=8, seed=1, replicas=2)
+    lines = []
+    nishimori_scan(toric2d(2), "x", [0.1, 0.2], 2, cfg, log=lines.append)
+    assert lines[0] == "mc processes=2" and len(lines) == 3
+    assert multiprocessing.active_children() == []
+    # chains that raise, here and in the worker, still leave no worker
+    monkeypatch.setattr(mc, "math", SimpleNamespace(exp=lambda x: -x))
+    with pytest.raises(InternalInvariantError, match="increases"):
+        nishimori_scan(toric2d(2), "x", [0.1], 1, cfg)
+    assert multiprocessing.active_children() == []
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    max_workers: List[int] = []
+    submits: List[int] = []
+
+    def __init__(self, max_workers, mp_context):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submits.append(1)
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_worker_count_is_capped_by_the_cpus(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(_InlinePool, "submits", [])
+    cpus = mc._cpu_count()
+    # four processes: this one runs ceil(6 / 4) = 2 of each sample's
+    # replicas and the pool the other 4, and the rows stay those of one
+    # process (on 9 spins the float sums show the replica order)
+    cfg = McConfig(sweeps=40, burn_in=8, seed=2, replicas=6)
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 1)
+    alone = nishimori_scan(toric2d(3), "x", [0.1], 2, cfg)
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 4)
+    assert nishimori_scan(toric2d(3), "x", [0.1], 2, cfg) == alone
+    assert _InlinePool.max_workers == [3] and len(_InlinePool.submits) == 8
+    # however many replicas, at most CPUs - 1 workers; the chains do not
+    # matter for the count, so a stub stands in for them
+    monkeypatch.setattr(
+        mc, "metropolis", lambda *a, **k: mc.McObservables(0.0, 0.0, 0.0, 0.0)
+    )
+    big = McConfig(sweeps=24, burn_in=8, seed=1, replicas=1000)
+    nishimori_scan(toric2d(2), "x", [0.1], 1, big)
+    assert _InlinePool.max_workers[-1] == 3
+    monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
+    del _InlinePool.max_workers[:]
+    nishimori_scan(toric2d(2), "x", [0.1], 1, big)
+    assert _InlinePool.max_workers == ([cpus - 1] if cpus > 1 else [])
 
 
 @pytest.mark.parametrize(
