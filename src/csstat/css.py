@@ -208,18 +208,6 @@ def label_generators(code: CssCode, side: str) -> List[int]:
     return gens
 
 
-def sector_representatives(code: CssCode, side: str) -> List[int]:
-    """Representative error of every sector of one side, in packed-label order.
-
-    Entry u is the XOR of the label generators at the set bits of u, built by
-    doubling: the first 2^j entries XOR generator j give the next 2^j.
-    """
-    reps = [0]
-    for gen in label_generators(code, side):
-        reps += [e ^ gen for e in reps]
-    return reps
-
-
 def _representative(
     code: CssCode, side: str, syndrome: BitVector, logical: BitVector
 ) -> BitVector:

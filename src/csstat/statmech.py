@@ -12,6 +12,10 @@ each configuration). The Z side mirrors this with Hz rows, and correlated
 X/Z noise produces a two-register model whose per-qubit interaction has
 three bracket couplings (x, z and a y cross-term coupling both registers).
 
+Each sector's representative is the XOR of css.label_generators at its
+label's set bits, so the term signs of all 2^m sectors of a side are one
+parity matrix of labels against per-term masks (_sector_masks, _sector_signs).
+
 partition_exact enumerates spin configurations, so it is limited to small
 models; the mc module handles larger single-register models by sampling.
 """
@@ -22,12 +26,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channels import (
+    MAX_SUPPORT_BITS,
     MODE_JOINT,
     PauliNoise,
     SectorDistribution,
@@ -35,13 +39,13 @@ from .channels import (
     sector_distribution_x,
     sector_distribution_z,
 )
-from .css import CssCode, TooLarge, sector_representatives
+from .css import CssCode, TooLarge, label_generators
 from .gf2 import BitMatrix, BitVector, kernel_basis
 
 MAX_EXACT_SPINS = 24  # partition_exact streams 2^spins configurations
 _LOW_BITS = 10  # spins enumerated inside each chunk's parity block
 _CHUNK = 1 << 18  # multiply-adds per chunk; bigger products wake BLAS threads, a loss
-_ROW_BLOCK = 1 << 12  # sign rows unpacked at once, so memory does not grow with sectors
+_ROW_BLOCK = 1 << 12  # sign rows built at once, so memory does not grow with sectors
 
 SPECIES_X = "x"
 SPECIES_Z = "z"
@@ -107,7 +111,8 @@ class SmModel:
 
     Term t is signs[t] * prod(spins in the int bitmask masks[t]), coupled by
     families[t]. Only signs depend on the sector, so per-sector loops build
-    one model per (code, side) and pass partition_sums one sign row per sector.
+    one model per (code, side) and pass partition_sums blocks of sign rows,
+    one row per sector.
 
     sigma_spins is the size of the first register (equal to num_spins for
     single-register models); coupled models append the second register after
@@ -188,6 +193,11 @@ def _coupled_signs(ex_rep: BitVector, ez_rep: BitVector) -> Tuple[int, ...]:
     return tuple(s for sx, sz in pairs for s in (sx, sz, sx * sz))
 
 
+def _coupled_masks(sigma: Sequence[int], tau: Sequence[int], shift: int) -> tuple:
+    """Per-qubit (x, z, y) term masks, the second register shifted up by shift."""
+    return tuple(m for s, t in zip(sigma, tau) for m in (s, t << shift, s | t << shift))
+
+
 def build_sm_coupled(code: CssCode, ex_rep: BitVector, ez_rep: BitVector) -> SmModel:
     """Two-register model for correlated X/Z noise.
 
@@ -201,14 +211,11 @@ def build_sm_coupled(code: CssCode, ex_rep: BitVector, ez_rep: BitVector) -> SmM
         raise ValueError("representative errors must have length n")
     m_x, m_z = code.Hx.rows, code.Hz.rows
     sigma_cols, tau_cols = code.Hx.transpose(), code.Hz.transpose()
-    masks: List[int] = []
-    for sigma, tau in zip(sigma_cols.row_bits, tau_cols.row_bits):
-        masks += (sigma, tau << m_x, sigma | tau << m_x)
     sym = [BitVector(m_x + m_z, v) for v in kernel_basis(sigma_cols).row_bits]
     sym += [BitVector(m_x + m_z, w << m_x) for w in kernel_basis(tau_cols).row_bits]
     return SmModel(
         num_spins=m_x + m_z,
-        masks=tuple(masks),
+        masks=_coupled_masks(sigma_cols.row_bits, tau_cols.row_bits, m_x),
         families=("x", "z", "y") * code.n,
         signs=_coupled_signs(ex_rep, ez_rep),
         symmetry_basis=tuple(sym),
@@ -272,18 +279,49 @@ def partition_exact(model: SmModel, couplings: Couplings, blocks=None) -> float:
 
 
 def partition_sums(
-    model: SmModel, sign_rows: Iterable[Sequence[int]], couplings: Couplings
+    model: SmModel, sign_blocks: Iterable[np.ndarray], couplings: Couplings
 ) -> Iterator[float]:
-    """ln Z of model with each row of term signs in turn, read lazily, one
-    sector at a time; the parity blocks are built once for all rows."""
+    """ln Z of model with each row of term signs in turn, from 2-D blocks of
+    rows read lazily; the parity blocks are built once for all rows."""
     _check_exact_size(model)
     blocks = _parity_blocks(model, couplings)
     head = (model.num_spins, model.masks, model.families)
     tail = (model.symmetry_basis, model.degeneracy_exponent, model.species,
             model.sigma_spins)
-    for signs in sign_rows:
-        # positional, in field order: half the cost of dataclasses.replace
-        yield partition_exact(SmModel(*head, signs, *tail), couplings, blocks)
+    for block in sign_blocks:
+        for signs in block:
+            # positional, in field order: half the cost of dataclasses.replace
+            yield partition_exact(SmModel(*head, signs, *tail), couplings, blocks)
+
+
+def _sector_masks(code: CssCode, side: str) -> Tuple[np.ndarray, int]:
+    """(masks, m): term t's sign in the sector labelled u is _parity(u,
+    masks[t]), for the m-bit labels of side "x", "z" or "coupled".
+
+    Qubit l's mask is column l of the label generators. Coupled terms follow
+    build_sm_coupled over the joint label z_label << m_x | x_label, whose two
+    bit ranges are disjoint, so each y sign is the x sign times the z sign.
+    Raises TooLarge if m > MAX_SUPPORT_BITS (labels are packed into uint64).
+    """
+    coupled = side == SPECIES_COUPLED
+    gens = [label_generators(code, s) for s in (("x", "z") if coupled else (side,))]
+    cols = [BitMatrix(code.n, tuple(g)).transpose().row_bits for g in gens]
+    m = sum(map(len, gens))
+    if m > MAX_SUPPORT_BITS:
+        raise TooLarge(
+            f"sector labels of m = {m} bits exceed the {MAX_SUPPORT_BITS}-bit "
+            f"uint64 label limit"
+        )
+    masks = _coupled_masks(*cols, len(gens[0])) if coupled else cols[0]
+    return np.array(masks, dtype=np.uint64), m
+
+
+def _sector_signs(masks: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """Sign rows of all 2**m sectors in label order, _ROW_BLOCK rows a block:
+    row u is _parity(u, masks)."""
+    for start in range(0, 1 << m, _ROW_BLOCK):
+        labels = np.arange(start, min(start + _ROW_BLOCK, 1 << m), dtype=np.uint64)
+        yield _parity(labels[:, None], masks)
 
 
 def log_normalization(
@@ -327,8 +365,8 @@ class IdentityReport:
     """Worst-case agreement between spin-model and enumerated probabilities.
 
     times holds the seconds per stage: the sector table ("table", when the
-    check built it), the representatives ("rows"), their sign rows and sums
-    ("sums").
+    check built it), the label generator columns ("rows"), the sign rows and
+    their sums ("sums").
     """
 
     sectors_checked: int
@@ -337,43 +375,16 @@ class IdentityReport:
     times: Dict[str, float] = field(compare=False)
 
 
-def _sign_blocks(n: int, reps: Iterable[int]) -> Iterator[np.ndarray]:
-    """Per-qubit signs (-1)**bit_l(e) of each representative e, as int8 rows.
-
-    Representatives are read lazily, _ROW_BLOCK at a time, and each block is
-    unpacked from little-endian bytes at once; row for row this equals
-    _signs(BitVector(n, e)).
-    """
-    width = (n + 7) // 8
-    reps = iter(reps)
-    while block := list(islice(reps, _ROW_BLOCK)):
-        packed = np.frombuffer(
-            b"".join(e.to_bytes(width, "little") for e in block), dtype=np.uint8
-        ).reshape(len(block), width)
-        bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-        yield 1 - 2 * bits.astype(np.int8)
-
-
-def _coupled_sign_blocks(
-    n: int, reps_x: Sequence[int], reps_z: Iterable[int]
-) -> Iterator[np.ndarray]:
-    """Rows of _coupled_signs(ex, ez), Z outer and X inner (the joint index
-    z_label << m_x | x_label), in blocks of at most _ROW_BLOCK rows."""
-    for sz in chain.from_iterable(_sign_blocks(n, reps_z)):
-        for sx in _sign_blocks(n, reps_x):
-            triples = (sx, np.broadcast_to(sz, sx.shape), sx * sz)
-            yield np.stack(triples, axis=2).reshape(len(sx), 3 * n)
-
-
-def _identity_report(base, sign_rows, couplings, n, p_true, times) -> IdentityReport:
-    """Worst |normalized Z - p| over sectors given as sign rows of base; NaN
-    if any deviation is NaN (np.max propagates it, max() would drop it).
-    times gains the seconds spent on the rows and their sums ("sums")."""
+def _identity_report(base, masks, couplings, n, p_true, times) -> IdentityReport:
+    """Worst |normalized Z - p| over the sectors of the side whose
+    _sector_masks are masks; NaN if any deviation is NaN (np.max propagates
+    it, max() would drop it). times gains the seconds spent on the sign rows
+    and their sums ("sums")."""
     ln_norm = log_normalization(couplings, n, base.degeneracy_exponent, base.species)
     start = time.perf_counter()
+    ln_z = partition_sums(base, _sector_signs(*masks), couplings)
     devs = np.fromiter(
-        (abs(math.exp(ln_z + ln_norm) - p)
-         for ln_z, p in zip(partition_sums(base, sign_rows, couplings), p_true)),
+        (abs(math.exp(v + ln_norm) - p) for v, p in zip(ln_z, p_true)),
         float, count=len(p_true),
     )
     times["sums"] = time.perf_counter() - start
@@ -397,10 +408,9 @@ def verify_sector_identity(
     else:
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
     table = time.perf_counter()
-    reps = sector_representatives(code, side)
+    masks = _sector_masks(code, side)
     times = {"table": table - start, "rows": time.perf_counter() - table}
-    rows = chain.from_iterable(_sign_blocks(code.n, reps))
-    return _identity_report(base, rows, couplings, code.n, dist.table.tolist(), times)
+    return _identity_report(base, masks, couplings, code.n, dist.table.tolist(), times)
 
 
 def verify_sector_identity_coupled(
@@ -414,10 +424,9 @@ def verify_sector_identity_coupled(
     couplings = Couplings.from_pauli(noise)
     base = build_sm_coupled(code, BitVector(code.n, 0), BitVector(code.n, 0))
     start = time.perf_counter()
-    reps_x, reps_z = (sector_representatives(code, side) for side in "xz")
+    masks = _sector_masks(code, SPECIES_COUPLED)
     times = {"rows": time.perf_counter() - start}
-    rows = chain.from_iterable(_coupled_sign_blocks(code.n, reps_x, reps_z))
-    return _identity_report(base, rows, couplings, code.n, dist.table.tolist(), times)
+    return _identity_report(base, masks, couplings, code.n, dist.table.tolist(), times)
 
 
 @dataclass(frozen=True)
@@ -487,11 +496,8 @@ def domain_wall_free_energy(
     couplings = Couplings.uniform(beta)
     ln_norm = log_normalization(couplings, code.n, code.Dx, SPECIES_X)
     base = build_sm_x(code, BitVector(code.n, 0))
-    _check_exact_size(base)  # before the 2^(rank_z + k) representatives
-    sign_rows = chain.from_iterable(
-        _sign_blocks(code.n, sector_representatives(code, "x"))
-    )
-    ln_z = np.fromiter(partition_sums(base, sign_rows, couplings), float)
+    sign_blocks = _sector_signs(*_sector_masks(code, SPECIES_X))
+    ln_z = np.fromiter(partition_sums(base, sign_blocks, couplings), float)
     ln_z = ln_z.reshape(-1, 1 << code.k)
     partner = ln_z[:, np.arange(ln_z.shape[1]) ^ k_shift.bits]
     prob = np.exp(ln_z + ln_norm)

@@ -4,10 +4,12 @@ import hashlib
 import itertools
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from csstat import statmech
 from csstat.css import (
     CodeFormatError,
     CommutationViolation,
@@ -22,7 +24,6 @@ from csstat.css import (
     new_css,
     representative_x,
     representative_z,
-    sector_representatives,
     to_text,
     with_logical_basis,
 )
@@ -211,7 +212,11 @@ def test_representatives_are_pinned(selector, side, digest):
         for label in range(1 << (syn_bits + code.k))
     ]
     assert _hex_digest(reps) == digest
-    assert _hex_digest(sector_representatives(code, side)) == digest
+    # the sector loops' sign rows are the pinned representatives' bits
+    masks, m = statmech._sector_masks(code, side)
+    rows = np.concatenate(list(statmech._sector_signs(masks, m)))
+    bits = np.array([[e >> l & 1 for l in range(code.n)] for e in reps])
+    assert np.array_equal(rows, 1 - 2 * bits)
 
 
 @settings(max_examples=200)
@@ -232,7 +237,7 @@ def test_label_generators_are_the_dual_basis(pair):
 
 def test_label_side_must_be_x_or_z():
     code = steane()
-    for fn in (label_functionals, label_generators, sector_representatives):
+    for fn in (label_functionals, label_generators):
         with pytest.raises(ValueError, match="side"):
             fn(code, "y")
 

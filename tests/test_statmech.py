@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
-from itertools import chain
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csstat import statmech
@@ -21,13 +23,14 @@ from csstat.channels import (
     sector_distribution_x,
 )
 from csstat.css import (
+    EmptyCodeWarning,
     TooLarge,
     from_text,
+    new_css,
     representative_x,
     representative_z,
-    sector_representatives,
 )
-from csstat.gf2 import BitVector
+from csstat.gf2 import BitMatrix, BitVector
 from csstat.info import relative_entropy
 from csstat.statmech import (
     SPECIES_COUPLED,
@@ -51,8 +54,9 @@ from csstat.statmech import (
     verify_sector_identity,
     verify_sector_identity_coupled,
 )
-from csstat.zoo import four22, from_selector, steane, surface2d, toric2d
+from csstat.zoo import four22, from_selector, steane, surface2d, toric2d, toric3d
 from oracles import exact_observables
+from test_css import random_css_pairs
 
 
 def trivial_x_model(code):
@@ -246,7 +250,7 @@ def test_spin_limit_is_checked_before_the_parity_block():
     model = trivial_x_model(code)
     assert model.num_spins == 70
     with pytest.raises(TooLarge, match="24-spin limit"):
-        next(partition_sums(model, [model.signs], Couplings.uniform(0.5)))
+        next(partition_sums(model, [np.array([model.signs])], Couplings.uniform(0.5)))
     with pytest.raises(TooLarge, match="24-spin limit"):
         domain_wall_free_energy(code, 0.1, BitVector(code.k, 1))
 
@@ -477,43 +481,69 @@ def _error_rows(n, count, salt):
         ("surface2d:3x4", "5d0a6b28252046bf3dbf08d27b66f828019b0c221a5d94e42df7c58e478cd553"),
     ],
 )
-def test_partition_sums_equal_per_model_sums(selector, digest, monkeypatch):
+def test_partition_sums_equal_per_model_sums(selector, digest):
     # one set of parity blocks for many sign rows gives each row's ln Z bit
     # for bit; the digest was recorded when every sum built its own block
-    monkeypatch.setattr(statmech, "_ROW_BLOCK", 3)
     code = from_selector(selector)
     zero = BitVector(code.n, 0)
     uniform = Couplings.uniform(nishimori_beta(0.1))
     coupled = Couplings.from_pauli(depolarizing_from_independent(0.1, 0.1))
-    x_errors, z_errors = _error_rows(code.n, 8, 1), _error_rows(code.n, 8, 2)
     values = []
-    for base, couplings, rows, reps in (
+    for base, couplings, rows in (
         (build_sm_x(code, zero), uniform,
-         [statmech._signs(e) for e in x_errors], [e.bits for e in x_errors]),
+         [statmech._signs(e) for e in _error_rows(code.n, 8, 1)]),
         (build_sm_z(code, zero), uniform,
-         [statmech._signs(e) for e in z_errors], [e.bits for e in z_errors]),
+         [statmech._signs(e) for e in _error_rows(code.n, 8, 2)]),
         (build_sm_coupled(code, zero, zero), coupled,
          [statmech._coupled_signs(ex, ez) for ex, ez in
-          zip(_error_rows(code.n, 4, 3), _error_rows(code.n, 4, 4))], None),
+          zip(_error_rows(code.n, 4, 3), _error_rows(code.n, 4, 4))]),
     ):
-        got = list(partition_sums(base, rows, couplings))
+        blocks = [np.array(rows[i:i + 3]) for i in range(0, len(rows), 3)]
+        got = list(partition_sums(base, blocks, couplings))
         assert got == [partition_exact(replace(base, signs=r), couplings) for r in rows]
         values += got
-        # rows are drawn one at a time, not gathered up front
-        pending = iter(rows)
+        # float64 rows, as the sector loops build them, give the same sums
+        assert list(partition_sums(base, [np.array(rows, float)], couplings)) == got
+        # blocks are drawn one at a time, not gathered up front
+        pending = iter(blocks)
         next(partition_sums(base, pending, couplings))
-        assert len(list(pending)) == len(rows) - 1
-        if reps is None:
-            continue
-        # int8 rows from the block builder give the same sums, and it reads
-        # the representatives one block of _ROW_BLOCK at a time
-        built = chain.from_iterable(statmech._sign_blocks(code.n, reps))
-        assert list(partition_sums(base, built, couplings)) == got
-        pending = iter(reps)
-        built = chain.from_iterable(statmech._sign_blocks(code.n, pending))
-        next(partition_sums(base, built, couplings))
-        assert len(list(pending)) == len(reps) - 3
+        assert len(list(pending)) == len(blocks) - 1
     assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == digest
+
+
+def _representative(code, side, label):
+    """representative_x/z of the sector labelled syndrome << k | logical."""
+    representative = representative_x if side == "x" else representative_z
+    syn_bits = code.rank_z if side == "x" else code.rank_x
+    low = label & ((1 << code.k) - 1)
+    syndrome = BitVector(syn_bits, label >> code.k)
+    return representative(code, syndrome, BitVector(code.k, low))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_css_pairs())
+def test_sector_signs_equal_representative_signs(pair):
+    hz, hx = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCodeWarning)
+        code = new_css(hz, hx)
+    assume(code.n + code.k <= 14)  # the coupled side lists 2**(n + k) rows
+    m_x = code.rank_z + code.k
+    reps_x = [_representative(code, "x", u) for u in range(1 << m_x)]
+    reps_z = [_representative(code, "z", u) for u in range(1 << code.rank_x + code.k)]
+    x_rows = [statmech._signs(e) for e in reps_x]
+    z_rows = [statmech._signs(e) for e in reps_z]
+    # coupled rows run over the joint label z_label << m_x | x_label
+    coupled_rows = [statmech._coupled_signs(ex, ez) for ez in reps_z for ex in reps_x]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statmech, "_ROW_BLOCK", 4)
+        for side, want in (("x", x_rows), ("z", z_rows), ("coupled", coupled_rows)):
+            masks, m = statmech._sector_masks(code, side)
+            blocks = list(statmech._sector_signs(masks, m))
+            assert all(1 <= len(b) <= 4 for b in blocks)
+            rows = [tuple(row.tolist()) for b in blocks for row in b]
+            assert len(rows) == 1 << m == len(want)
+            assert rows == want
 
 
 def _wide_rows(n, count):
@@ -525,28 +555,63 @@ def _wide_rows(n, count):
     ]
 
 
+def _xor_at(gens, label):
+    """XOR of gens at the set bits of label."""
+    return reduce(xor, (g for j, g in enumerate(gens) if label >> j & 1), 0)
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 81])
 def test_sign_blocks_equal_per_row_signs(n, monkeypatch):
-    monkeypatch.setattr(statmech, "_ROW_BLOCK", 4)
-    reps = [0, (1 << n) - 1] + _wide_rows(n, 9)
-    blocks = list(statmech._sign_blocks(n, reps))
-    assert [b.shape for b in blocks] == [(4, n), (4, n), (3, n)]
-    assert all(b.dtype == np.int8 for b in blocks)
+    # n terms of any width: only the label width m must fit uint64
+    monkeypatch.setattr(statmech, "_ROW_BLOCK", 3)
+    gens = [(1 << n) - 1] + _wide_rows(n, 3)
+    cols = BitMatrix(n, tuple(gens)).transpose().row_bits
+    blocks = list(statmech._sector_signs(np.array(cols, dtype=np.uint64), 4))
+    assert [b.shape for b in blocks] == [(3, n)] * 5 + [(1, n)]
     rows = [tuple(row.tolist()) for b in blocks for row in b]
-    assert rows == [statmech._signs(BitVector(n, e)) for e in reps]
-    # coupled rows run Z outer, X inner, as the joint index z << m_x | x
-    reps_x, reps_z = reps[:6], reps[5:]
-    blocks = list(statmech._coupled_sign_blocks(n, reps_x, reps_z))
-    assert all(b.dtype == np.int8 and len(b) <= 4 for b in blocks)
-    rows = [tuple(row.tolist()) for b in blocks for row in b]
+    assert rows == [statmech._signs(BitVector(n, _xor_at(gens, u))) for u in range(16)]
+    # coupled masks: the first two generators on the x side, the rest on z
+    gx, gz = (BitMatrix(n, tuple(g)).transpose().row_bits for g in (gens[:2], gens[2:]))
+    masks = np.array(statmech._coupled_masks(gx, gz, 2), dtype=np.uint64)
+    rows = [tuple(row.tolist()) for b in statmech._sector_signs(masks, 4) for row in b]
     assert rows == [
-        statmech._coupled_signs(BitVector(n, ex), BitVector(n, ez))
-        for ez in reps_z for ex in reps_x
+        statmech._coupled_signs(BitVector(n, _xor_at(gens[:2], u & 3)),
+                                BitVector(n, _xor_at(gens[2:], u >> 2)))
+        for u in range(16)
     ]
-    # Z representatives are read one block at a time too
-    pending = iter(reps_z)
-    next(statmech._coupled_sign_blocks(n, reps_x, pending))
-    assert len(list(pending)) == len(reps_z) - 4
+
+
+def test_sector_signs_of_wide_codes(monkeypatch):
+    # toric3d:3 has 81 qubits: only the label width m must fit uint64
+    monkeypatch.setattr(statmech, "_ROW_BLOCK", 16)
+    code = toric3d(3)
+    for side, width in (("x", 55), ("z", code.n - code.rank_z)):
+        masks, m = statmech._sector_masks(code, side)
+        assert m == width
+        block = next(statmech._sector_signs(masks, m))
+        assert block.shape == (16, code.n)
+        assert [tuple(row.tolist()) for row in block] == [
+            statmech._signs(_representative(code, side, u)) for u in range(16)
+        ]
+    # the joint label has n + k = 84 bits
+    with pytest.raises(TooLarge, match="m = 84"):
+        statmech._sector_masks(code, "coupled")
+
+
+def test_sector_loops_refuse_labels_past_64_bits(monkeypatch):
+    # one spin, but 2**69 X sectors: refused before any row or parity block
+    code = new_css(BitMatrix(70, ()), BitMatrix(70, (0b11,)))
+    assert (code.rank_x, code.k) == (1, 69)
+
+    def unreachable(*args):
+        raise AssertionError("a parity matrix was built")
+
+    monkeypatch.setattr(statmech, "_parity", unreachable)
+    with pytest.raises(TooLarge, match="m = 69"):
+        domain_wall_free_energy(code, 0.1, BitVector(code.k, 1))
+    for side in ("x", "z", "coupled"):
+        with pytest.raises(TooLarge, match="m = "):
+            statmech._sector_masks(code, side)
 
 
 @pytest.mark.parametrize("side, sectors, spins", [("x", 512, 9), ("z", 1024, 8)])
@@ -579,16 +644,14 @@ def _sector_ln_z(selector, side):
     in sector order, through the loop the identity checks use."""
     code = from_selector(selector)
     zero = BitVector(code.n, 0)
-    reps_x, reps_z = (sector_representatives(code, s) for s in "xz")
     if side == "coupled":
         base = build_sm_coupled(code, zero, zero)
         couplings = Couplings.from_pauli(parse_noise("depolarizing").rates_at(0.1))
-        blocks = statmech._coupled_sign_blocks(code.n, reps_x, reps_z)
     else:
         base = (build_sm_x if side == "x" else build_sm_z)(code, zero)
         couplings = Couplings.uniform(nishimori_beta(0.1))
-        blocks = statmech._sign_blocks(code.n, reps_x if side == "x" else reps_z)
-    return list(partition_sums(base, chain.from_iterable(blocks), couplings))
+    blocks = statmech._sector_signs(*statmech._sector_masks(code, side))
+    return list(partition_sums(base, blocks, couplings))
 
 
 @pytest.mark.parametrize(
