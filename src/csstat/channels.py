@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .css import CssCode, TooLarge, code_hash, label_functionals
+from .css import CssCode, TooLarge, code_hash, combination_supports, label_functionals
 
 MAX_LABEL_BITS = 20  # 2^m label combinations per transform
 MAX_SUPPORT_BITS = 63  # functional supports are packed into uint64
@@ -250,15 +250,6 @@ def _walsh_hadamard(a: np.ndarray) -> None:
         half *= 2
 
 
-def _combination_supports(rows: Sequence[int]) -> np.ndarray:
-    """Support of Σ_j u_j row_j for every u ∈ F2^m, indexed by u (bit j = u_j)."""
-    supports = np.zeros(1 << len(rows), dtype=np.uint64)
-    for j, bits in enumerate(rows):
-        half = 1 << j
-        supports[half : 2 * half] = supports[:half] ^ np.uint64(bits)
-    return supports
-
-
 def _check_enumerator_size(n: int, m: int) -> None:
     """Raise TooLarge unless the enumerator's arrays and int64 sums fit."""
     cost = f"A[label, w] is 2^{m} x {n + 1} int64 = {8 * (n + 1) << m:,} bytes"
@@ -291,7 +282,7 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     m = len(rows)
     _check_enumerator_size(n, m)
     krawtchouk = _krawtchouk_table(n)  # row 0 is C(n, w)
-    counts = krawtchouk[np.bitwise_count(_combination_supports(rows))]
+    counts = krawtchouk[np.bitwise_count(combination_supports(rows))]
     _walsh_hadamard(counts)
     if np.bitwise_or.reduce(counts, axis=None) & ((1 << m) - 1):
         raise InternalInvariantError(f"Walsh–Hadamard sums not divisible by 2^{m}")
@@ -305,13 +296,16 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     return counts
 
 
-def _factorized_distributions(code, rates, rows, widths, name):
-    """One table per rate from one enumerator build, one mat-vec per distinct
-    rate (a single product over all rates sums in another order: not
-    bit-identical). Tables are frozen, so a repeated rate shares one object."""
+def _factorized_distributions(code, rates, side):
+    """One table per rate of side "x" or "z" errors from one enumerator build,
+    one mat-vec per distinct rate (a single product over all rates sums in
+    another order: not bit-identical). Tables are frozen, so a repeated rate
+    shares one object."""
+    name = "p" + side
     for p in rates:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} = {p} is not a probability")
+    rows, widths = label_functionals(code, side)
     n, digest = code.n, code_hash(code)
     counts = _coset_enumerator(rows, n)
     for block in counts.reshape(-1, min(len(counts), _BLOCK_ROWS), n + 1):
@@ -341,16 +335,14 @@ def sector_distributions_x(
     bits is built once. Each table has exactly 2^m entries (each sector is
     realized by 2^(n − m) strings) and sums to 1 within 1e-12.
     """
-    rows, widths = label_functionals(code, "x")
-    return _factorized_distributions(code, rates, rows, widths, "px")
+    return _factorized_distributions(code, rates, "x")
 
 
 def sector_distributions_z(
     code: CssCode, rates: Sequence[float]
 ) -> List[SectorDistribution]:
     """Exact (a, kx) tables for independent Z errors, one per rate (mirror of X)."""
-    rows, widths = label_functionals(code, "z")
-    return _factorized_distributions(code, rates, rows, widths, "pz")
+    return _factorized_distributions(code, rates, "z")
 
 
 def sector_distribution_x(code: CssCode, px: float) -> SectorDistribution:
@@ -393,8 +385,8 @@ def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistrib
             f"joint transform bounds are m <= {MAX_LABEL_BITS} label bits and "
             f"n <= {MAX_SUPPORT_BITS}; got m = {m}, n = {n}"
         )
-    s = _combination_supports(x_rows)
-    t = _combination_supports(z_rows)[:, None]
+    s = combination_supports(x_rows)
+    t = combination_supports(z_rows)[:, None]
     both = np.bitwise_count(t & s)
     exponents = np.arange(n + 1)
     pow10, pow01, pow11 = (

@@ -234,25 +234,17 @@ def _engine_line(code: CssCode, joint: bool) -> str:
     )
 
 
-def _default_shift(code: CssCode) -> Tuple[BitVector, BitVector]:
-    k0 = BitVector(code.k, 0)
-    k0p = BitVector(code.k, 1) if code.k > 0 else BitVector(0, 0)
-    return k0, k0p
-
-
 def _run_sweep(args: argparse.Namespace, command: str) -> int:
     code = from_selector(args.code)
     spec = parse_noise(args.noise)
     grid = _p_grid(args.p_start, args.p_stop, args.points)
-    if command == "relent-sweep":
-        width = code.k
-        for name, value in (("k0", args.k0), ("k0p", args.k0p)):
-            if not 0 <= value < (1 << width):
-                raise ValueError(f"{name} must lie in [0, 2^k); k={width}")
-        k0 = BitVector(width, args.k0)
-        k0p = BitVector(width, args.k0p)
-    else:
-        k0, k0p = _default_shift(code)
+    # relent-sweep compares the two given logical sectors, the other sweeps
+    # sectors 0 and 1 (0 and 0 when k = 0)
+    labels = (args.k0, args.k0p) if command == "relent-sweep" else (0, min(code.k, 1))
+    for name, value in zip(("k0", "k0p"), labels):
+        if not 0 <= value < (1 << code.k):
+            raise ValueError(f"{name} must lie in [0, 2^k); k={code.k}")
+    k0, k0p = (BitVector(code.k, v) for v in labels)
     columns, rows, violations = _sweep_rows(code, grid, spec, k0, k0p)
     params = {
         "p_start": args.p_start, "p_stop": args.p_stop, "points": args.points,
@@ -271,38 +263,32 @@ def _run_sweep(args: argparse.Namespace, command: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _fields(values: Dict[str, int]) -> str:
+    return " ".join(f"{name}={value}" for name, value in values.items())
+
+
 def cmd_code_info(args: argparse.Namespace) -> int:
     code = from_selector(args.selector)
+    sizes = {"n": code.n, "k": code.k, "rank_x": code.rank_x,
+             "rank_z": code.rank_z, "Dx": code.Dx, "Dz": code.Dz}
     try:
-        dx, dz = distance(code)
-        dist_text: Union[str, Dict] = f"dx={dx} dz={dz}"
-        dist_json: Optional[Dict] = {"dx": dx, "dz": dz}
+        dist: Optional[Dict[str, int]] = dict(zip(("dx", "dz"), distance(code)))
     except TooLarge:
-        dist_text = "not computed (kernel dimension exceeds enumeration bound)"
-        dist_json = None
+        dist = None
+    logicals = {"logical_x": code.logical_x.to01_lines(),
+                "logical_z": code.logical_z.to01_lines()}
     if args.format == "json":
-        payload = {
-            "selector": args.selector,
-            "hash": code_hash(code),
-            "n": code.n, "k": code.k,
-            "rank_x": code.rank_x, "rank_z": code.rank_z,
-            "Dx": code.Dx, "Dz": code.Dz,
-            "distance": dist_json,
-            "logical_x": code.logical_x.to01_lines(),
-            "logical_z": code.logical_z.to01_lines(),
-        }
-        sys.stdout.write(json.dumps(payload, indent=1) + "\n")
-        return EXIT_OK
-    lines = [
-        f"code: {args.selector} (hash={code_hash(code)})",
-        f"n={code.n} k={code.k} rank_x={code.rank_x} rank_z={code.rank_z} "
-        f"Dx={code.Dx} Dz={code.Dz}",
-        f"distance: {dist_text}",
-    ]
-    for i, row in enumerate(code.logical_x.to01_lines()):
-        lines.append(f"logical_x[{i}]: {row}")
-    for i, row in enumerate(code.logical_z.to01_lines()):
-        lines.append(f"logical_z[{i}]: {row}")
+        lines = [json.dumps({"selector": args.selector, "hash": code_hash(code),
+                             **sizes, "distance": dist, **logicals}, indent=1)]
+    else:
+        lines = [
+            f"code: {args.selector} (hash={code_hash(code)})",
+            _fields(sizes),
+            "distance: " + (_fields(dist) if dist else
+                            "not computed (kernel dimension exceeds enumeration bound)"),
+        ]
+        lines += [f"{name}[{i}]: {row}"
+                  for name, rows in logicals.items() for i, row in enumerate(rows)]
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -364,45 +350,32 @@ def _parse_bits(text: str, width: int, name: str) -> BitVector:
 
 def cmd_sm_export(args: argparse.Namespace) -> int:
     code = from_selector(args.selector)
-    parts = args.sector.split(":")
-    species = parts[0] if parts else ""
-    couplings = None
-    if species == "x" and len(parts) == 3:
-        b = _parse_bits(parts[1], code.rank_z, "b")
-        kz = _parse_bits(parts[2], code.k, "kz")
-        model = statmech.build_sm_x(code, representative_x(code, b, kz))
-        if args.p is not None:
-            couplings = statmech.Couplings.uniform(statmech.nishimori_beta(args.p))
-    elif species == "z" and len(parts) == 3:
-        a = _parse_bits(parts[1], code.rank_x, "a")
-        kx = _parse_bits(parts[2], code.k, "kx")
-        model = statmech.build_sm_z(code, representative_z(code, a, kx))
-        if args.p is not None:
-            couplings = statmech.Couplings.uniform(statmech.nishimori_beta(args.p))
-    elif species == "coupled" and len(parts) == 5:
-        b = _parse_bits(parts[1], code.rank_z, "b")
-        kz = _parse_bits(parts[2], code.k, "kz")
-        a = _parse_bits(parts[3], code.rank_x, "a")
-        kx = _parse_bits(parts[4], code.k, "kx")
-        model = statmech.build_sm_coupled(
-            code,
-            representative_x(code, b, kz),
-            representative_z(code, a, kx),
-        )
-        if args.p is not None:
-            spec = parse_noise(args.noise)
-            if not spec.joint:
-                raise ValueError(
-                    "coupled-model couplings need a joint noise spec "
-                    "(depolarizing or general:<wx>,<wy>,<wz>)"
-                )
-            couplings = statmech.Couplings.from_pauli(spec.rates_at(args.p))
-    else:
+    species, *texts = args.sector.split(":")
+    # the sector string's label fields per species, in order
+    fields = {"x": ("b", "kz"), "z": ("a", "kx"),
+              "coupled": ("b", "kz", "a", "kx")}.get(species, ())
+    if not fields or len(texts) != len(fields):
         raise ValueError(
             f"sector {args.sector!r} not understood; expected x:<b>:<kz>, "
             "z:<a>:<kx>, or coupled:<b>:<kz>:<a>:<kx> with 0/1 strings "
             "(- for zero-width fields)"
         )
+    widths = {"b": code.rank_z, "kz": code.k, "a": code.rank_x, "kx": code.k}
+    bits = {f: _parse_bits(text, widths[f], f) for f, text in zip(fields, texts)}
+    reps = [representative_x(code, bits["b"], bits["kz"])] if "b" in bits else []
+    reps += [representative_z(code, bits["a"], bits["kx"])] if "a" in bits else []
+    model = getattr(statmech, f"build_sm_{species}")(code, *reps)
+    couplings = None
+    if args.p is not None and species != statmech.SPECIES_COUPLED:
+        couplings = statmech.Couplings.uniform(statmech.nishimori_beta(args.p))
+    elif args.p is not None:
+        spec = parse_noise(args.noise)
+        if not spec.joint:
+            raise ValueError(
+                "coupled-model couplings need a joint noise spec "
+                "(depolarizing or general:<wx>,<wy>,<wz>)"
+            )
+        couplings = statmech.Couplings.from_pauli(spec.rates_at(args.p))
     payload = statmech.sm_to_json_dict(model, couplings)
     payload["provenance"] = _provenance(
         "sm-export", args.selector, code,
@@ -502,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
         "relent-sweep",
         help="relative entropy between logical sectors k0 and k0p over a p grid",
     )
-    p.add_argument("selector", help="family[:dims] or file path")
+    p.add_argument("code", metavar="selector", help="family[:dims] or file path")
     p.add_argument("k0", type=int, help="first logical label (integer, low bit = pair 0)")
     p.add_argument("k0p", type=int, help="second logical label")
     _add_sweep_flags(p)
-    p.set_defaults(func=lambda a: _run_sweep_positional(a))
+    p.set_defaults(func=lambda a: _run_sweep(a, "relent-sweep"))
 
     p = sub.add_parser("sm-export", help="export one sector's disorder model as JSON")
     p.add_argument("selector")
@@ -547,11 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     return parser
-
-
-def _run_sweep_positional(args: argparse.Namespace) -> int:
-    args.code = args.selector
-    return _run_sweep(args, "relent-sweep")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

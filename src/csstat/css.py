@@ -19,6 +19,8 @@ independent X checks (a), and the logical parities kz_i = <logical_z[i], Ex>,
 kx_i = <logical_x[i], Ez>. label_functionals packs one side's label as parity
 rows and label_generators gives the dual basis: the representative error of
 each sector is the XOR of the generators at its label's set bits.
+combination_supports enumerates the span of a few packed rows, for the coset
+search in distance and the character transforms in channels.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -236,27 +238,26 @@ def representative_z(code: CssCode, a: BitVector, kx: BitVector) -> BitVector:
     return _representative(code, "z", a, kx)
 
 
-def _min_weight_coset(logicals: BitMatrix, stabilizers: BitMatrix, n: int) -> int:
+def combination_supports(rows: Sequence[int]) -> np.ndarray:
+    """Support of Σ_j u_j row_j for every u ∈ F2^m, indexed by u (bit j = u_j):
+    the span of m packed rows, each at most 64 bits wide."""
+    supports = np.zeros(1 << len(rows), dtype=np.uint64)
+    for j, bits in enumerate(rows):
+        half = 1 << j
+        supports[half : 2 * half] = supports[:half] ^ np.uint64(bits)
+    return supports
+
+
+def _min_weight_coset(logicals: BitMatrix, stabilizers: BitMatrix) -> int:
     """Min weight over (nonzero logical combos) ⊕ (all stabilizer combos)."""
-    k = logicals.rows
-    r = stabilizers.rows
-    if k == 0:
+    if logicals.rows == 0:
         raise ValueError("no logical operators; distance undefined")
     # uint64 suffices: distance's kernel-dimension guards give n + k <= 48.
-    # All 2^r stabilizer elements once, then XOR each logical combo in and
-    # take the min popcount.
-    stab = np.zeros(1, dtype=np.uint64)
-    for i in range(r):
-        stab = np.concatenate([stab, stab ^ np.uint64(stabilizers.row_bits[i])])
-    best = n + 1
-    for combo in range(1, 1 << k):
-        acc = 0
-        for i in range(k):
-            if (combo >> i) & 1:
-                acc ^= logicals.row_bits[i]
-        w = int(np.bitwise_count(stab ^ np.uint64(acc)).min())
-        best = min(best, w)
-    return best
+    stab = combination_supports(stabilizers.row_bits)
+    return min(
+        int(np.bitwise_count(stab ^ logical).min())
+        for logical in combination_supports(logicals.row_bits)[1:]
+    )
 
 
 def distance(code: CssCode) -> Tuple[int, int]:
@@ -276,8 +277,8 @@ def distance(code: CssCode) -> Tuple[int, int]:
             f"distance enumeration needs kernel dims <= 24 "
             f"(got {dim_ker_hx} and {dim_ker_hz})"
         )
-    dz = _min_weight_coset(code.logical_z, row_space_basis(code.Hz), code.n)
-    dx = _min_weight_coset(code.logical_x, row_space_basis(code.Hx), code.n)
+    dz = _min_weight_coset(code.logical_z, row_space_basis(code.Hz))
+    dx = _min_weight_coset(code.logical_x, row_space_basis(code.Hx))
     return dx, dz
 
 

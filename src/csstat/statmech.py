@@ -11,6 +11,8 @@ where the degeneracy exponent counts redundant check rows (gauge copies of
 each configuration). The Z side mirrors this with Hz rows, and correlated
 X/Z noise produces a two-register model whose per-qubit interaction has
 three bracket couplings (x, z and a y cross-term coupling both registers).
+The two-register model is the X-side and Z-side models side by side
+(build_sm_coupled composes build_sm_x and build_sm_z) plus the y terms.
 
 Each sector's representative is the XOR of css.label_generators at its
 label's set bits, so the term signs of all 2^m sectors of a side are one
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,13 +98,9 @@ class Couplings:
         )
 
     def for_family(self, family: str) -> float:
-        if family == "x":
-            return self.cx
-        if family == "z":
-            return self.cz
-        if family == "y":
-            return self.cy
-        raise ValueError(f"unknown family {family!r}")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        return getattr(self, "c" + family)
 
 
 @dataclass(frozen=True)
@@ -126,9 +124,13 @@ class SmModel:
     families: Tuple[str, ...]
     signs: Tuple[int, ...]
     symmetry_basis: Tuple[BitVector, ...]
-    degeneracy_exponent: int
     species: str
     sigma_spins: int
+
+    @property
+    def degeneracy_exponent(self) -> int:
+        """len(symmetry_basis): log2 of the gauge copies of each configuration."""
+        return len(self.symmetry_basis)
 
 
 def mask_sites(mask: int) -> Tuple[int, ...]:
@@ -160,14 +162,12 @@ def _single_register(h: BitMatrix, e_rep: BitVector, species: str) -> SmModel:
         raise ValueError(f"e_rep has length {len(e_rep)}, expected {h.cols}")
     # Column l of h, read as an int over the rows, is the spin mask of qubit l.
     columns = h.transpose()
-    sym = tuple(kernel_basis(columns).row_list())
     return SmModel(
         num_spins=h.rows,
         masks=columns.row_bits,
         families=(species,) * h.cols,
         signs=_signs(e_rep),
-        symmetry_basis=sym,
-        degeneracy_exponent=len(sym),
+        symmetry_basis=tuple(kernel_basis(columns).row_list()),
         species=species,
         sigma_spins=h.rows,
     )
@@ -187,12 +187,6 @@ def build_sm_z(code: CssCode, e_rep: BitVector) -> SmModel:
     return _single_register(code.Hz, e_rep, SPECIES_Z)
 
 
-def _coupled_signs(ex_rep: BitVector, ez_rep: BitVector) -> Tuple[int, ...]:
-    """Per-qubit (sx, sz, sx*sz) sign triples, flattened in term order."""
-    pairs = zip(_signs(ex_rep), _signs(ez_rep))
-    return tuple(s for sx, sz in pairs for s in (sx, sz, sx * sz))
-
-
 def _coupled_masks(sigma: Sequence[int], tau: Sequence[int], shift: int) -> tuple:
     """Per-qubit (x, z, y) term masks, the second register shifted up by shift."""
     return tuple(m for s, t in zip(sigma, tau) for m in (s, t << shift, s | t << shift))
@@ -205,23 +199,22 @@ def build_sm_coupled(code: CssCode, ex_rep: BitVector, ez_rep: BitVector) -> SmM
     sigma_spins). Each qubit contributes an x term (first register), a z term
     (second register), and a y term on the union of both supports, with signs
     (-1)**ex, (-1)**ez and their product. The model is noise-independent:
-    couplings are supplied at evaluation time.
+    couplings are supplied at evaluation time. The registers, their x and z
+    terms and their symmetry bases are those of build_sm_x and build_sm_z.
     """
-    if len(ex_rep) != code.n or len(ez_rep) != code.n:
-        raise ValueError("representative errors must have length n")
-    m_x, m_z = code.Hx.rows, code.Hz.rows
-    sigma_cols, tau_cols = code.Hx.transpose(), code.Hz.transpose()
-    sym = [BitVector(m_x + m_z, v) for v in kernel_basis(sigma_cols).row_bits]
-    sym += [BitVector(m_x + m_z, w << m_x) for w in kernel_basis(tau_cols).row_bits]
+    sigma, tau = build_sm_x(code, ex_rep), build_sm_z(code, ez_rep)
+    shift = sigma.num_spins
+    spins = shift + tau.num_spins
+    sym = [BitVector(spins, v.bits) for v in sigma.symmetry_basis]
+    sym += [BitVector(spins, w.bits << shift) for w in tau.symmetry_basis]
     return SmModel(
-        num_spins=m_x + m_z,
-        masks=_coupled_masks(sigma_cols.row_bits, tau_cols.row_bits, m_x),
-        families=("x", "z", "y") * code.n,
-        signs=_coupled_signs(ex_rep, ez_rep),
+        num_spins=spins,
+        masks=_coupled_masks(sigma.masks, tau.masks, shift),
+        families=FAMILIES * code.n,
+        signs=tuple(s for x, z in zip(sigma.signs, tau.signs) for s in (x, z, x * z)),
         symmetry_basis=tuple(sym),
-        degeneracy_exponent=len(sym),
         species=SPECIES_COUPLED,
-        sigma_spins=m_x,
+        sigma_spins=shift,
     )
 
 
@@ -286,8 +279,7 @@ def partition_sums(
     _check_exact_size(model)
     blocks = _parity_blocks(model, couplings)
     head = (model.num_spins, model.masks, model.families)
-    tail = (model.symmetry_basis, model.degeneracy_exponent, model.species,
-            model.sigma_spins)
+    tail = (model.symmetry_basis, model.species, model.sigma_spins)
     for block in sign_blocks:
         for signs in block:
             # positional, in field order: half the cost of dataclasses.replace
@@ -525,11 +517,7 @@ def sm_to_json_dict(
         "symmetry_basis": [v.to01() for v in model.symmetry_basis],
     }
     if couplings is not None:
-        out["couplings"] = {
-            "cx": couplings.cx,
-            "cz": couplings.cz,
-            "cy": couplings.cy,
-        }
+        out["couplings"] = asdict(couplings)
     return out
 
 
@@ -543,16 +531,28 @@ def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
     masks = tuple(sum(1 << i for i in s) for s in sites)
     if any(m >> num_spins or mask_sites(m) != s for m, s in zip(masks, sites)):
         raise ValueError(f"term sites must be increasing spin indices < {num_spins}")
+    species, sigma_spins = data["species"], data["sigma_spins"]
+    if species not in (SPECIES_X, SPECIES_Z, SPECIES_COUPLED):
+        raise ValueError(f"unknown species {species!r}")
+    fits = range(num_spins + 1) if species == SPECIES_COUPLED else [num_spins]
+    if sigma_spins not in fits:
+        raise ValueError(f"sigma_spins = {sigma_spins} does not fit {num_spins} "
+                         f"{species} spins")
     sym = tuple(BitVector.from01(s) for s in data["symmetry_basis"])
+    if any(len(v) != num_spins or any((v.bits & m).bit_count() & 1 for m in masks)
+           for v in sym):
+        raise ValueError(f"symmetry vectors must be {num_spins} bits long and "
+                         f"overlap every term evenly")
+    if data["degeneracy_exponent"] != len(sym):
+        raise ValueError(f"degeneracy_exponent is not the basis size {len(sym)}")
     model = SmModel(
         num_spins=num_spins,
         masks=masks,
         families=tuple(t["family"] for t in terms),
         signs=tuple(t["sign"] for t in terms),
         symmetry_basis=sym,
-        degeneracy_exponent=data["degeneracy_exponent"],
-        species=data["species"],
-        sigma_spins=data["sigma_spins"],
+        species=species,
+        sigma_spins=sigma_spins,
     )
     couplings = None
     if "couplings" in data:

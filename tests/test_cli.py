@@ -47,8 +47,9 @@ def test_code_info_json(capsys):
 
 
 def test_code_info_reports_too_large_distance(capsys):
-    # n = 75 fits factorized caps nowhere, but code-info itself must not
-    # die: distance is reported as not computed
+    # toric3d:3 (n = 81) has kernel dimensions past the distance
+    # enumeration bound, but code-info itself must not die: distance is
+    # reported as not computed
     code, out, _ = run(capsys, "code-info", "toric3d:3")
     assert code == 0
     assert "not computed" in out
@@ -229,10 +230,20 @@ def test_verify_and_kw(capsys):
         (("ic-sweep", "--code", "toric2d:2", "--noise", "general:1,0.5,2",
           "--p-start", "0", "--p-stop", "0.75", "--points", "6"),
          "9ae30c68df5442087112bab2e25459f9ebdc2588c6d75b98375a1ad746faa995"),
+        (("code-info", "toric2d:2"),
+         "8733900ff83a7284170b4cafe550eb659a948fbc019b5c25b4386806fdae6400"),
+        (("code-info", "steane", "--format", "json"),
+         "8c4e957858e53fcc4ebda3f3759c2f29846c48ef84af794b0c917e2d6554c925"),
+        (("code-info", "surface2d:5x5"),
+         "b58ac42b5251261b326b131e7d6c60631f84ef7d4d67428d11f07109182386c4"),
+        (("code-info", "toric3d:3"),
+         "fb931cd32bbe6b52896719dfc33adac0dbe33a4940d99bdd662d96f52515b704"),
     ],
     ids=["ic-sweep-toric2d-3", "ic-sweep-color666-pz", "decoder-sweep-steane",
          "verify-surface2d-3x4", "ic-sweep-surface2d-3x3-depol",
-         "ic-sweep-steane-depol", "ic-sweep-toric2d-2-general"],
+         "ic-sweep-steane-depol", "ic-sweep-toric2d-2-general",
+         "code-info-toric2d-2", "code-info-steane-json",
+         "code-info-surface2d-5x5", "code-info-toric3d-3-not-computed"],
 )
 def test_stdout_is_pinned(capsys, argv, digest):
     # sha256 of the whole stdout, recorded when every sweep point built its

@@ -251,6 +251,31 @@ def test_distance_goldens():
     assert distance(surface2d(5, 5)) == (5, 5)  # n = 41, near the kernel guard
 
 
+def _min_odd_weight(n, checks, logicals):
+    """Lightest n-bit string with zero syndrome against checks and odd
+    overlap with some logical row, by walking all 2^n strings."""
+    return min(
+        e.bit_count() for e in range(1 << n)
+        if not any((e & h).bit_count() & 1 for h in checks)
+        and any((e & l).bit_count() & 1 for l in logicals)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_css_pairs())
+def test_distance_matches_exhaustive_oracle(pair):
+    # dz is the lightest Z string that commutes with every X check and
+    # anticommutes with some X logical; dx mirrors it
+    hz, hx = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCodeWarning)
+        code = new_css(hz, hx)
+    assume(code.k > 0)
+    dz = _min_odd_weight(code.n, hx.row_bits, code.logical_x.row_bits)
+    dx = _min_odd_weight(code.n, hz.row_bits, code.logical_z.row_bits)
+    assert distance(code) == (dx, dz)
+
+
 def test_text_round_trip():
     for code in (four22(), steane(), toric2d(3)):
         text = to_text(code)

@@ -10,11 +10,11 @@ from operator import xor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csstat import statmech
-from csstat.cli import parse_noise
+from csstat.cli import main as cli_main, parse_noise
 
 from csstat.channels import (
     PauliNoise,
@@ -149,14 +149,27 @@ def test_gauge_covariance():
         assert abs(shifted - base) < 1e-12
 
 
-def test_symmetry_basis_is_a_symmetry():
-    # flipping every spin in a symmetry-basis row fixes each term's product
-    code = toric2d(2)
-    model = trivial_x_model(code)
-    assert len(model.symmetry_basis) == code.Dx
-    for s in model.symmetry_basis:
-        for mask in model.masks:
-            assert (s.bits & mask).bit_count() % 2 == 0
+@settings(max_examples=100, deadline=None)
+@given(random_css_pairs())
+@example((toric2d(2).Hz, toric2d(2).Hx))
+def test_symmetry_basis_is_a_symmetry(pair):
+    # flipping every spin in a symmetry-basis row fixes each term's product,
+    # and the basis spans Dx, Dz and Dx + Dz gauge directions
+    hz, hx = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCodeWarning)
+        code = new_css(hz, hx)
+    zero = BitVector(code.n, 0)
+    for model, dim in (
+        (build_sm_x(code, zero), code.Dx),
+        (build_sm_z(code, zero), code.Dz),
+        (build_sm_coupled(code, zero, zero), code.Dx + code.Dz),
+    ):
+        assert model.degeneracy_exponent == len(model.symmetry_basis) == dim
+        for s in model.symmetry_basis:
+            assert len(s) == model.num_spins
+            for mask in model.masks:
+                assert (s.bits & mask).bit_count() % 2 == 0
 
 
 def test_high_temperature_series():
@@ -463,6 +476,12 @@ def test_sign_swap_equals_a_fresh_build():
         assert (sx, sz, sy) == (1 - 2 * e_x[col], 1 - 2 * e_z[col], sx * sz)
 
 
+def _coupled_signs(ex, ez):
+    """Per-qubit (sx, sz, sx*sz) sign triples of a coupled model, flattened."""
+    pairs = zip(statmech._signs(ex), statmech._signs(ez))
+    return tuple(s for sx, sz in pairs for s in (sx, sz, sx * sz))
+
+
 def _error_rows(n, count, salt):
     """count fixed pseudo-random n-bit error patterns."""
     mask = (1 << n) - 1
@@ -495,7 +514,7 @@ def test_partition_sums_equal_per_model_sums(selector, digest):
         (build_sm_z(code, zero), uniform,
          [statmech._signs(e) for e in _error_rows(code.n, 8, 2)]),
         (build_sm_coupled(code, zero, zero), coupled,
-         [statmech._coupled_signs(ex, ez) for ex, ez in
+         [_coupled_signs(ex, ez) for ex, ez in
           zip(_error_rows(code.n, 4, 3), _error_rows(code.n, 4, 4))]),
     ):
         blocks = [np.array(rows[i:i + 3]) for i in range(0, len(rows), 3)]
@@ -534,7 +553,7 @@ def test_sector_signs_equal_representative_signs(pair):
     x_rows = [statmech._signs(e) for e in reps_x]
     z_rows = [statmech._signs(e) for e in reps_z]
     # coupled rows run over the joint label z_label << m_x | x_label
-    coupled_rows = [statmech._coupled_signs(ex, ez) for ez in reps_z for ex in reps_x]
+    coupled_rows = [_coupled_signs(ex, ez) for ez in reps_z for ex in reps_x]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statmech, "_ROW_BLOCK", 4)
         for side, want in (("x", x_rows), ("z", z_rows), ("coupled", coupled_rows)):
@@ -575,7 +594,7 @@ def test_sign_blocks_equal_per_row_signs(n, monkeypatch):
     masks = np.array(statmech._coupled_masks(gx, gz, 2), dtype=np.uint64)
     rows = [tuple(row.tolist()) for b in statmech._sector_signs(masks, 4) for row in b]
     assert rows == [
-        statmech._coupled_signs(BitVector(n, _xor_at(gens[:2], u & 3)),
+        _coupled_signs(BitVector(n, _xor_at(gens[:2], u & 3)),
                                 BitVector(n, _xor_at(gens[2:], u >> 2)))
         for u in range(16)
     ]
@@ -704,9 +723,10 @@ def _sm_export_models():
     }
 
 
-def test_sm_export_bytes_are_pinned():
+def test_sm_export_bytes_are_pinned(tmp_path):
     # sha256 of the JSON text written when models held Term tuples, so the
-    # array-backed model must reproduce every term, site order and field
+    # array-backed model must reproduce every term, site order and field;
+    # the sm-export command writes the same payload plus its provenance
     want = {
         "toric2d:2 x:101:01":
             "a589d556d67b34c02c6c410f4f1174fddf8ba4a9547a7faa633532ab405556d3",
@@ -720,19 +740,55 @@ def test_sm_export_bytes_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == want[name], name
         back, _ = sm_from_json_dict(json.loads(text))
         assert back == model
+    exports = {
+        "toric2d:2 x:101:01": ["--p", "0.2"],
+        "toric2d:2 z:011:10": [],
+        "four22 coupled:1:00:1:00": ["--p", "0.1"],
+    }
+    path = tmp_path / "model.json"
+    for name, flags in exports.items():
+        selector, sector = name.split()
+        assert cli_main(["sm-export", selector, sector, str(path), *flags]) == 0
+        payload = json.loads(path.read_text())
+        assert payload.pop("provenance")[1] == "command: sm-export"
+        text = json.dumps(payload, indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == want[name], name
 
 
 def test_sm_from_json_rejects_bad_terms():
-    model, _ = _sm_export_models()["toric2d:2 x:101:01"]
+    models = _sm_export_models()
+    model, _ = models["toric2d:2 x:101:01"]
     good = sm_to_json_dict(model)
-    for bad_term in (
-        {"sites": [0, 1], "sign": 2, "family": "x"},
-        {"sites": [0, 1], "sign": 1, "family": "w"},
-        {"sites": [1, 0], "sign": 1, "family": "x"},
-        {"sites": [0, 0], "sign": 1, "family": "x"},
-        {"sites": [0, model.num_spins], "sign": 1, "family": "x"},
-        {"sites": [-1, 0], "sign": 1, "family": "x"},
-    ):
-        data = dict(good, terms=good["terms"][:-1] + [bad_term])
+    bad_inputs = [
+        dict(good, terms=good["terms"][:-1] + [bad_term]) for bad_term in (
+            {"sites": [0, 1], "sign": 2, "family": "x"},
+            {"sites": [0, 1], "sign": 1, "family": "w"},
+            {"sites": [1, 0], "sign": 1, "family": "x"},
+            {"sites": [0, 0], "sign": 1, "family": "x"},
+            {"sites": [0, model.num_spins], "sign": 1, "family": "x"},
+            {"sites": [-1, 0], "sign": 1, "family": "x"},
+        )
+    ]
+    # a model that contradicts itself: its stored degeneracy against its
+    # one-vector basis, a basis vector of the wrong length or one that
+    # flips some term, an unknown species, and a first register that is
+    # not all of a single-register model or does not fit a coupled one
+    assert good["symmetry_basis"] == ["1111"]
+    coupled = sm_to_json_dict(models["four22 coupled:1:00:1:00"][0])
+    bad_inputs += [
+        dict(good, degeneracy_exponent=7),
+        dict(good, degeneracy_exponent=3),
+        dict(good, symmetry_basis=["11110"]),
+        dict(good, symmetry_basis=["1000"]),
+        dict(good, species="q"),
+        dict(good, sigma_spins=99),
+        dict(good, sigma_spins=model.num_spins - 1),
+        dict(coupled, sigma_spins=coupled["num_spins"] + 1),
+        dict(coupled, sigma_spins=-1),
+    ]
+    for data in bad_inputs:
         with pytest.raises(ValueError):
             sm_from_json_dict(data)
+    # the unedited dicts load
+    for data in (good, coupled):
+        assert sm_to_json_dict(sm_from_json_dict(data)[0]) == data
