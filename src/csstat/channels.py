@@ -32,7 +32,7 @@ from .css import CssCode, TooLarge, code_hash, combination_supports, label_funct
 
 MAX_LABEL_BITS = 20  # 2^m label combinations per transform
 MAX_SUPPORT_BITS = 63  # functional supports are packed into uint64
-_BLOCK_ROWS = 1 << 12  # rows of A converted to float64 at once, in place
+_BLOCK_ROWS = 1 << 12  # rows of A moved or converted to float64 at once
 
 MODE_X = "factorized-x"
 MODE_Z = "factorized-z"
@@ -278,21 +278,42 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     times the Walsh–Hadamard transform over u ∈ F2^m of K_w(|Σ u_j row_j|),
     so the cost scales with 2^m combinations, not 2^n strings, and every
     step is exact int64 arithmetic.
+
+    Complementing every qubit maps weight w to n − w and label l to l ⊕ c,
+    with c the label of the all-ones string, so A[l, n − w] = A[l ⊕ c, w].
+    Only the h = ⌊n/2⌋ + 1 columns w ≤ n/2 are transformed, packed at the
+    front of A's own buffer; the rows are then spread out and the columns
+    w > n/2 copied from their mirrors, so A is the only large allocation.
     """
     m = len(rows)
     _check_enumerator_size(n, m)
+    size, h = 1 << m, n // 2 + 1
     krawtchouk = _krawtchouk_table(n)  # row 0 is C(n, w)
-    counts = krawtchouk[np.bitwise_count(combination_supports(rows))]
-    _walsh_hadamard(counts)
-    if np.bitwise_or.reduce(counts, axis=None) & ((1 << m) - 1):
+    flat = np.empty(size * (n + 1), dtype=np.int64)
+    half = flat[: size * h].reshape(size, h)
+    # mode="clip" writes straight into out; "raise" would buffer a copy
+    weights = np.bitwise_count(combination_supports(rows))
+    np.take(krawtchouk[:, :h], weights, axis=0, out=half, mode="clip")
+    _walsh_hadamard(half)
+    if np.bitwise_or.reduce(half, axis=None) & (size - 1):
         raise InternalInvariantError(f"Walsh–Hadamard sums not divisible by 2^{m}")
-    counts >>= m
-    if counts.min() < 0:
+    half >>= m
+    if half.min() < 0:
         raise InternalInvariantError("negative coset weight count")
+    if np.any(half.sum(axis=0) != krawtchouk[0, :h]):
+        raise InternalInvariantError("weight-w counts do not sum to C(n, w)")
+    counts = flat.reshape(size, n + 1)
+    block = min(size, _BLOCK_ROWS)
+    # row l moves from l·h to l·(n + 1), never below where it was: moving the
+    # last block first overwrites only rows that have already moved
+    for lo in range(size - block, -1, -block):
+        counts[lo : lo + block, :h] = flat[lo * h : (lo + block) * h].reshape(block, h)
+    c = sum((row.bit_count() & 1) << j for j, row in enumerate(rows))
+    mirrors = counts[:, : n + 1 - h][:, ::-1]  # column n − w for w = h … n
+    for lo in range(0, size, block):
+        counts[lo : lo + block, h:] = mirrors[np.arange(lo, lo + block) ^ c]
     if np.any(counts.sum(axis=1, dtype=np.uint64) != np.uint64(1 << (n - m))):
         raise InternalInvariantError(f"a coset does not hold 2^{n - m} strings")
-    if np.any(counts.sum(axis=0) != krawtchouk[0]):
-        raise InternalInvariantError("weight-w counts do not sum to C(n, w)")
     return counts
 
 

@@ -271,10 +271,14 @@ def cmd_code_info(args: argparse.Namespace) -> int:
     code = from_selector(args.selector)
     sizes = {"n": code.n, "k": code.k, "rank_x": code.rank_x,
              "rank_z": code.rank_z, "Dx": code.Dx, "Dz": code.Dz}
-    try:
-        dist: Optional[Dict[str, int]] = dict(zip(("dx", "dz"), distance(code)))
-    except TooLarge:
-        dist = None
+    dist: Optional[Dict[str, int]] = None
+    missing = "undefined (k = 0)"
+    if code.k:
+        missing = "not computed (kernel dimension exceeds enumeration bound)"
+        try:
+            dist = dict(zip(("dx", "dz"), distance(code)))
+        except TooLarge:
+            pass
     logicals = {"logical_x": code.logical_x.to01_lines(),
                 "logical_z": code.logical_z.to01_lines()}
     if args.format == "json":
@@ -284,8 +288,7 @@ def cmd_code_info(args: argparse.Namespace) -> int:
         lines = [
             f"code: {args.selector} (hash={code_hash(code)})",
             _fields(sizes),
-            "distance: " + (_fields(dist) if dist else
-                            "not computed (kernel dimension exceeds enumeration bound)"),
+            "distance: " + (_fields(dist) if dist else missing),
         ]
         lines += [f"{name}[{i}]: {row}"
                   for name, rows in logicals.items() for i, row in enumerate(rows)]

@@ -73,7 +73,7 @@ class BitVector:
         return self.bits == 0
 
     def to01(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BitVector({self.to01()!r})"

@@ -534,6 +534,12 @@ def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
     species, sigma_spins = data["species"], data["sigma_spins"]
     if species not in (SPECIES_X, SPECIES_Z, SPECIES_COUPLED):
         raise ValueError(f"unknown species {species!r}")
+    families = tuple(t["family"] for t in terms)
+    if species == SPECIES_COUPLED:
+        if families != FAMILIES * (len(terms) // 3):
+            raise ValueError(f"coupled term families must repeat {FAMILIES}")
+    elif families != (species,) * len(terms):
+        raise ValueError(f"every term of a {species} model must have family {species}")
     fits = range(num_spins + 1) if species == SPECIES_COUPLED else [num_spins]
     if sigma_spins not in fits:
         raise ValueError(f"sigma_spins = {sigma_spins} does not fit {num_spins} "
@@ -548,7 +554,7 @@ def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
     model = SmModel(
         num_spins=num_spins,
         masks=masks,
-        families=tuple(t["family"] for t in terms),
+        families=families,
         signs=tuple(t["sign"] for t in terms),
         symmetry_basis=sym,
         species=species,

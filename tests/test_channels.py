@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csstat import channels
 from csstat.channels import (
     MODE_JOINT,
     MODE_X,
@@ -36,11 +38,12 @@ from csstat.channels import (
     _walsh_hadamard,
 )
 from csstat.cli import parse_noise
-from csstat.css import TooLarge, code_hash, label_functionals
+from csstat.css import EmptyCodeWarning, TooLarge, code_hash, label_functionals, new_css
 from csstat.gf2 import BitVector, matvec
 from csstat.info import coherent_information_factorized
 from csstat.statmech import kw_check
 from csstat.zoo import color666, four22, from_selector, steane, surface2d, toric2d
+from test_css import random_css_pairs
 
 
 def _fields(widths, label):
@@ -299,6 +302,48 @@ def test_coset_enumerator_matches_brute_force(code):
         assert np.all(counts.sum(axis=1) == 1 << (code.n - m))
         binomials = [math.comb(code.n, w) for w in range(code.n + 1)]
         assert counts.sum(axis=0).tolist() == binomials
+
+
+def _complement_label(rows):
+    """c: the label of the all-ones string, bit j = |row_j| mod 2."""
+    return sum((row.bit_count() & 1) << j for j, row in enumerate(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_css_pairs())
+@example((four22().Hz, four22().Hx))  # even n, c = 0 on both sides
+@example((steane().Hz, steane().Hx))  # odd n, c = 1 on both sides
+def test_coset_enumerator_matches_brute_force_on_random_codes(pair):
+    # the enumerator transforms only the columns w <= n/2 and fills the rest
+    # from A[l, n - w] = A[l ^ c, w]; both must equal a direct count
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCodeWarning)
+        code = new_css(*pair)
+    for side in ("x", "z"):
+        rows, _ = label_functionals(code, side)
+        counts = _coset_enumerator(rows, code.n)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, brute_force_enumerator(rows, code.n))
+        partners = np.arange(len(counts)) ^ _complement_label(rows)
+        assert np.array_equal(counts[:, ::-1], counts[partners])
+
+
+@pytest.mark.parametrize("selector", ["steane", "four22", "surface2d:3x4"])
+def test_enumerator_transforms_half_the_weights(monkeypatch, selector):
+    # the Walsh–Hadamard transform sees only the floor(n/2) + 1 columns
+    # w <= n/2, one row per label combination
+    real, shapes = channels._walsh_hadamard, []
+
+    def recording(a):
+        shapes.append(a.shape)
+        real(a)
+
+    monkeypatch.setattr(channels, "_walsh_hadamard", recording)
+    code = from_selector(selector)
+    rows, _ = label_functionals(code, "z")
+    counts = _coset_enumerator(rows, code.n)
+    assert shapes == [(1 << len(rows), code.n // 2 + 1)]
+    assert counts.shape == (1 << len(rows), code.n + 1)
 
 
 def _krawtchouk_oracle(n):

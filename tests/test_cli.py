@@ -11,6 +11,7 @@ import pytest
 from csstat import info, statmech
 from csstat.channels import sector_distribution_joint
 from csstat.cli import build_parser, format_cell, main, parse_noise
+from csstat.css import EmptyCodeWarning
 from csstat.gf2 import BitVector
 from csstat.statmech import load_model_json, nishimori_beta, partition_exact
 from csstat.zoo import four22, steane, toric2d
@@ -53,6 +54,23 @@ def test_code_info_reports_too_large_distance(capsys):
     code, out, _ = run(capsys, "code-info", "toric3d:3")
     assert code == 0
     assert "not computed" in out
+
+
+def test_code_info_on_a_k0_code(tmp_path, capsys):
+    # a valid code with no logical qubits has parameters but no distance
+    path = tmp_path / "k0.code"
+    path.write_text("css-code v1\nn 2\nHz 1\n11\nHx 1\n11\n", encoding="ascii")
+    with pytest.warns(EmptyCodeWarning):
+        code, out, _ = run(capsys, "code-info", str(path))
+    assert code == 0
+    assert "n=2 k=0 rank_x=1 rank_z=1" in out
+    assert "distance: undefined (k = 0)" in out
+    with pytest.warns(EmptyCodeWarning):
+        code, out, _ = run(capsys, "code-info", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["k"], payload["distance"]) == (0, None)
+    assert payload["logical_x"] == payload["logical_z"] == []
 
 
 def test_ic_sweep_schema_and_endpoints(capsys):

@@ -1,5 +1,7 @@
 """Packed GF(2) linear algebra, cross-checked against dense numpy mod-2."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,16 @@ def test_bitvector_round_trips():
     assert v.weight() == 3
     assert BitVector.from_bits([1, 0, 1, 1, 0]) == v
     assert BitVector.unit(5, 2) == BitVector.from01("00100")
+
+
+def test_to01_equals_per_bit_join():
+    # one format call, reversed, gives bit 0 first like the per-bit join
+    rng = random.Random(11)
+    for n in range(131):
+        for bits in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
+            want = "".join(str((bits >> i) & 1) for i in range(n))
+            assert BitVector(n, bits).to01() == want, (n, bits)
+    assert BitVector(0).to01() == ""
 
 
 def test_bitvector_low_bit_first():

@@ -792,3 +792,24 @@ def test_sm_from_json_rejects_bad_terms():
     # the unedited dicts load
     for data in (good, coupled):
         assert sm_to_json_dict(sm_from_json_dict(data)[0]) == data
+
+
+def test_sm_from_json_rejects_foreign_families():
+    # a term whose family is not the model's own would take another coupling
+    # in the partition sum than the normalization assumes
+    models = _sm_export_models()
+    single = sm_to_json_dict(models["toric2d:2 x:101:01"][0])
+    coupled = sm_to_json_dict(models["four22 coupled:1:00:1:00"][0])
+
+    def relabel(data, t, family):
+        terms = [dict(term) for term in data["terms"]]
+        terms[t]["family"] = family
+        return dict(data, terms=terms)
+
+    bad_inputs = [relabel(single, 0, "y"), relabel(single, 3, "z"),
+                  relabel(sm_to_json_dict(models["toric2d:2 z:011:10"][0]), 0, "x"),
+                  relabel(coupled, 0, "z"), relabel(coupled, 2, "x"),
+                  dict(coupled, terms=coupled["terms"][:-1])]
+    for data in bad_inputs:
+        with pytest.raises(ValueError, match="famil"):
+            sm_from_json_dict(data)
