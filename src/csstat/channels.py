@@ -501,7 +501,8 @@ def from_json_dict(data: dict) -> SectorDistribution:
 
     Raises ValueError unless the widths name only the fields a, b, kx and kz
     (kx and kz k bits wide), the keys name each of the 2^(Σ widths) sector
-    labels exactly once and the stored mode is the one the widths imply.
+    labels exactly once, the stored mode is the one the widths imply and
+    the table passes check().
     """
     widths = {str(f): int(w) for f, w in data["widths"].items()}
     k = int(data["k"])
@@ -535,6 +536,10 @@ def from_json_dict(data: dict) -> SectorDistribution:
             f"mode {data['mode']!r} contradicts widths {sorted(widths)}, "
             f"which make it {dist.mode!r}"
         )
+    try:
+        dist.check()
+    except InternalInvariantError as exc:
+        raise ValueError(f"{dist.mode} table is not a distribution: {exc}") from None
     return dist
 
 

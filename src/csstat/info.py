@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -38,38 +38,26 @@ class InfoResult:
     noise: Dict[str, float] = field(default_factory=dict)
 
 
-def _pairwise(ufunc: np.ufunc, columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Combine equal-length arrays elementwise in numpy's pairwise-sum order.
-
-    The same tree as numpy's own add.reduce over a contiguous axis: left to
-    right below 8 operands, eight interleaved accumulators and their balanced
-    sum up to 128, and halves (cut at a multiple of 8) above. So
-    _pairwise(np.add, list(rows.T)) is rows.sum(axis=1) bit for bit, at the
-    cost of one vector operation per column instead of a reduction over
-    rows only 2^k wide.
+def _fold(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """ufunc over each row's entries left to right, one vector operation per
+    column view rather than a reduction over rows only 2^k wide. Any order
+    gives the same maxima; for sums it is numpy's own order below 8 columns.
     """
-    n = len(columns)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return ufunc(_pairwise(ufunc, columns[:half]), _pairwise(ufunc, columns[half:]))
-    if n < 8:
-        acc = columns[0].copy()
-    else:
-        lanes = [c.copy() for c in columns[:8]]
-        for start in range(8, n - n % 8, 8):
-            for lane, c in zip(lanes, columns[start:start + 8]):
-                ufunc(lane, c, out=lane)
-        acc = ufunc(ufunc(ufunc(lanes[0], lanes[1]), ufunc(lanes[2], lanes[3])),
-                    ufunc(ufunc(lanes[4], lanes[5]), ufunc(lanes[6], lanes[7])))
-    for c in columns[1 if n < 8 else n - n % 8:]:
-        ufunc(acc, c, out=acc)
+    acc = rows[:, 0].copy()
+    for column in rows.T[1:]:
+        ufunc(acc, column, out=acc)
     return acc
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=1) bit for bit, folded where numpy adds left to right."""
+    return _fold(np.add, rows) if rows.shape[1] < 8 else rows.sum(axis=1)
+
+
 def _syndrome_rows(dist: SectorDistribution) -> Tuple[np.ndarray, np.ndarray]:
-    """by_syndrome() and its row sums P(syndrome), in rows.sum(axis=1) order."""
+    """by_syndrome() and its row sums P(syndrome)."""
     rows = dist.by_syndrome()
-    return rows, _pairwise(np.add, list(rows.T))
+    return rows, _row_sums(rows)
 
 
 def _conditional_term(rows: np.ndarray, p_syn: np.ndarray) -> float:
@@ -82,7 +70,7 @@ def _conditional_term(rows: np.ndarray, p_syn: np.ndarray) -> float:
 
 def _ml_term(rows: np.ndarray) -> float:
     """Σ over syndromes of the largest sector probability, correctly rounded."""
-    return exact_sum(_pairwise(np.maximum, list(rows.T)))
+    return exact_sum(_fold(np.maximum, rows))
 
 
 def _sampling_term(rows: np.ndarray, p_syn: np.ndarray) -> float:

@@ -14,6 +14,10 @@ three bracket couplings (x, z and a y cross-term coupling both registers).
 The two-register model is the X-side and Z-side models side by side
 (build_sm_coupled composes build_sm_x and build_sm_z) plus the y terms.
 
+A model stores its term masks and signs, species and register split; its
+term families, symmetry basis and normalization sizes are derived from them,
+so a model, even one read back from JSON, cannot contradict itself.
+
 Each sector's representative is the XOR of css.label_generators at its
 label's set bits, so the term signs of all 2^m sectors of a side are one
 parity matrix of labels against per-term masks (_sector_masks, _sector_signs).
@@ -28,6 +32,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,18 +119,28 @@ class SmModel:
 
     sigma_spins is the size of the first register (equal to num_spins for
     single-register models); coupled models append the second register after
-    it. symmetry_basis spans the spin flips that leave every term invariant
-    (left null vectors of the check matrices), so Z is a 2**degeneracy_exponent
-    -fold sum over gauge copies.
+    it. These five fields are all a model stores. families, symmetry_basis
+    and degeneracy_exponent are derived from the masks and the species.
     """
 
     num_spins: int
     masks: Tuple[int, ...]
-    families: Tuple[str, ...]
     signs: Tuple[int, ...]
-    symmetry_basis: Tuple[BitVector, ...]
     species: str
     sigma_spins: int
+
+    @property
+    def families(self) -> Tuple[str, ...]:
+        """Each term's coupling family: the species, or x, z, y per qubit."""
+        if self.species == SPECIES_COUPLED:
+            return FAMILIES * (len(self.masks) // 3)
+        return (self.species,) * len(self.masks)
+
+    @cached_property
+    def symmetry_basis(self) -> Tuple[BitVector, ...]:
+        """Canonical basis of the spin flips that leave every term invariant,
+        so Z is a 2**degeneracy_exponent-fold sum over gauge copies."""
+        return tuple(kernel_basis(BitMatrix(self.num_spins, self.masks)).row_list())
 
     @property
     def degeneracy_exponent(self) -> int:
@@ -161,13 +176,10 @@ def _single_register(h: BitMatrix, e_rep: BitVector, species: str) -> SmModel:
     if len(e_rep) != h.cols:
         raise ValueError(f"e_rep has length {len(e_rep)}, expected {h.cols}")
     # Column l of h, read as an int over the rows, is the spin mask of qubit l.
-    columns = h.transpose()
     return SmModel(
         num_spins=h.rows,
-        masks=columns.row_bits,
-        families=(species,) * h.cols,
+        masks=h.transpose().row_bits,
         signs=_signs(e_rep),
-        symmetry_basis=tuple(kernel_basis(columns).row_list()),
         species=species,
         sigma_spins=h.rows,
     )
@@ -199,20 +211,15 @@ def build_sm_coupled(code: CssCode, ex_rep: BitVector, ez_rep: BitVector) -> SmM
     sigma_spins). Each qubit contributes an x term (first register), a z term
     (second register), and a y term on the union of both supports, with signs
     (-1)**ex, (-1)**ez and their product. The model is noise-independent:
-    couplings are supplied at evaluation time. The registers, their x and z
-    terms and their symmetry bases are those of build_sm_x and build_sm_z.
+    couplings are supplied at evaluation time. The registers and their x
+    and z terms are those of build_sm_x and build_sm_z.
     """
     sigma, tau = build_sm_x(code, ex_rep), build_sm_z(code, ez_rep)
     shift = sigma.num_spins
-    spins = shift + tau.num_spins
-    sym = [BitVector(spins, v.bits) for v in sigma.symmetry_basis]
-    sym += [BitVector(spins, w.bits << shift) for w in tau.symmetry_basis]
     return SmModel(
-        num_spins=spins,
+        num_spins=shift + tau.num_spins,
         masks=_coupled_masks(sigma.masks, tau.masks, shift),
-        families=FAMILIES * code.n,
         signs=tuple(s for x, z in zip(sigma.signs, tau.signs) for s in (x, z, x * z)),
-        symmetry_basis=tuple(sym),
         species=SPECIES_COUPLED,
         sigma_spins=shift,
     )
@@ -278,8 +285,8 @@ def partition_sums(
     rows read lazily; the parity blocks are built once for all rows."""
     _check_exact_size(model)
     blocks = _parity_blocks(model, couplings)
-    head = (model.num_spins, model.masks, model.families)
-    tail = (model.symmetry_basis, model.species, model.sigma_spins)
+    head = (model.num_spins, model.masks)
+    tail = (model.species, model.sigma_spins)
     for block in sign_blocks:
         for signs in block:
             # positional, in field order: half the cost of dataclasses.replace
@@ -316,16 +323,17 @@ def _sector_signs(masks: np.ndarray, m: int) -> Iterator[np.ndarray]:
         yield _parity(labels[:, None], masks)
 
 
-def log_normalization(
-    couplings: Couplings, n: int, degeneracy_exponent: int, species: str
-) -> float:
-    """ln of the factor turning Z into a sector probability.
+def log_normalization(model: SmModel, couplings: Couplings) -> float:
+    """ln of the factor turning model's Z into a sector probability.
 
-    Single register: -degeneracy*ln2 - n*ln(2 cosh beta). Coupled: the same
-    degeneracy term with the per-qubit constant of the three-bracket weight,
-    -ln(1 + sum_i exp(-2*bt_i)) - (cx + cz + cy) per qubit.
+    Single register, one term per qubit: -degeneracy*ln2 - n*ln(2 cosh
+    beta). Coupled, three terms per qubit: the same degeneracy term with the
+    per-qubit constant of the three-bracket weight, -ln(1 + sum_i
+    exp(-2*bt_i)) - (cx + cz + cy) per qubit.
     """
-    if species == SPECIES_COUPLED:
+    n = len(model.masks)
+    if model.species == SPECIES_COUPLED:
+        n //= 3
         bt_x = couplings.cx + couplings.cy
         bt_z = couplings.cz + couplings.cy
         bt_y = couplings.cx + couplings.cz
@@ -333,18 +341,14 @@ def log_normalization(
             math.exp(-2.0 * bt_x) + math.exp(-2.0 * bt_z) + math.exp(-2.0 * bt_y)
         ) - (couplings.cx + couplings.cz + couplings.cy)
     else:
-        beta = couplings.for_family(species)
+        beta = couplings.for_family(model.species)
         per_qubit = -math.log(2.0 * math.cosh(beta))
-    return n * per_qubit - degeneracy_exponent * math.log(2.0)
+    return n * per_qubit - model.degeneracy_exponent * math.log(2.0)
 
 
-def log_sector_probability(
-    model: SmModel, couplings: Couplings, n: int
-) -> float:
+def log_sector_probability(model: SmModel, couplings: Couplings) -> float:
     """ln P(sector) = ln Z + normalization, for any species."""
-    return partition_exact(model, couplings) + log_normalization(
-        couplings, n, model.degeneracy_exponent, model.species
-    )
+    return partition_exact(model, couplings) + log_normalization(model, couplings)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +371,12 @@ class IdentityReport:
     times: Dict[str, float] = field(compare=False)
 
 
-def _identity_report(base, masks, couplings, n, p_true, times) -> IdentityReport:
+def _identity_report(base, masks, couplings, p_true, times) -> IdentityReport:
     """Worst |normalized Z - p| over the sectors of the side whose
     _sector_masks are masks; NaN if any deviation is NaN (np.max propagates
     it, max() would drop it). times gains the seconds spent on the sign rows
     and their sums ("sums")."""
-    ln_norm = log_normalization(couplings, n, base.degeneracy_exponent, base.species)
+    ln_norm = log_normalization(base, couplings)
     start = time.perf_counter()
     ln_z = partition_sums(base, _sector_signs(*masks), couplings)
     devs = np.fromiter(
@@ -402,7 +406,7 @@ def verify_sector_identity(
     table = time.perf_counter()
     masks = _sector_masks(code, side)
     times = {"table": table - start, "rows": time.perf_counter() - table}
-    return _identity_report(base, masks, couplings, code.n, dist.table.tolist(), times)
+    return _identity_report(base, masks, couplings, dist.table.tolist(), times)
 
 
 def verify_sector_identity_coupled(
@@ -418,7 +422,7 @@ def verify_sector_identity_coupled(
     start = time.perf_counter()
     masks = _sector_masks(code, SPECIES_COUPLED)
     times = {"rows": time.perf_counter() - start}
-    return _identity_report(base, masks, couplings, code.n, dist.table.tolist(), times)
+    return _identity_report(base, masks, couplings, dist.table.tolist(), times)
 
 
 @dataclass(frozen=True)
@@ -486,8 +490,8 @@ def domain_wall_free_energy(
         raise ValueError("k_shift must be nonzero (the cost is trivially 0)")
     beta = nishimori_beta(p)
     couplings = Couplings.uniform(beta)
-    ln_norm = log_normalization(couplings, code.n, code.Dx, SPECIES_X)
     base = build_sm_x(code, BitVector(code.n, 0))
+    ln_norm = log_normalization(base, couplings)
     sign_blocks = _sector_signs(*_sector_masks(code, SPECIES_X))
     ln_z = np.fromiter(partition_sums(base, sign_blocks, couplings), float)
     ln_z = ln_z.reshape(-1, 1 << code.k)
@@ -522,11 +526,14 @@ def sm_to_json_dict(
 
 
 def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
+    """Inverse of sm_to_json_dict. The stored families, canonical basis and
+    degeneracy must be the derived ones; a basis below D >= spins - terms
+    vectors is refused first, so a short file builds no large kernel basis."""
     if data.get("format") != "sm-model v1":
         raise ValueError(f"unsupported model format {data.get('format')!r}")
     num_spins, terms = data["num_spins"], data["terms"]
-    if any(t["sign"] not in (+1, -1) or t["family"] not in FAMILIES for t in terms):
-        raise ValueError(f"term signs must be +-1 and families one of {FAMILIES}")
+    if any(t["sign"] not in (+1, -1) for t in terms):
+        raise ValueError("term signs must be +-1")
     sites = [tuple(t["sites"]) for t in terms]
     masks = tuple(sum(1 << i for i in s) for s in sites)
     if any(m >> num_spins or mask_sites(m) != s for m, s in zip(masks, sites)):
@@ -534,32 +541,27 @@ def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
     species, sigma_spins = data["species"], data["sigma_spins"]
     if species not in (SPECIES_X, SPECIES_Z, SPECIES_COUPLED):
         raise ValueError(f"unknown species {species!r}")
-    families = tuple(t["family"] for t in terms)
-    if species == SPECIES_COUPLED:
-        if families != FAMILIES * (len(terms) // 3):
-            raise ValueError(f"coupled term families must repeat {FAMILIES}")
-    elif families != (species,) * len(terms):
-        raise ValueError(f"every term of a {species} model must have family {species}")
     fits = range(num_spins + 1) if species == SPECIES_COUPLED else [num_spins]
     if sigma_spins not in fits:
         raise ValueError(f"sigma_spins = {sigma_spins} does not fit {num_spins} "
                          f"{species} spins")
-    sym = tuple(BitVector.from01(s) for s in data["symmetry_basis"])
-    if any(len(v) != num_spins or any((v.bits & m).bit_count() & 1 for m in masks)
-           for v in sym):
-        raise ValueError(f"symmetry vectors must be {num_spins} bits long and "
-                         f"overlap every term evenly")
-    if data["degeneracy_exponent"] != len(sym):
-        raise ValueError(f"degeneracy_exponent is not the basis size {len(sym)}")
+    basis = data["symmetry_basis"]
+    if any(len(v) != num_spins for v in basis) or len(basis) < num_spins - len(terms):
+        raise ValueError(f"symmetry_basis needs at least num_spins - len(terms) "
+                         f"vectors of {num_spins} bits")
     model = SmModel(
         num_spins=num_spins,
         masks=masks,
-        families=families,
         signs=tuple(t["sign"] for t in terms),
-        symmetry_basis=sym,
         species=species,
         sigma_spins=sigma_spins,
     )
+    stored = [t["family"] for t in terms], list(basis), data["degeneracy_exponent"]
+    derived = (list(model.families), [v.to01() for v in model.symmetry_basis],
+               model.degeneracy_exponent)
+    if stored != derived:
+        raise ValueError("stored term families, symmetry_basis or degeneracy_exponent "
+                         "differ from those the masks and species derive")
     couplings = None
     if "couplings" in data:
         c = data["couplings"]

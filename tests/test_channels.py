@@ -601,6 +601,14 @@ def test_json_rejects_incomplete_or_repeated_labels():
         beyond[format(int(last, 16) + 1, "x")] = 0.0
         with pytest.raises(ValueError, match="cover"):
             from_json_dict({**data, "table": beyond})
+    # every label once, but an entry that is negative, NaN or above 1: the
+    # table builders' check() applies to a loaded table too
+    data = to_json_dict(sector_distribution_x(steane(), 0.1))
+    for bad in (-0.5, math.nan, 5.0):
+        table = dict(data["table"])
+        table[next(iter(table))] = bad
+        with pytest.raises(ValueError, match="not a distribution"):
+            from_json_dict({**data, "table": table})
 
 
 def _pauli_pair_prob(ex, ez, noise, n):

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -569,3 +571,23 @@ def test_rel_entropy_matches_library(capsys):
         BitVector(code4.k, 1),
     ).value
     assert abs(float(rows[0][6]) - want) < 1e-15
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # every `csstat ...` line of README's CLI block exits 0, and the library
+    # quick start runs as printed
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_block = readme.split("## CLI", 1)[1].split("```")[1]
+    commands = cli_block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in commands if line.startswith("csstat ")]
+    assert len(commands) == 8
+    for argv in commands:
+        argv = [str(tmp_path / a) if a == "model.json" else a for a in argv]
+        assert main(argv) == 0, argv
+    quick_start = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = quick_start.split("```python\n")[1:]
+    assert len(blocks) == 2
+    monkeypatch.syspath_prepend(str(Path(__file__).parent))  # for oracles
+    namespace = {}
+    for block in blocks:
+        exec(block.split("```", 1)[0], namespace)

@@ -34,7 +34,6 @@ from csstat.gf2 import BitMatrix, BitVector
 from csstat.info import relative_entropy
 from csstat.statmech import (
     SPECIES_COUPLED,
-    SPECIES_X,
     Couplings,
     build_sm_coupled,
     build_sm_x,
@@ -170,6 +169,12 @@ def test_symmetry_basis_is_a_symmetry(pair):
             assert len(s) == model.num_spins
             for mask in model.masks:
                 assert (s.bits & mask).bit_count() % 2 == 0
+    # the derived coupled basis is the x basis widened, then the z basis shifted
+    x, z = build_sm_x(code, zero), build_sm_z(code, zero)
+    both = build_sm_coupled(code, zero, zero)
+    oracle = [BitVector(both.num_spins, v.bits) for v in x.symmetry_basis]
+    oracle += [BitVector(both.num_spins, w.bits << x.num_spins) for w in z.symmetry_basis]
+    assert list(both.symmetry_basis) == oracle
 
 
 def test_high_temperature_series():
@@ -180,7 +185,7 @@ def test_high_temperature_series():
     code = four22()
     model = trivial_x_model(code)
     for beta in (0.05, 0.1, 0.2):
-        lnp = log_sector_probability(model, Couplings.uniform(beta), code.n)
+        lnp = log_sector_probability(model, Couplings.uniform(beta))
         p = 1.0 / (1.0 + math.exp(2 * beta))
         assert abs(math.exp(lnp) - ((1 - p) ** 4 + p**4)) < 1e-14
         t = math.tanh(beta)
@@ -309,6 +314,24 @@ def test_json_round_trip(tmp_path):
     assert bare == model and none is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_css_pairs(), st.integers(0, (1 << 10) - 1), st.integers(0, (1 << 10) - 1))
+def test_loader_accepts_every_written_model(pair, ex, ez):
+    # the loader's canonical-basis comparison takes back whatever
+    # sm_to_json_dict writes, on either side and coupled
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCodeWarning)
+        code = new_css(*pair)
+    mask = (1 << code.n) - 1
+    ex, ez = BitVector(code.n, ex & mask), BitVector(code.n, ez & mask)
+    for model in (build_sm_x(code, ex), build_sm_z(code, ez),
+                  build_sm_coupled(code, ex, ez)):
+        data = sm_to_json_dict(model)
+        back, _ = sm_from_json_dict(data)
+        assert back == model
+        assert sm_to_json_dict(back) == data
+
+
 def test_normalization_is_shared_across_sectors():
     # sum over all sectors of exp(lnZ + lnC) must be exactly 1: the
     # normalization carries no per-sector data
@@ -322,12 +345,13 @@ def test_normalization_is_shared_across_sectors():
                 code, BitVector(code.rank_z, b_int), BitVector(code.k, kz_int)
             )
             total += math.exp(
-                log_sector_probability(build_sm_x(code, e), couplings, code.n)
+                log_sector_probability(build_sm_x(code, e), couplings)
             )
     assert abs(total - 1.0) < 1e-12
     # and the species tag matters: the coupled normalization differs
-    single = log_normalization(couplings, code.n, code.Dx, SPECIES_X)
-    coupled = log_normalization(couplings, code.n, code.Dx, SPECIES_COUPLED)
+    zero = BitVector(code.n, 0)
+    single = log_normalization(build_sm_x(code, zero), couplings)
+    coupled = log_normalization(build_sm_coupled(code, zero, zero), couplings)
     assert single != coupled
 
 
@@ -755,7 +779,7 @@ def test_sm_export_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(text.encode()).hexdigest() == want[name], name
 
 
-def test_sm_from_json_rejects_bad_terms():
+def test_sm_from_json_rejects_bad_terms(monkeypatch):
     models = _sm_export_models()
     model, _ = models["toric2d:2 x:101:01"]
     good = sm_to_json_dict(model)
@@ -786,12 +810,32 @@ def test_sm_from_json_rejects_bad_terms():
         dict(coupled, sigma_spins=coupled["num_spins"] + 1),
         dict(coupled, sigma_spins=-1),
     ]
+    # a stored basis the masks do not derive: empty, repeated, or spanning
+    # the right space but not the canonical basis
+    toric = sm_to_json_dict(build_sm_coupled(toric2d(2), *[BitVector(8, 0)] * 2))
+    assert toric["symmetry_basis"] == ["11110000", "00001111"]
+    bad_inputs += [
+        dict(good, symmetry_basis=[], degeneracy_exponent=0),
+        dict(good, symmetry_basis=["1111", "1111"], degeneracy_exponent=2),
+        dict(toric, symmetry_basis=["11111111", "00001111"]),
+    ]
     for data in bad_inputs:
         with pytest.raises(ValueError):
             sm_from_json_dict(data)
     # the unedited dicts load
-    for data in (good, coupled):
+    for data in (good, coupled, toric):
         assert sm_to_json_dict(sm_from_json_dict(data)[0]) == data
+    # a 10^8-spin model with no terms and no basis: refused by its length
+    # alone, before a kernel basis of 10^8 vectors is built
+
+    def unreachable(*args):
+        raise AssertionError("a kernel basis was built")
+
+    monkeypatch.setattr(statmech, "kernel_basis", unreachable)
+    huge = dict(good, num_spins=10**8, sigma_spins=10**8, terms=[],
+                symmetry_basis=[], degeneracy_exponent=0)
+    with pytest.raises(ValueError, match="symmetry_basis"):
+        sm_from_json_dict(huge)
 
 
 def test_sm_from_json_rejects_foreign_families():
