@@ -100,10 +100,13 @@ class CssCode:
         return matvec(self.Hx_red, ez)
 
 
-def logical_operators(Hz: BitMatrix, Hx: BitMatrix) -> Tuple[BitMatrix, BitMatrix]:
+def logical_operators(
+    Hz: BitMatrix, Hx: BitMatrix, reduced_z, reduced_x
+) -> Tuple[BitMatrix, BitMatrix]:
     """Extract k paired logical operators, each pure X- or pure Z-type.
 
-    Z candidates are the kernel basis of Hx, X candidates that of Hz. Each Z
+    Z candidates are the kernel basis of Hx, X candidates that of Hz, each
+    read off the matrix's row_reduce output (reduced_x, reduced_z). Each Z
     candidate in order is paired with the first remaining X candidate it
     overlaps oddly; z is then XORed into every later Z candidate that
     overlaps x oddly, and x into every remaining X candidate that overlaps z
@@ -115,8 +118,8 @@ def logical_operators(Hz: BitMatrix, Hx: BitMatrix) -> Tuple[BitMatrix, BitMatri
         (logical_x, logical_z): k×n support matrices with
         <logical_z[i], logical_x[j]> = δ_ij.
     """
-    zs = list(kernel_basis(Hx).row_bits)  # Z-type: commute with every X check
-    xs = list(kernel_basis(Hz).row_bits)
+    zs = list(kernel_basis(Hx, reduced_x).row_bits)  # Z-type: commute with X checks
+    xs = list(kernel_basis(Hz, reduced_z).row_bits)
     lx, lz = [], []
     for i in range(len(zs)):
         z = zs[i]
@@ -156,7 +159,7 @@ def new_css(Hz: BitMatrix, Hx: BitMatrix) -> CssCode:
     k = n - rank_x - rank_z
     if k == 0:
         warnings.warn("check pair encodes zero logical qubits", EmptyCodeWarning)
-    lx, lz = logical_operators(Hz, Hx)
+    lx, lz = logical_operators(Hz, Hx, (Rz, pz), (Rx, px))
     if lx.rows != k:
         raise AssertionError(f"expected {k} logical pairs, extracted {lx.rows}")
     return CssCode(

@@ -213,13 +213,15 @@ def row_space_basis(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.cols, red.row_bits[: len(pivots)])
 
 
-def kernel_basis(m: BitMatrix) -> BitMatrix:
+def kernel_basis(m: BitMatrix, reduced=None) -> BitMatrix:
     """Basis of {v : m v = 0}, one row per free column, ascending.
 
     Row count is cols − rank(m). For free column f the basis vector has a 1
     at f and picks up R[j, f] at each pivot column j, which zeroes the product.
+    reduced, if given, is row_reduce(m), so a caller that already holds it
+    does not reduce m again.
     """
-    red, pivots = row_reduce(m)
+    red, pivots = row_reduce(m) if reduced is None else reduced
     pivot_set = set(pivots)
     out = []
     for f in range(m.cols):

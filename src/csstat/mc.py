@@ -13,9 +13,11 @@ single integer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -158,8 +160,9 @@ def _run_replica(
     meas = sweeps - burn_in
     energy = np.empty(meas, dtype=np.float64)
     snaps = []
-    deg_row = np.array(deg, dtype=np.int64)
     block = max(1, _UNIFORMS_PER_DRAW // num_spins)
+    # deg_i + 1 for every proposal of a full draw; int16 holds it less any A(u)
+    deg_plus_one = np.tile(np.array(deg, dtype=np.int16) + 1, min(block, sweeps))
     for sweep in range(sweeps):
         at = sweep % block
         if at == 0:  # sweeps [s0, s1) take counters [(1+s0)*S, (1+s1)*S)
@@ -167,12 +170,13 @@ def _run_replica(
             end = (1 + sweep + drawn_sweeps) * num_spins
             counters = np.arange((1 + sweep) * num_spins, end, dtype=np.uint64)
             u = uniforms(counters, stream_seed)
-            reach = np.zeros(len(u), dtype=np.int64)  # A(u) = #{m : u < accept[m]}
+            # flip iff m <= A(u) = #{m : u < accept[m]}, i.e. h[i] >= K =
+            # max(0, ceil((deg_i - A) / 2)) = max(0, (deg_i + 1 - A) >> 1)
+            need = deg_plus_one[:len(u)].copy()
             for a in accept:
-                reach += u < a
-            # flip iff m <= A(u), i.e. h[i] >= K = max(0, ceil((deg_i - A) / 2))
-            need = (np.tile(deg_row, drawn_sweeps) - reach + 1) // 2
-            thresholds = np.maximum(need, 0).tolist()
+                need -= u < a
+            need >>= 1
+            thresholds = np.maximum(need, 0).astype(np.uint8).tobytes()
         k_row = thresholds[at * num_spins:(at + 1) * num_spins]
         for i in range(num_spins):
             h_i = h[i]
@@ -200,24 +204,43 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _processes(replicas: int) -> int:
-    """Processes a scan runs its replicas in: never more than the CPUs."""
-    return min(replicas, _cpu_count())
+MAX_DEGREE = 510  # a threshold is at most ceil(deg / 2) and is stored as uint8
+
+
+def _check_model(model: SmModel) -> None:
+    """Refuse a model the threshold kernel cannot sample."""
+    if model.species == SPECIES_COUPLED:
+        raise ValueError("metropolis samples single-register models only")
+    if model.num_spins == 0:
+        raise ValueError("model has no spins")
+    if len(model.masks) > MAX_DEGREE:  # no spin has more terms than the model
+        deg = max(Counter(s for mask in model.masks for s in mask_sites(mask)).values())
+        if deg > MAX_DEGREE:
+            raise ValueError(
+                f"a spin in {deg} terms is past the {MAX_DEGREE} metropolis supports"
+            )
+
+
+def _replica_args(model: SmModel, beta: float, cfg: McConfig, replica: int):
+    """The _run_replica arguments of one replica of a run."""
+    return model, beta, cfg.sweeps, cfg.burn_in, derive_seed(cfg.seed, replica)
 
 
 def metropolis(
-    model: SmModel, beta: float, cfg: McConfig, *, pool=None
+    model: SmModel, beta: float, cfg: McConfig, *, pending=None
 ) -> McObservables:
     """Sample a single-register model at coupling beta.
 
     Fixed proposal order (spin 0..S-1 each sweep), and each sweep's uniforms
     sliced from one draw of up to _UNIFORMS_PER_DRAW that covers whole
     sweeps. Replica r runs on stream derive_seed(cfg.seed, r); the overlap
-    pairs every two replicas and averages. With a process pool (one that
-    nishimori_scan opens), this process runs the first ceil(R / P) replicas
-    for P = _processes(R) and the pool runs the rest; each chain is a pure
-    function of its arguments and the results are kept in replica order, so
-    the observables are bit-identical to running every replica here.
+    pairs every two replicas and averages. pending, if given, maps replica
+    indices to futures of _run_replica(*_replica_args(model, beta, cfg, r))
+    that some other process runs (nishimori_scan queues them); this call
+    runs every other replica itself first, then collects those. Each chain
+    is a pure function of its arguments and the results are combined in
+    replica order, so the observables are bit-identical to running every
+    replica here.
 
     The rule is min(1, e^{-beta dH}): flipping spin i, with m = deg_i -
     2*h[i] for h[i] its count of negative terms, costs dH = 2*m and is
@@ -228,9 +251,10 @@ def metropolis(
     max_deg. Either way the rule holds exactly when m <= A(u), which is
     h[i] >= K = max(0, ceil((deg_i - A(u)) / 2)). The same uniforms meet
     the same float compares, so the chain is the one the direct rule gives,
-    bit for bit. A rejected proposal costs one integer compare; a flip
-    updates h at the other sites of its terms, so the cost follows the flip
-    rate, not the proposal count.
+    bit for bit. Each draw's thresholds K are stored as bytes, so a spin's
+    degree may be at most MAX_DEGREE (checked). A rejected proposal costs
+    one integer compare; a flip updates h at the other sites of its terms,
+    so the cost follows the flip rate, not the proposal count.
 
     Caveat: zero-cost flips are always accepted (min(1, e^0) = 1), so on a
     landscape with flat directions the fixed-order sweep traverses them
@@ -240,19 +264,14 @@ def metropolis(
     every spin having even degree is the warning sign — should come from
     exact enumeration instead.
     """
-    if model.species == SPECIES_COUPLED:
-        raise ValueError("metropolis samples single-register models only")
-    if model.num_spins == 0:
-        raise ValueError("model has no spins")
-    args = (model, beta, cfg.sweeps, cfg.burn_in)
-    seeds = [derive_seed(cfg.seed, r) for r in range(cfg.replicas)]
-    local = len(seeds)
-    if pool is not None:
-        local = -(-len(seeds) // _processes(cfg.replicas))
-    futures = [pool.submit(_run_replica, *args, seed) for seed in seeds[local:]]
-    chains = [_run_replica(*args, seed) for seed in seeds[:local]]
-    chains += [f.result() for f in futures]
-    energies, snapshots = zip(*chains)
+    _check_model(model)
+    pending = pending or {}
+    chains = {
+        r: _run_replica(*_replica_args(model, beta, cfg, r))
+        for r in range(cfg.replicas) if r not in pending
+    }
+    chains.update((r, future.result()) for r, future in pending.items())
+    energies, snapshots = zip(*(chains[r] for r in range(cfg.replicas)))
     mean_e, err_e = _blocked(np.mean(energies, axis=0))
     if cfg.replicas < 2:
         return McObservables(mean_e, err_e, math.nan, math.nan)
@@ -260,7 +279,7 @@ def metropolis(
     pairs = 0
     for a in range(cfg.replicas):
         for b in range(a + 1, cfg.replicas):
-            q = (snapshots[a].astype(np.float64) * snapshots[b]).mean(axis=1)
+            q = (snapshots[a] * snapshots[b]).mean(axis=1)  # int8 +-1, summed exactly
             q2 += q * q
             pairs += 1
     mean_q2, err_q2 = _blocked(q2 / pairs)
@@ -288,17 +307,7 @@ class ScanRow:
     samples: int
 
 
-def _scan_point(
-    code: CssCode, base: SmModel, p: float, p_index: int, disorder_samples: int,
-    cfg: McConfig, pool,
-) -> ScanRow:
-    beta = nishimori_beta(p)
-    results: List[McObservables] = []
-    for j in range(disorder_samples):
-        e_rep = sample_disorder(code, p, derive_seed(cfg.seed, p_index, j, 0))
-        model = replace(base, signs=_signs(e_rep))
-        run_cfg = replace(cfg, seed=derive_seed(cfg.seed, p_index, j, 1))
-        results.append(metropolis(model, beta, run_cfg, pool=pool))
+def _disorder_average(p: float, beta: float, results: List[McObservables]) -> ScanRow:
     n_s = len(results)
     e_means = np.array([r.mean_energy for r in results])
     e_errs = np.array([r.energy_err for r in results])
@@ -329,12 +338,18 @@ def nishimori_scan(
 
     Every sample's streams are derived from (cfg.seed, point index, sample
     index), so the output is a pure function of cfg.seed. The side's model is
-    built once; each disorder sample swaps in only its signs.
+    built and checked once; each disorder sample swaps in only its signs.
 
-    Replicas run in _processes(cfg.replicas) processes: this one plus a pool
-    of forked workers, opened once for the scan and joined before it returns
-    or raises. Without the fork start method they all run here. log, if
-    given, receives "mc processes=<P>" once and "time p=<p>: <s>s" per point.
+    The scan builds every sample's model first, then runs its chains, one
+    per (point, sample, replica), in P = min(chains, CPUs) processes: this
+    one plus a pool of forked workers, opened once for the scan and joined
+    before it returns or raises (a raise cancels the chains still queued).
+    Chain i in that order runs here when i % P == 0; every other chain is
+    queued to the pool before the first metropolis call, so the workers
+    never wait on this process between samples. Without the fork start
+    method every chain runs here. log, if given, receives "mc processes=<P>"
+    once and, per point, "time p=<p>: <s>s", this process's wall time for
+    the point's metropolis calls and their disorder average.
     """
     if side not in ("x", "z"):
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
@@ -344,21 +359,45 @@ def nishimori_scan(
         if not 0.0 < p < 1.0:
             raise ValueError(f"scan rates must satisfy 0 < p < 1, got {p}")
     base = (build_sm_x if side == "x" else build_sm_z)(code, BitVector(code.n, 0))
+    _check_model(base)
+    betas = [nishimori_beta(p) for p in p_grid]
+    runs = [  # per point, every sample's (model, run config)
+        [
+            (replace(base, signs=_signs(
+                sample_disorder(code, p, derive_seed(cfg.seed, idx, j, 0)))),
+             replace(cfg, seed=derive_seed(cfg.seed, idx, j, 1)))
+            for j in range(disorder_samples)
+        ]
+        for idx, p in enumerate(p_grid)
+    ]
     # Imported here, not at the top: after `import csstat.cli` they take
     # another 15-30 ms and 1.2 MiB, which every command would pay for them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     fork = "fork" in multiprocessing.get_all_start_methods()
-    processes = _processes(cfg.replicas) if fork else 1
+    chains = len(p_grid) * disorder_samples * cfg.replicas
+    processes = min(chains, _cpu_count()) if fork else 1
     if log is not None:
         log(f"mc processes={processes}")
 
     def scan(pool) -> List[ScanRow]:
+        queued = {}  # (point, sample) -> {replica: future of a pool chain}
+        chain = itertools.count()
+        for idx, beta in enumerate(betas):
+            for j, (model, run_cfg) in enumerate(runs[idx]):
+                for r in range(cfg.replicas):
+                    if next(chain) % processes:
+                        queued.setdefault((idx, j), {})[r] = pool.submit(
+                            _run_replica, *_replica_args(model, beta, run_cfg, r))
         rows = []
-        for idx, p in enumerate(p_grid):
+        for idx, (p, beta) in enumerate(zip(p_grid, betas)):
             start = time.perf_counter()
-            rows.append(_scan_point(code, base, p, idx, disorder_samples, cfg, pool))
+            results = [
+                metropolis(model, beta, run_cfg, pending=queued.get((idx, j)))
+                for j, (model, run_cfg) in enumerate(runs[idx])
+            ]
+            rows.append(_disorder_average(p, beta, results))
             if log is not None:
                 log(f"time p={p:.6g}: {time.perf_counter() - start:.4f}s")
         return rows
@@ -368,7 +407,10 @@ def nishimori_scan(
     # fork, not spawn: a spawned worker imports numpy and csstat afresh, about
     # 0.2 s a scan, more than a pooled mc_scan call takes. Chains call no
     # BLAS routine, so the parent's idle OpenBLAS threads do not matter.
-    with ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         max_workers=processes - 1, mp_context=multiprocessing.get_context("fork")
-    ) as pool:
+    )
+    try:
         return scan(pool)
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -1,16 +1,18 @@
 """Command-line surface: schemas, exit codes, provenance, round-trips."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from csstat import info, statmech
+from csstat import info, mc, statmech
 from csstat.channels import sector_distribution_joint
 from csstat.cli import build_parser, format_cell, main, parse_noise
 from csstat.css import EmptyCodeWarning
@@ -376,6 +378,39 @@ def test_exit_code_input_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize(
+    "text, side, message",
+    [
+        ("css-code v1\nn 2\nHz 0\nHx 1\n11\n", "z", "model has no spins"),
+        # one X check on every qubit: a spin in 511 terms, whose threshold
+        # 256 no longer fits in a byte
+        ("css-code v1\nn 511\nHz 0\nHx 1\n" + "1" * 511 + "\n", "x",
+         "a spin in 511 terms is past the 510"),
+    ],
+    ids=["no spins", "degree 511"],
+)
+def test_mc_refuses_a_model_before_any_chain(
+    tmp_path, capsys, monkeypatch, text, side, message
+):
+    # the side's model is checked once, before any chain is queued, so the
+    # scan exits 2 with the reason and opens no pool
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    path = tmp_path / "model.code"
+    path.write_text(text, encoding="ascii")
+    code, _, err = run(
+        capsys, "mc", str(path), "--side", side, "--p-start", "0.1",
+        "--p-stop", "0.2", "--points", "2", "--sweeps", "100", "--burn-in", "10",
+    )
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from csstat import statmech
+from csstat import css, gf2, statmech
 from csstat.css import (
     CodeFormatError,
     CommutationViolation,
@@ -27,7 +27,7 @@ from csstat.css import (
     to_text,
     with_logical_basis,
 )
-from csstat.gf2 import BitMatrix, BitVector, kernel_basis, rank
+from csstat.gf2 import BitMatrix, BitVector, kernel_basis, rank, row_reduce
 from csstat.zoo import (
     four22,
     from_selector,
@@ -85,6 +85,22 @@ def test_logical_basis_is_pinned(selector, k, digest):
     assert code.k == k
     lines = code.logical_x.to01_lines() + code.logical_z.to01_lines()
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("selector", [row[0] for row in LOGICAL_BASIS_DIGESTS])
+def test_from_selector_reduces_each_check_matrix_once(monkeypatch, selector):
+    # new_css hands its two row reductions to the kernel bases, so building
+    # a code reduces Hz and then Hx, and nothing else
+    reduced = []
+
+    def recording(m):
+        reduced.append(m)
+        return row_reduce(m)
+
+    monkeypatch.setattr(gf2, "row_reduce", recording)
+    monkeypatch.setattr(css, "row_reduce", recording)
+    code = from_selector(selector)
+    assert reduced == [code.Hz, code.Hx]
 
 
 @st.composite

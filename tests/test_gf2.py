@@ -148,6 +148,8 @@ def test_kernel_is_exact_null_space(m):
             if matvec(m, BitVector(m.cols, bits)).is_zero()
         )
         assert count == 1 << ker.rows
+    # a caller that holds the row reduction gets the same basis from it
+    assert kernel_basis(m, row_reduce(m)) == ker
 
 
 def test_row_space_basis_spans():

@@ -184,21 +184,76 @@ def test_scan_rows_are_pinned():
     )
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
 def test_pinned_rows_hold_with_and_without_the_pool(monkeypatch, cpus):
-    # one CPU runs every replica here; three run replicas = 2 in two
-    # processes and replicas = 3 in three, one chain each
+    # one CPU runs every chain here; more spread the 8 and 6 chains of the
+    # two scans round robin over min(chains, cpus) processes
     monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
     test_scan_rows_are_pinned()
     assert multiprocessing.active_children() == []
 
 
-def test_no_worker_outlives_a_scan(monkeypatch):
+class _SpyPool(concurrent.futures.ProcessPoolExecutor):
+    """The real pool, recording its worker counts and its futures."""
+
+    workers: List[int] = []
+    futures: List[concurrent.futures.Future] = []
+
+    def __init__(self, max_workers, mp_context):
+        super().__init__(max_workers=max_workers, mp_context=mp_context)
+        self.workers.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(_SpyPool, "workers", [])
+    monkeypatch.setattr(_SpyPool, "futures", [])
+    return _SpyPool
+
+
+def test_single_replica_samples_share_the_cpus(monkeypatch, spy_pool):
+    # one replica per sample leaves no replica to share, but the samples
+    # spread: at two CPUs one worker runs every other sample's chain, and
+    # the rows are those of one process (NaN overlaps, so compared as JSON)
+    cfg = McConfig(sweeps=300, burn_in=60, seed=3, replicas=1)
+
+    def scan_json(cpus):
+        monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
+        lines = []
+        rows = nishimori_scan(toric2d(3), "x", [0.08, 0.2], 3, cfg, log=lines.append)
+        return lines[0], json.dumps([dataclasses.astuple(r) for r in rows])
+
+    alone = scan_json(1)
+    assert alone[0] == "mc processes=1" and spy_pool.workers == []
+    shared = scan_json(2)
+    assert shared == ("mc processes=2", alone[1])
+    assert spy_pool.workers == [1] and len(spy_pool.futures) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_scan(monkeypatch, spy_pool):
     monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
     cfg = McConfig(sweeps=40, burn_in=8, seed=1, replicas=2)
     lines = []
     nishimori_scan(toric2d(2), "x", [0.1, 0.2], 2, cfg, log=lines.append)
     assert lines[0] == "mc processes=2" and len(lines) == 3
+    assert multiprocessing.active_children() == []
+    # a scan that raises at its first point cancels the chains still
+    # queued: the worker has 8, each far longer than the raise takes
+    # once the first sample's two chains are back
+    del spy_pool.futures[:]
+    long_cfg = McConfig(sweeps=30000, burn_in=8, seed=1, replicas=2)
+    with monkeypatch.context() as patch, pytest.raises(ZeroDivisionError):
+        patch.setattr(mc, "_blocked", lambda series: 1 / 0)
+        nishimori_scan(toric2d(4), "x", [0.1, 0.12, 0.14, 0.16], 2, long_cfg)
+    assert len(spy_pool.futures) == 8
+    assert any(future.cancelled() for future in spy_pool.futures)
     assert multiprocessing.active_children() == []
     # chains that raise, here and in the worker, still leave no worker
     monkeypatch.setattr(mc, "math", SimpleNamespace(exp=lambda x: -x))
@@ -216,17 +271,14 @@ class _InlinePool:
     def __init__(self, max_workers, mp_context):
         self.max_workers.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn, *args):
         self.submits.append(1)
         future = concurrent.futures.Future()
         future.set_result(fn(*args))
         return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 def test_worker_count_is_capped_by_the_cpus(monkeypatch):
@@ -234,17 +286,23 @@ def test_worker_count_is_capped_by_the_cpus(monkeypatch):
     monkeypatch.setattr(_InlinePool, "max_workers", [])
     monkeypatch.setattr(_InlinePool, "submits", [])
     cpus = mc._cpu_count()
-    # four processes: this one runs ceil(6 / 4) = 2 of each sample's
-    # replicas and the pool the other 4, and the rows stay those of one
-    # process (on 9 spins the float sums show the replica order)
+    # 2 samples x 6 replicas = 12 chains in four processes: this one runs
+    # chains 0, 4 and 8 and the pool the other 9, and the rows stay those
+    # of one process (on 9 spins the float sums show the replica order)
     cfg = McConfig(sweeps=40, burn_in=8, seed=2, replicas=6)
     monkeypatch.setattr(mc, "_cpu_count", lambda: 1)
     alone = nishimori_scan(toric2d(3), "x", [0.1], 2, cfg)
     monkeypatch.setattr(mc, "_cpu_count", lambda: 4)
     assert nishimori_scan(toric2d(3), "x", [0.1], 2, cfg) == alone
-    assert _InlinePool.max_workers == [3] and len(_InlinePool.submits) == 8
-    # however many replicas, at most CPUs - 1 workers; the chains do not
-    # matter for the count, so a stub stands in for them
+    assert _InlinePool.max_workers == [3] and len(_InlinePool.submits) == 9
+    # fewer chains than CPUs: one worker for two chains, none for one
+    two = McConfig(sweeps=40, burn_in=8, seed=2, replicas=2)
+    nishimori_scan(toric2d(3), "x", [0.1], 1, two)
+    nishimori_scan(toric2d(3), "x", [0.1], 1, dataclasses.replace(two, replicas=1))
+    assert _InlinePool.max_workers == [3, 1] and len(_InlinePool.submits) == 10
+    # however many chains, at most CPUs - 1 workers; the chains do not
+    # matter for the count, so stubs stand in for them
+    monkeypatch.setattr(mc, "_run_replica", lambda *args: None)
     monkeypatch.setattr(
         mc, "metropolis", lambda *a, **k: mc.McObservables(0.0, 0.0, 0.0, 0.0)
     )
@@ -368,6 +426,21 @@ def test_thresholds_match_direct_rule(selector, side, p):
     assert np.array_equal(got[0], want[0])
     assert got[1].dtype == want[1].dtype
     assert np.array_equal(got[1], want[1])
+
+
+def test_thresholds_fit_a_byte_up_to_degree_510():
+    # one spin in 510 terms: its thresholds reach ceil(510 / 2) = 255, the
+    # largest byte, and the chain still follows the direct rule; a 511th
+    # term is refused before any chain runs
+    model = SmModel(num_spins=1, masks=(1,) * 510, signs=(1, -1) * 255,
+                    species="x", sigma_spins=1)
+    for p in (0.05, 0.3, 0.7):
+        got = _run_replica(model, nishimori_beta(p), 40, 5, 9)
+        want = _oracle_replica(model, nishimori_beta(p), 40, 5, 9)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    wide = dataclasses.replace(model, masks=(1,) * 511, signs=(1,) * 511)
+    with pytest.raises(ValueError, match="511 terms"):
+        metropolis(wide, 0.3, McConfig(sweeps=40, burn_in=8))
 
 
 def test_increasing_acceptance_table_is_refused(monkeypatch):

@@ -838,6 +838,31 @@ def test_sm_from_json_rejects_bad_terms(monkeypatch):
         sm_from_json_dict(huge)
 
 
+def test_sm_from_json_rejects_missing_or_mistyped_fields():
+    # a missing field, an int where a basis string belongs and a string
+    # where num_spins' int belongs raise ValueError, not KeyError/TypeError
+    good = sm_to_json_dict(_sm_export_models()["toric2d:2 x:101:01"][0])
+    assert sm_to_json_dict(sm_from_json_dict(good)[0]) == good
+    no_basis = {key: value for key, value in good.items() if key != "symmetry_basis"}
+    bad_inputs = [
+        (no_basis, "symmetry_basis must be a list"),
+        (dict(good, symmetry_basis=[1111]), "symmetry_basis vector must be a string"),
+        (dict(good, num_spins="4"), "num_spins must be an integer"),
+        (dict(good, num_spins=True), "num_spins must be an integer"),
+        (dict(good, num_spins=-1), "num_spins must be >= 0"),
+        (dict(good, terms=[5]), "term must be an object"),
+        (dict(good, terms=[{"sites": [0, 1], "sign": 1}]), "family must be a string"),
+        (dict(good, terms=[{"sites": [0, 1.0], "sign": 1, "family": "x"}]),
+         "term site must be an integer"),
+        (dict(good, couplings={"cx": 0.1, "cz": "0.1", "cy": 0.0}),
+         "cz must be a number"),
+        ([good], "sm-model must be an object"),
+    ]
+    for data, message in bad_inputs:
+        with pytest.raises(ValueError, match=message):
+            sm_from_json_dict(data)
+
+
 def test_sm_from_json_rejects_foreign_families():
     # a term whose family is not the model's own would take another coupling
     # in the partition sum than the normalization assumes
