@@ -102,6 +102,7 @@ _MODES = {
 
 
 _SUM_BLOCK = 1 << 16  # entries per exact_sum pass: keeps its bincounts exact
+_SUM_LEVEL_BITS = 10  # check() sums at most 2^10 terms per level of its estimate
 
 # exact_sum buckets entries by key = bits >> 52 (sign bit, then the biased
 # exponent e). An entry with e ≥ 1 is (2^52 + f)·2^(e−1075) and one with
@@ -204,12 +205,41 @@ class SectorDistribution:
         return exact_sum(self.table)
 
     def check(self) -> None:
+        """Raise InternalInvariantError unless every entry is >= 0 (not NaN)
+        and the exact sum S of the entries, correctly rounded, lies within
+        1e-12 of 1.
+
+        A float estimate ŝ settles almost every table without exact_sum. The
+        table is summed in levels of at most 2^_SUM_LEVEL_BITS terms (row
+        sums of a reshape, then sums of those), so each entry passes through
+        at most D = Σ (terms per level − 1) roundings, in whatever order
+        numpy adds. As no entry is negative, the any-order summation bound
+        (Higham, Accuracy and Stability of Numerical Algorithms, §4.2) gives
+        |ŝ − S| ≤ γ_D·S ≤ 2·D·2^−53·ŝ, and rounding S moves it by at most
+        2^−53 < 2^−52. So |ŝ − 1| + 2·D·2^−53·ŝ + 2^−52 ≤ 1e-12 with ŝ finite
+        proves the exact test passes; the bounds' margins absorb the rounding
+        of this test itself. Any other table (inconclusive, an overflowing
+        sum, +inf) takes the exact_sum path, so every table passes or fails,
+        with the same error, as under the exact test alone.
+        """
         # both tests are written so that a NaN entry fails them
         bad = np.flatnonzero(~(self.table >= 0.0))
         if bad.size:
             raise InternalInvariantError(
                 f"negative or NaN probability at index {bad[0]}"
             )
+        partial, depth = self.table, 0
+        bits = partial.size.bit_length() - 1
+        with np.errstate(over="ignore"):  # an overflow goes to exact_sum
+            for levels in range(-(-bits // _SUM_LEVEL_BITS), 0, -1):
+                width = bits // levels
+                partial = partial.reshape(-1, 1 << width).sum(axis=1)
+                depth += (1 << width) - 1
+                bits -= width
+        estimate = float(partial[0])
+        slack = 2 * depth * 2.0**-53 * estimate + 2.0**-52
+        if math.isfinite(estimate) and abs(estimate - 1.0) + slack <= 1e-12:
+            return
         total = self.total()
         if not abs(total - 1.0) <= 1e-12:
             raise InternalInvariantError(
@@ -232,22 +262,44 @@ def _krawtchouk_table(n: int) -> np.ndarray:
 
 
 def _walsh_hadamard(a: np.ndarray) -> None:
-    """In-place unnormalized Walsh–Hadamard transform along axis 0.
+    """In-place unnormalized Walsh–Hadamard transform of int64 rows, axis 0.
 
-    Each butterfly maps (x, y) to (x + y, x − y). Integers take x − y as
-    (x + y) − 2y, with no copy of x: exact, as int64 wraps modulo 2^64 and the
-    results fit. Floats copy x, since (x + y) − 2y rounds differently.
+    Each butterfly maps (x, y) to (x + y, x − y), taking x − y as
+    (x + y) − 2y so that no copy of x is made: exact, as int64 wraps modulo
+    2^64 and the results fit. The coset enumerator's A stays its one large
+    array. Float arrays use _constant_geometry_transform, since (x + y) − 2y
+    rounds differently from x − y.
     """
-    size, integer = a.shape[0], a.dtype.kind == "i"
-    half = 1
+    size, half = a.shape[0], 1
     while half < size:
         top, bottom = a.reshape(size // (2 * half), 2, half, -1).swapaxes(0, 1)
-        x = top if integer else top.copy()
         top += bottom
-        if integer:
-            bottom *= 2
-        np.subtract(x, bottom, out=bottom)
+        bottom *= 2
+        np.subtract(top, bottom, out=bottom)
         half *= 2
+
+
+def _constant_geometry_transform(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh–Hadamard transform of a flat float64 array of 2^m
+    entries, in Pease's constant geometry (J. ACM 15, 252, 1968).
+
+    Each of the m passes reads the pairs (x, y) = (2i, 2i + 1) of one buffer
+    and writes x + y to entry i and x − y to entry i + 2^(m−1) of the other,
+    so its reads have stride 2 and its writes are contiguous. A pass rotates
+    the index bits right by one, so pass j pairs entries that differ in the
+    input's bit j, and after m passes the order is natural again. Every
+    output is the same x + y or x − y of the same operands as in the in-place
+    butterfly network taken bit 0 first, so the result is bit-identical to
+    it. a is overwritten; the result is a or one scratch array of its size.
+    """
+    src, dst = a, np.empty_like(a)
+    half = a.size // 2
+    for _ in range(a.size.bit_length() - 1):
+        pairs = src.reshape(half, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=dst[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=dst[half:])
+        src, dst = dst, src
+    return src
 
 
 def _check_enumerator_size(n: int, m: int) -> None:
@@ -388,14 +440,17 @@ def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistrib
     Laid out as [t, s], these 2^m values (m = m_x + m_z = n + k) are already
     in the packed (a, kx | b, kz) order, and their Walsh–Hadamard transform
     divided by 2^m is the table; m ≤ MAX_LABEL_BITS and n ≤ MAX_SUPPORT_BITS.
+    The transform runs in constant geometry (_constant_geometry_transform):
+    m contiguous passes between the values' buffer and one scratch buffer of
+    its size, bit-identical to the in-place butterfly network.
 
     The arithmetic is floating point, with an absolute error bound of
     (m + 4)·2^−52 per entry. Each f is correctly rounded (math.fsum), so an
     input has magnitude at most 1 and relative error at most (n + 5)·2^−53
     (powers, two products); the transform carries that over unamplified
-    after the exact 2^−m scaling, and its m butterfly stages add at most
-    2^−53 each. An entry below −bound raises InternalInvariantError; entries
-    in [−bound, 0) are set to 0.
+    after the exact 2^−m scaling, and its m stages add at most 2^−53 each.
+    An entry below −bound raises InternalInvariantError; entries in
+    [−bound, 0) are set to 0.
     """
     n = code.n
     x_rows, _ = label_functionals(code, "x")
@@ -417,7 +472,7 @@ def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistrib
     )
     probs = pow10[np.bitwise_count(s) - both] * pow01[np.bitwise_count(t) - both]
     probs *= pow11[both]
-    _walsh_hadamard(probs.reshape(-1))
+    probs = _constant_geometry_transform(probs.reshape(-1))
     probs /= 1 << m
     bound = (m + 4) * 2.0**-52
     if probs.min() < -bound:
@@ -433,7 +488,7 @@ def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistrib
         n=n,
         k=code.k,
         widths=widths,
-        table=probs.ravel(),
+        table=probs,
         noise={"ptx": noise.ptx, "pty": noise.pty, "ptz": noise.ptz},
     )
     dist.check()
@@ -496,16 +551,37 @@ def to_json_dict(dist: SectorDistribution) -> dict:
     }
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+          dict: "an object"}
+_TABLE_FIELDS = {"code_hash": str, "n": int, "k": int, "mode": str, "widths": dict,
+                 "table": dict}
+
+
+def expect_json(value, kind: type, what: str):
+    """value, or ValueError unless it is a kind (an int counts as a float, and
+    a bool as neither)."""
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(
+        value, bool
+    ):
+        raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
 def from_json_dict(data: dict) -> SectorDistribution:
     """Inverse of to_json_dict (bit-exact on probabilities).
 
-    Raises ValueError unless the widths name only the fields a, b, kx and kz
-    (kx and kz k bits wide), the keys name each of the 2^(Σ widths) sector
-    labels exactly once, the stored mode is the one the widths imply and
-    the table passes check().
+    Raises ValueError on a missing or mistyped field, and unless the widths
+    name only the fields a, b, kx and kz (kx and kz k bits wide), the keys
+    name each of the 2^(Σ widths) sector labels exactly once, the stored
+    mode is the one the widths imply and the table passes check().
     """
-    widths = {str(f): int(w) for f, w in data["widths"].items()}
-    k = int(data["k"])
+    for key, kind in _TABLE_FIELDS.items():
+        expect_json(expect_json(data, dict, "a sector table").get(key), kind, key)
+    widths = {f: expect_json(w, int, f"width of {f!r}")
+              for f, w in data["widths"].items()}
+    noise = {f: float(expect_json(v, float, f"noise {f!r}"))
+             for f, v in expect_json(data.get("noise", {}), dict, "noise").items()}
+    k, entries = data["k"], data["table"]
     for name, width in widths.items():
         if name not in AXES:
             raise ValueError(
@@ -513,23 +589,25 @@ def from_json_dict(data: dict) -> SectorDistribution:
             )
         if width < 0 or (name in ("kx", "kz") and width != k):
             raise ValueError(f"field {name!r} has width {width} (k = {k})")
-    labels = _json_labels(widths)
-    index_of = np.empty_like(labels)
-    index_of[labels] = np.arange(len(labels))
-    keys = [int(hex_key, 16) for hex_key in data["table"]]
-    if sorted(keys) != list(range(len(labels))):
-        raise ValueError(
-            f"table keys must cover each of the {len(labels)} sector labels once"
-        )
-    table = np.empty(len(labels))
-    table[index_of[keys]] = [float(p) for p in data["table"].values()]
+    bits = sum(widths.values())
+    keys = [int(hex_key, 16) for hex_key in entries]
+    size = len(keys)
+    # min(): no file holds 2^63 keys, and a huge width builds no huge int
+    if size != 1 << min(bits, 63) or sorted(keys) != list(range(size)):
+        raise ValueError(f"table keys must cover each of the 2^{bits} sector labels once")
+    index_of = np.empty(size, dtype=np.int64)
+    index_of[_json_labels(widths)] = np.arange(size)
+    table = np.empty(size)
+    table[index_of[keys]] = [
+        expect_json(p, float, "a table probability") for p in entries.values()
+    ]
     dist = SectorDistribution(
-        code_hash=str(data["code_hash"]),
-        n=int(data["n"]),
+        code_hash=data["code_hash"],
+        n=data["n"],
         k=k,
         widths=widths,
         table=table,
-        noise={str(k): float(v) for k, v in data.get("noise", {}).items()},
+        noise=noise,
     )
     if data["mode"] != dist.mode:
         raise ValueError(
@@ -538,7 +616,7 @@ def from_json_dict(data: dict) -> SectorDistribution:
         )
     try:
         dist.check()
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, OverflowError) as exc:
         raise ValueError(f"{dist.mode} table is not a distribution: {exc}") from None
     return dist
 

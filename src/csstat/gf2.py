@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BitVector:
@@ -133,13 +135,23 @@ class BitMatrix:
         return (self.row_bits[r] >> c) & 1
 
     def transpose(self) -> "BitMatrix":
-        out = []
-        for c in range(self.cols):
-            acc = 0
-            for r, bits in enumerate(self.row_bits):
-                acc |= ((bits >> c) & 1) << r
-            out.append(acc)
-        return BitMatrix(self.rows, tuple(out))
+        """The cols×rows transpose, through one numpy bit matrix: each row's
+        little-endian bytes are unpacked, the bits transposed and packed back."""
+        rows, cols = self.rows, self.cols
+        if not rows or not cols:
+            return BitMatrix(rows, (0,) * cols)
+        width = (cols + 7) // 8
+        packed = b"".join(r.to_bytes(width, "little") for r in self.row_bits)
+        bits = np.unpackbits(
+            np.frombuffer(packed, np.uint8).reshape(rows, width), axis=1,
+            count=cols, bitorder="little",
+        )
+        data = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+        step = (rows + 7) // 8
+        return BitMatrix(rows, tuple(
+            int.from_bytes(data[i : i + step], "little")
+            for i in range(0, len(data), step)
+        ))
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:

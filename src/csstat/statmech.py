@@ -43,6 +43,7 @@ from .channels import (
     PauliNoise,
     SectorDistribution,
     exact_sum,
+    expect_json,
     sector_distribution_x,
     sector_distribution_z,
 )
@@ -525,21 +526,9 @@ def sm_to_json_dict(
     return out
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
-          dict: "an object"}
 _MODEL_FIELDS = {"species": str, "num_spins": int, "sigma_spins": int,
                  "degeneracy_exponent": int, "terms": list, "symmetry_basis": list}
 _TERM_FIELDS = {"sites": list, "sign": int, "family": str}
-
-
-def _expect(value, kind: type, what: str):
-    """value, or ValueError unless it is a kind (an int counts as a float, and
-    a bool as neither)."""
-    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(
-        value, bool
-    ):
-        raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r:.40}")
-    return value
 
 
 def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
@@ -547,17 +536,17 @@ def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
     field. The stored families, canonical basis and degeneracy must be the
     derived ones; a basis below D >= spins - terms vectors is refused first,
     so a short file builds no large kernel basis."""
-    if _expect(data, dict, "an sm-model").get("format") != "sm-model v1":
+    if expect_json(data, dict, "an sm-model").get("format") != "sm-model v1":
         raise ValueError(f"unsupported model format {data.get('format')!r}")
     for key, kind in _MODEL_FIELDS.items():
-        _expect(data.get(key), kind, key)
+        expect_json(data.get(key), kind, key)
     for t in data["terms"]:
         for key, kind in _TERM_FIELDS.items():
-            _expect(_expect(t, dict, "a term").get(key), kind, f"a term's {key}")
+            expect_json(expect_json(t, dict, "a term").get(key), kind, f"a term's {key}")
         for site in t["sites"]:
-            _expect(site, int, "a term site")
+            expect_json(site, int, "a term site")
     for v in data["symmetry_basis"]:
-        _expect(v, str, "a symmetry_basis vector")
+        expect_json(v, str, "a symmetry_basis vector")
     num_spins, terms = data["num_spins"], data["terms"]
     if num_spins < 0:
         raise ValueError(f"num_spins must be >= 0, got {num_spins}")
@@ -593,8 +582,8 @@ def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
                          "differ from those the masks and species derive")
     couplings = None
     if "couplings" in data:
-        c = _expect(data["couplings"], dict, "couplings")
-        couplings = Couplings(**{f: _expect(c.get(f), float, f)
+        c = expect_json(data["couplings"], dict, "couplings")
+        couplings = Couplings(**{f: expect_json(c.get(f), float, f)
                                  for f in ("cx", "cz", "cy")})
     return model, couplings
 

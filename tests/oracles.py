@@ -1,10 +1,13 @@
-"""Dense enumeration oracles shared by the statmech and Monte Carlo tests."""
+"""Dense enumeration oracles and the plain forms of optimized kernels,
+shared by the tests."""
 
 import math
 
 import numpy as np
 
+from csstat.channels import InternalInvariantError, exact_sum
 from csstat.css import TooLarge
+from csstat.gf2 import BitMatrix
 from csstat.statmech import SPECIES_COUPLED, SmModel
 
 MAX_OBSERVABLE_SPINS = 18  # exact_observables holds every configuration in memory
@@ -46,3 +49,39 @@ def exact_observables(model: SmModel, beta: float):
     )
     corr = (spins * w[:, None]).T @ spins / zw
     return ln_z, mean_h, corr
+
+
+def butterfly_walsh_hadamard(a: np.ndarray) -> None:
+    """In-place unnormalized Walsh–Hadamard transform of a float array along
+    axis 0: the butterfly network, bit 0 first, each stage mapping (x, y) to
+    (x + y, x − y) with a copy of x. The constant-geometry transform must
+    equal it bit for bit."""
+    size, half = a.shape[0], 1
+    while half < size:
+        top, bottom = a.reshape(size // (2 * half), 2, half, -1).swapaxes(0, 1)
+        x = top.copy()
+        top += bottom
+        np.subtract(x, bottom, out=bottom)
+        half *= 2
+
+
+def exact_check(table: np.ndarray) -> None:
+    """SectorDistribution.check() with no float estimate: every table's sum
+    goes through exact_sum."""
+    bad = np.flatnonzero(~(table >= 0.0))
+    if bad.size:
+        raise InternalInvariantError(f"negative or NaN probability at index {bad[0]}")
+    total = exact_sum(table)
+    if not abs(total - 1.0) <= 1e-12:
+        raise InternalInvariantError(f"table sums to {total:.17g}, not 1 within 1e-12")
+
+
+def transpose_by_bits(m: BitMatrix) -> BitMatrix:
+    """BitMatrix.transpose one (row, column) bit at a time."""
+    out = []
+    for c in range(m.cols):
+        acc = 0
+        for r, bits in enumerate(m.row_bits):
+            acc |= ((bits >> c) & 1) << r
+        out.append(acc)
+    return BitMatrix(m.rows, tuple(out))

@@ -33,6 +33,7 @@ from csstat.channels import (
     sector_distributions_z,
     to_json_dict,
     _check_enumerator_size,
+    _constant_geometry_transform,
     _coset_enumerator,
     _krawtchouk_table,
     _walsh_hadamard,
@@ -43,6 +44,7 @@ from csstat.gf2 import BitVector, matvec
 from csstat.info import coherent_information_factorized
 from csstat.statmech import kw_check
 from csstat.zoo import color666, four22, from_selector, steane, surface2d, toric2d
+from oracles import butterfly_walsh_hadamard, exact_check
 from test_css import random_css_pairs
 
 
@@ -611,6 +613,36 @@ def test_json_rejects_incomplete_or_repeated_labels():
             from_json_dict({**data, "table": table})
 
 
+def test_json_rejects_missing_or_mistyped_fields():
+    # each field's presence and JSON type is checked before it is used, so a
+    # malformed file raises ValueError, not KeyError or TypeError
+    data = to_json_dict(sector_distribution_x(steane(), 0.1))
+    first = next(iter(data["table"]))
+    no_widths = {f: v for f, v in data.items() if f != "widths"}
+    cases = [
+        (no_widths, "widths must be an object, got None"),
+        ({**data, "k": "1"}, "k must be an integer, got '1'"),
+        ({**data, "k": True}, "k must be an integer, got True"),
+        ({**data, "table": list(data["table"].values())}, "table must be an object"),
+        ({**data, "table": {**data["table"], first: "0.5"}},
+         "a table probability must be a number, got '0.5'"),
+        ({**data, "table": {**data["table"], first: None}},
+         "a table probability must be a number, got None"),
+        ({**data, "widths": {"b": 3.0, "kz": 1}}, "width of 'b' must be an integer"),
+        ({**data, "noise": {"px": "0.1"}}, "noise 'px' must be a number"),
+        ([data], "a sector table must be an object"),
+        ({**data, "widths": {"b": 10**12, "kz": 1}},
+         r"cover each of the 2\^1000000000001 "),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            from_json_dict(bad)
+    # a table whose sum overflows is not a distribution either
+    huge = {**data, "table": dict.fromkeys(data["table"], 1.7e308)}
+    with pytest.raises(ValueError, match="not a distribution"):
+        from_json_dict(huge)
+
+
 def _pauli_pair_prob(ex, ez, noise, n):
     prob = 1.0
     for i in range(n):
@@ -682,12 +714,54 @@ def test_joint_transform_reaches_toric2d_3():
 def test_joint_transform_raises_on_impossible_entries(monkeypatch):
     # a transform that came out far negative is an internal fault, not noise
     def corrupt(a):
-        _walsh_hadamard(a)
-        a[-1] = -1e-9 * len(a)
+        out = _constant_geometry_transform(a)
+        out[-1] = -1e-9 * len(out)
+        return out
 
-    monkeypatch.setattr("csstat.channels._walsh_hadamard", corrupt)
+    monkeypatch.setattr("csstat.channels._constant_geometry_transform", corrupt)
     with pytest.raises(InternalInvariantError, match="below"):
         sector_distribution_joint(four22(), PauliNoise(0.05, 0.02, 0.08))
+
+
+@pytest.mark.parametrize(
+    "selector, digests",
+    [
+        ("four22", ("24c0570de73fd70e32d815f48b8eac5b16ab4700c7ef9bedca4e3045e90a3d09",
+                    "81f57f16221d351c349c50fb33eb9317656205fc927800a6a003b40de7d1494a")),
+        ("steane", ("913f15c36c00819a637b9584e301b86dfa97fd3a1e96755afbb94faaa6ae184a",
+                    "a8b07b574bd32adfe0b0500e43ea39d5efda10403b4efa50b1be3cb7b6db1a13")),
+        ("surface2d:3x3",
+         ("fc2c4769ad7916cbc308849606ef33bdfa30f9eff0a260ac34c796d9774833aa",
+          "34758054d0b6e76cd562d2fb055cf19c550ea1f84daa08c814b4890993894277")),
+        ("toric2d:2", ("d24b3f658fa6d311a09253e814fbf2516a6d756f23612cd36d10084806574c87",
+                       "80817bd83753b4fd8bbbf523561c0c8a6a27358a64fac2aa4f7ec9503ac7192a")),
+        ("toric2d:3", ("a318fbed080a9a1f06e2e8c292115d9d593cf17995037ef493a8aae50fd89820",
+                       "24c2b94f3b962fee77075f24bb647b67715bac2e7ccb3175ca2211057f600427")),
+    ],
+)
+def test_joint_tables_are_pinned(selector, digests):
+    # sha256 of the table bytes as the in-place butterfly network built them
+    code = from_selector(selector)
+    noises = (depolarizing_from_independent(0.1, 0.1), PauliNoise(0.05, 0.02, 0.08))
+    for noise, digest in zip(noises, digests):
+        table = sector_distribution_joint(code, noise).table
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest, noise
+
+
+@pytest.mark.parametrize("m", range(17))
+def test_constant_geometry_transform_equals_butterfly(m):
+    # signed entries from subnormal to 2^64, with +-0.0 and subnormals planted
+    rng = np.random.default_rng(m)
+    size = 1 << m
+    a = rng.normal(size=size) * np.exp2(rng.integers(-1074, 64, size=size))
+    a[rng.integers(0, size, size=size // 8 + 1)] = 0.0
+    a[rng.integers(0, size, size=size // 8 + 1)] = -0.0
+    sub = rng.integers(0, size, size=size // 8 + 1)
+    a[sub] = rng.integers(-(1 << 52), 1 << 52, size=len(sub)) * 5e-324
+    want = a.copy()
+    butterfly_walsh_hadamard(want)
+    got = _constant_geometry_transform(a.copy())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -826,3 +900,97 @@ def test_check_makes_no_per_entry_python_objects():
     finally:
         tracemalloc.stop()
     assert peak < 2 * table.nbytes
+
+
+# ---------------------------------------------------------------------------
+# check(): a certified float estimate, exact_sum for every other table
+# ---------------------------------------------------------------------------
+
+
+def _outcome(check, table):
+    try:
+        check(table)
+    except Exception as exc:  # the type and text must match, whatever they are
+        return type(exc), str(exc)
+    return None
+
+
+def _table_summing_to(target, size, rng):
+    """A table of `size` entries whose exact sum is within an ulp or so of
+    the double target: random entries with full-width significands, so a
+    float sum of them rounds, and one entry near 0.5 corrected twice by the
+    residual of the exact sum."""
+    table = rng.random(size) ** 4
+    table *= 0.5 / table.sum()
+    table[rng.integers(size)] = 0.5
+    for _ in range(2):
+        i = np.argmax(table)
+        table[i] += target - exact_sum(table)
+    return table
+
+
+def _dist(table):
+    bits = len(table).bit_length() - 1
+    return SectorDistribution(code_hash="", n=bits, k=0, widths={"b": bits}, table=table)
+
+
+def _near_the_bounds():
+    targets = [1.0, 1.0 - 5e-13, 1.0 + 5e-13, 1.0 - 2e-12, 1.0 + 2e-12]
+    for edge in (1.0 - 1e-12, 1.0 + 1e-12):
+        for steps in range(-4, 5):
+            target = edge
+            for _ in range(abs(steps)):
+                target = np.nextafter(target, 2.0 if steps > 0 else 0.0)
+            targets.append(float(target))
+    return targets
+
+
+@pytest.mark.parametrize("bits", [0, 1, 10, 16, 20])
+def test_check_decides_like_exact_sum_near_the_bounds(bits):
+    rng = np.random.default_rng(bits)
+    passed = set()
+    for target in _near_the_bounds():
+        table = _table_summing_to(target, 1 << bits, rng)
+        assert abs(exact_sum(table) - target) <= 2 * math.ulp(target)
+        want = _outcome(exact_check, table)
+        assert _outcome(lambda t: _dist(t).check(), table) == want, target.hex()
+        passed.add(want is None)
+    assert passed == {True, False}
+
+
+@pytest.mark.parametrize("bits", [0, 2, 10])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, -1e-300, "overflow"],
+    ids=["nan", "inf", "-inf", "negative", "overflow"],
+)
+def test_check_fails_like_exact_sum(bits, bad):
+    table = np.full(1 << bits, 2.0**-bits)
+    if bad == "overflow":
+        table[:] = 1.7e308
+        if bits == 0:
+            table = np.array([1.7e308])
+    else:
+        table[-1] = bad
+    want = _outcome(exact_check, table)
+    assert want is not None
+    assert _outcome(lambda t: _dist(t).check(), table) == want
+
+
+def test_check_calls_exact_sum_only_when_the_estimate_is_inconclusive(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(len(values))
+        return exact_sum(values)
+
+    monkeypatch.setattr(channels, "exact_sum", counting)
+    dist = sector_distribution_joint(
+        surface2d(3, 3), depolarizing_from_independent(0.1, 0.1)
+    )
+    assert len(dist.table) == 1 << 14
+    assert calls == []
+    # the exact sum sits two ulps inside 1 + 1e-12: it passes, but only
+    # exact_sum can tell
+    edge = np.nextafter(np.nextafter(1.0 + 1e-12, 0.0), 0.0)
+    _dist(_table_summing_to(float(edge), 1 << 14, np.random.default_rng(0))).check()
+    assert calls == [1 << 14]

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csstat.gf2 import (
@@ -17,6 +17,7 @@ from csstat.gf2 import (
     row_reduce,
     row_space_basis,
 )
+from oracles import transpose_by_bits
 
 
 def to_dense(m: BitMatrix) -> np.ndarray:
@@ -164,3 +165,25 @@ def test_row_space_basis_spans():
 def test_matvec_dimension_check():
     with pytest.raises(ValueError):
         matvec(BitMatrix.from01(["101"]), BitVector.from01("10"))
+
+
+# zero rows, zero columns, and widths on both sides of 64 bits
+any_shape = st.tuples(st.integers(0, 140), st.integers(0, 140)).flatmap(
+    lambda rc: st.lists(
+        st.integers(0, (1 << rc[1]) - 1), min_size=rc[0], max_size=rc[0]
+    ).map(lambda rows: BitMatrix(rc[1], tuple(rows)))
+)
+
+
+@settings(max_examples=200)
+@given(any_shape)
+@example(BitMatrix(0, ()))
+@example(BitMatrix(0, (0, 0, 0)))
+@example(BitMatrix(70, ()))
+@example(BitMatrix(65, ((1 << 65) - 1, 1, 1 << 64)))
+@example(BitMatrix(64, tuple(1 << i for i in range(64)) + ((1 << 64) - 1,)))
+def test_transpose_equals_per_bit_oracle(m):
+    t = m.transpose()
+    assert t == transpose_by_bits(m)
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert t.transpose() == m
