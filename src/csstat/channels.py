@@ -21,7 +21,6 @@ instead of walking the 4^n (Ex, Ez) pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -516,117 +515,3 @@ def marginalize(dist: SectorDistribution, keep: Iterable[str]) -> SectorDistribu
         table=dist.view().sum(axis=dropped).ravel(),
         noise=dist.noise,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON round-tripping
-# ---------------------------------------------------------------------------
-
-def _json_labels(widths: Dict[str, int]) -> np.ndarray:
-    """JSON label of each table index: the (a|b|kx|kz) bits, first bit lowest."""
-    # a JSON label is a C-order index over (kz, kx, b, a); reorder those axes
-    # to the table's (a, kx, b, kz)
-    json_axes = [f for f in ("kz", "kx", "b", "a") if f in widths]
-    labels = np.arange(1 << sum(widths.values()))
-    labels = labels.reshape([1 << widths[f] for f in json_axes])
-    return labels.transpose([json_axes.index(f) for f in AXES if f in widths]).ravel()
-
-
-def to_json_dict(dist: SectorDistribution) -> dict:
-    """JSON-ready dict: keys as hex of the concatenated (a|b|kx|kz) bits.
-
-    Entries follow the table's index order.
-    """
-    hex_width = max(1, (sum(dist.widths.values()) + 3) // 4)
-    labels = _json_labels(dist.widths).tolist()
-    entries = {f"{v:0{hex_width}x}": p for v, p in zip(labels, dist.table.tolist())}
-    return {
-        "code_hash": dist.code_hash,
-        "n": dist.n,
-        "k": dist.k,
-        "mode": dist.mode,
-        "widths": dict(dist.widths),
-        "noise": dict(dist.noise),
-        "table": entries,
-    }
-
-
-_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
-          dict: "an object"}
-_TABLE_FIELDS = {"code_hash": str, "n": int, "k": int, "mode": str, "widths": dict,
-                 "table": dict}
-
-
-def expect_json(value, kind: type, what: str):
-    """value, or ValueError unless it is a kind (an int counts as a float, and
-    a bool as neither)."""
-    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(
-        value, bool
-    ):
-        raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r:.40}")
-    return value
-
-
-def from_json_dict(data: dict) -> SectorDistribution:
-    """Inverse of to_json_dict (bit-exact on probabilities).
-
-    Raises ValueError on a missing or mistyped field, and unless the widths
-    name only the fields a, b, kx and kz (kx and kz k bits wide), the keys
-    name each of the 2^(Σ widths) sector labels exactly once, the stored
-    mode is the one the widths imply and the table passes check().
-    """
-    for key, kind in _TABLE_FIELDS.items():
-        expect_json(expect_json(data, dict, "a sector table").get(key), kind, key)
-    widths = {f: expect_json(w, int, f"width of {f!r}")
-              for f, w in data["widths"].items()}
-    noise = {f: float(expect_json(v, float, f"noise {f!r}"))
-             for f, v in expect_json(data.get("noise", {}), dict, "noise").items()}
-    k, entries = data["k"], data["table"]
-    for name, width in widths.items():
-        if name not in AXES:
-            raise ValueError(
-                f"widths name unknown field {name!r}; fields are {', '.join(AXES)}"
-            )
-        if width < 0 or (name in ("kx", "kz") and width != k):
-            raise ValueError(f"field {name!r} has width {width} (k = {k})")
-    bits = sum(widths.values())
-    keys = [int(hex_key, 16) for hex_key in entries]
-    size = len(keys)
-    # min(): no file holds 2^63 keys, and a huge width builds no huge int
-    if size != 1 << min(bits, 63) or sorted(keys) != list(range(size)):
-        raise ValueError(f"table keys must cover each of the 2^{bits} sector labels once")
-    index_of = np.empty(size, dtype=np.int64)
-    index_of[_json_labels(widths)] = np.arange(size)
-    table = np.empty(size)
-    table[index_of[keys]] = [
-        expect_json(p, float, "a table probability") for p in entries.values()
-    ]
-    dist = SectorDistribution(
-        code_hash=data["code_hash"],
-        n=data["n"],
-        k=k,
-        widths=widths,
-        table=table,
-        noise=noise,
-    )
-    if data["mode"] != dist.mode:
-        raise ValueError(
-            f"mode {data['mode']!r} contradicts widths {sorted(widths)}, "
-            f"which make it {dist.mode!r}"
-        )
-    try:
-        dist.check()
-    except (InternalInvariantError, OverflowError) as exc:
-        raise ValueError(f"{dist.mode} table is not a distribution: {exc}") from None
-    return dist
-
-
-def save_json(dist: SectorDistribution, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(to_json_dict(dist), fh, indent=1)
-        fh.write("\n")
-
-
-def load_json(path: str) -> SectorDistribution:
-    with open(path, "r", encoding="ascii") as fh:
-        return from_json_dict(json.load(fh))

@@ -16,7 +16,8 @@ The two-register model is the X-side and Z-side models side by side
 
 A model stores its term masks and signs, species and register split; its
 term families, symmetry basis and normalization sizes are derived from them,
-so a model, even one read back from JSON, cannot contradict itself.
+so a model, even one read back from an sm-export file, cannot contradict
+itself.
 
 Each sector's representative is the XOR of css.label_generators at its
 label's set bits, so the term signs of all 2^m sectors of a side are one
@@ -28,8 +29,8 @@ models; the mc module handles larger single-register models by sampling.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -43,7 +44,6 @@ from .channels import (
     PauliNoise,
     SectorDistribution,
     exact_sum,
-    expect_json,
     sector_distribution_x,
     sector_distribution_z,
 )
@@ -526,27 +526,39 @@ def sm_to_json_dict(
     return out
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+          dict: "an object"}
 _MODEL_FIELDS = {"species": str, "num_spins": int, "sigma_spins": int,
                  "degeneracy_exponent": int, "terms": list, "symmetry_basis": list}
 _TERM_FIELDS = {"sites": list, "sign": int, "family": str}
 
 
+def _expect_json(value, kind: type, what: str):
+    """value, or ValueError unless it is a kind (an int counts as a float, and
+    a bool as neither)."""
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(
+        value, bool
+    ):
+        raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
 def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
     """Inverse of sm_to_json_dict. Raises ValueError on a missing or mistyped
-    field. The stored families, canonical basis and degeneracy must be the
-    derived ones; a basis below D >= spins - terms vectors is refused first,
-    so a short file builds no large kernel basis."""
-    if expect_json(data, dict, "an sm-model").get("format") != "sm-model v1":
+    field or a non-finite coupling. The stored families, canonical basis and
+    degeneracy must be the derived ones; a basis below D >= spins - terms
+    vectors is refused first, so a short file builds no large kernel basis."""
+    if _expect_json(data, dict, "an sm-model").get("format") != "sm-model v1":
         raise ValueError(f"unsupported model format {data.get('format')!r}")
     for key, kind in _MODEL_FIELDS.items():
-        expect_json(data.get(key), kind, key)
+        _expect_json(data.get(key), kind, key)
     for t in data["terms"]:
         for key, kind in _TERM_FIELDS.items():
-            expect_json(expect_json(t, dict, "a term").get(key), kind, f"a term's {key}")
+            _expect_json(_expect_json(t, dict, "a term").get(key), kind, f"a term's {key}")
         for site in t["sites"]:
-            expect_json(site, int, "a term site")
+            _expect_json(site, int, "a term site")
     for v in data["symmetry_basis"]:
-        expect_json(v, str, "a symmetry_basis vector")
+        _expect_json(v, str, "a symmetry_basis vector")
     num_spins, terms = data["num_spins"], data["terms"]
     if num_spins < 0:
         raise ValueError(f"num_spins must be >= 0, got {num_spins}")
@@ -582,20 +594,11 @@ def sm_from_json_dict(data: dict) -> Tuple[SmModel, Optional[Couplings]]:
                          "differ from those the masks and species derive")
     couplings = None
     if "couplings" in data:
-        c = expect_json(data["couplings"], dict, "couplings")
-        couplings = Couplings(**{f: expect_json(c.get(f), float, f)
-                                 for f in ("cx", "cz", "cy")})
+        c = _expect_json(data["couplings"], dict, "couplings")
+        values = {f: _expect_json(c.get(f), float, f) for f in ("cx", "cz", "cy")}
+        for f, value in values.items():
+            # json reads NaN, +-Infinity and integers beyond any float
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValueError(f"{f} must be finite, got {value!r:.40}")
+        couplings = Couplings(**values)
     return model, couplings
-
-
-def save_model_json(
-    path: str, model: SmModel, couplings: Optional[Couplings] = None
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sm_to_json_dict(model, couplings), fh, indent=1)
-        fh.write("\n")
-
-
-def load_model_json(path: str) -> Tuple[SmModel, Optional[Couplings]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sm_from_json_dict(json.load(fh))

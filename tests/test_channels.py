@@ -1,7 +1,6 @@
-"""Exact sector-probability tables: normalization, marginals, serialization."""
+"""Exact sector-probability tables: normalization, marginals, layout."""
 
 import hashlib
-import json
 import math
 import tracemalloc
 import warnings
@@ -22,16 +21,12 @@ from csstat.channels import (
     depolarizing_from_independent,
     error_weight_prob,
     exact_sum,
-    from_json_dict,
-    load_json,
     marginalize,
-    save_json,
     sector_distribution_joint,
     sector_distribution_x,
     sector_distribution_z,
     sector_distributions_x,
     sector_distributions_z,
-    to_json_dict,
     _check_enumerator_size,
     _constant_geometry_transform,
     _coset_enumerator,
@@ -41,7 +36,6 @@ from csstat.channels import (
 from csstat.cli import parse_noise
 from csstat.css import EmptyCodeWarning, TooLarge, code_hash, label_functionals, new_css
 from csstat.gf2 import BitVector, matvec
-from csstat.info import coherent_information_factorized
 from csstat.statmech import kw_check
 from csstat.zoo import color666, four22, from_selector, steane, surface2d, toric2d
 from oracles import butterfly_walsh_hadamard, exact_check
@@ -498,149 +492,29 @@ def test_error_weight_prob():
         error_weight_prob(6, 5, 0.1)
 
 
-def test_json_round_trip_exact(tmp_path):
-    code = toric2d(2)
-    for dist in (
-        sector_distribution_x(code, 0.11),
-        sector_distribution_z(code, 0.23),
-        sector_distribution_joint(four22(), PauliNoise(0.03, 0.01, 0.05)),
-    ):
-        back = from_json_dict(to_json_dict(dist))
-        assert np.array_equal(back.table, dist.table)
-        assert back.mode == dist.mode
-        assert back.widths == dist.widths
-        assert back.code_hash == dist.code_hash
-        path = tmp_path / f"{dist.mode}.json"
-        save_json(dist, str(path))
-        assert np.array_equal(load_json(str(path)).table, dist.table)
-
-
-def _json_tables():
-    code = toric2d(2)
-    return {
-        "four22 joint": _joint_pairs_oracle(four22(), PauliNoise(0.03, 0.01, 0.05)),
-        "toric2d:2 x": sector_distribution_x(code, 0.11),
-        "toric2d:2 z": sector_distribution_z(code, 0.23),
-    }
-
-
-def test_json_bytes_are_pinned():
-    # sha256 of the JSON text as written by the dict-backed tables, so the
-    # array layout must reproduce every key, value and entry order
+def test_table_bytes_are_pinned():
+    # sha256 of table.tobytes(), so the dense layout and every float of the
+    # joint, marginal and factorized tables stay bit for bit
     want = {
         "four22 joint":
-            "f4c16261565c4a7dcc6862ca92f82939fd725739dc2dc068ed931e304f459cad",
-        "toric2d:2 x":
-            "6654385955650cc0f7407cd8252b1a4df4f352143000d733aba8041695705e43",
-        "toric2d:2 z":
-            "7724be577c9c9f7f1e634481b24bc2b07a22a9de261ba168641305ecb10facfb",
+            "9f87eda6251b00d33c08a7360f41dafe642f05dbec3cd6406639e2bd42e3c428",
         "four22 marginal b":
-            "abd220cf0d73e2b04e974058a208c12ad12810732d74869d22c29bf83a1950ce",
+            "651bf844b6410786a9ae367a52365b1fab1ca3ab548d266846ba8f23df0f084b",
+        "toric2d:2 x":
+            "a797b5c4ca0e6869e938a1b38c6a00f9ab937459545a99f8392f7927d59de369",
+        "toric2d:2 z":
+            "931be71cbabeb0419313d87da6a009064dd46e5bf64b3bf233dd2c51acab624e",
     }
-    tables = _json_tables()
-    tables["four22 marginal b"] = marginalize(tables["four22 joint"], ["b"])
+    joint = _joint_pairs_oracle(four22(), PauliNoise(0.03, 0.01, 0.05))
+    tables = {
+        "four22 joint": joint,
+        "four22 marginal b": marginalize(joint, ["b"]),
+        "toric2d:2 x": sector_distribution_x(toric2d(2), 0.11),
+        "toric2d:2 z": sector_distribution_z(toric2d(2), 0.23),
+    }
     assert tables["four22 marginal b"].mode == "marginal"
     for name, dist in tables.items():
-        text = json.dumps(to_json_dict(dist), indent=1)
-        assert hashlib.sha256(text.encode()).hexdigest() == want[name], name
-
-
-def test_json_mode_must_match_widths():
-    # the mode is derived from the widths; a file whose stored mode says
-    # otherwise is rejected, not loaded under the wrong name
-    for dist in _json_tables().values():
-        data = to_json_dict(dist)
-        assert from_json_dict(data).mode == data["mode"]
-        for wrong in (MODE_X, MODE_Z, MODE_JOINT, "marginal"):
-            if wrong != data["mode"]:
-                with pytest.raises(ValueError, match="contradicts widths"):
-                    from_json_dict({**data, "mode": wrong})
-
-
-@pytest.mark.parametrize(
-    "widths, k, mode, message",
-    [
-        ({"q": 1}, 1, "marginal", "unknown field 'q'"),
-        ({"b": 1, "q": 1}, 1, "marginal", "unknown field 'q'"),
-        ({"b": 1, "kz": 1}, 2, MODE_X, "field 'kz' has width 1"),
-    ],
-)
-def test_json_rejects_bad_widths(widths, k, mode, message):
-    # a field outside (a, b, kx, kz) or a logical field narrower than k is
-    # named in the error, not left to a reshape failure or loaded silently
-    size = 1 << sum(widths.values())
-    data = {
-        "code_hash": "", "n": 4, "k": k, "mode": mode, "widths": widths,
-        "noise": {}, "table": {format(i, "x"): 1 / size for i in range(size)},
-    }
-    with pytest.raises(ValueError, match=message):
-        from_json_dict(data)
-
-
-def test_joint_json_keys_match_oracle():
-    noise = PauliNoise(0.03, 0.01, 0.05)
-    engine = to_json_dict(sector_distribution_joint(four22(), noise))
-    oracle = to_json_dict(_joint_pairs_oracle(four22(), noise))
-    assert list(engine["table"]) == list(oracle["table"])
-    assert {k: v for k, v in engine.items() if k != "table"} == {
-        k: v for k, v in oracle.items() if k != "table"
-    }
-
-
-def test_json_rejects_incomplete_or_repeated_labels():
-    for dist in _json_tables().values():
-        data = to_json_dict(dist)
-        last = list(data["table"])[-1]
-        truncated = {**data, "table": dict(list(data["table"].items())[:-1])}
-        with pytest.raises(ValueError, match="cover"):
-            from_json_dict(truncated)
-        # the same label twice ("0..01" and "1"), one label missing
-        repeated = dict(truncated["table"])
-        repeated[format(int(list(data["table"])[1], 16), "x")] = 0.0
-        with pytest.raises(ValueError, match="cover"):
-            from_json_dict({**data, "table": repeated})
-        beyond = dict(truncated["table"])
-        beyond[format(int(last, 16) + 1, "x")] = 0.0
-        with pytest.raises(ValueError, match="cover"):
-            from_json_dict({**data, "table": beyond})
-    # every label once, but an entry that is negative, NaN or above 1: the
-    # table builders' check() applies to a loaded table too
-    data = to_json_dict(sector_distribution_x(steane(), 0.1))
-    for bad in (-0.5, math.nan, 5.0):
-        table = dict(data["table"])
-        table[next(iter(table))] = bad
-        with pytest.raises(ValueError, match="not a distribution"):
-            from_json_dict({**data, "table": table})
-
-
-def test_json_rejects_missing_or_mistyped_fields():
-    # each field's presence and JSON type is checked before it is used, so a
-    # malformed file raises ValueError, not KeyError or TypeError
-    data = to_json_dict(sector_distribution_x(steane(), 0.1))
-    first = next(iter(data["table"]))
-    no_widths = {f: v for f, v in data.items() if f != "widths"}
-    cases = [
-        (no_widths, "widths must be an object, got None"),
-        ({**data, "k": "1"}, "k must be an integer, got '1'"),
-        ({**data, "k": True}, "k must be an integer, got True"),
-        ({**data, "table": list(data["table"].values())}, "table must be an object"),
-        ({**data, "table": {**data["table"], first: "0.5"}},
-         "a table probability must be a number, got '0.5'"),
-        ({**data, "table": {**data["table"], first: None}},
-         "a table probability must be a number, got None"),
-        ({**data, "widths": {"b": 3.0, "kz": 1}}, "width of 'b' must be an integer"),
-        ({**data, "noise": {"px": "0.1"}}, "noise 'px' must be a number"),
-        ([data], "a sector table must be an object"),
-        ({**data, "widths": {"b": 10**12, "kz": 1}},
-         r"cover each of the 2\^1000000000001 "),
-    ]
-    for bad, message in cases:
-        with pytest.raises(ValueError, match=message):
-            from_json_dict(bad)
-    # a table whose sum overflows is not a distribution either
-    huge = {**data, "table": dict.fromkeys(data["table"], 1.7e308)}
-    with pytest.raises(ValueError, match="not a distribution"):
-        from_json_dict(huge)
+        assert hashlib.sha256(dist.table.tobytes()).hexdigest() == want[name], name
 
 
 def _pauli_pair_prob(ex, ez, noise, n):
@@ -684,6 +558,20 @@ def test_joint_transform_matches_pairs_oracle(code):
             oracle = _joint_pairs_oracle(code, noise)
             assert np.max(np.abs(dist.table - oracle.table)) <= bound, (mix, p)
             assert dist.widths == oracle.widths and dist.noise == oracle.noise
+            for name in ("code_hash", "n", "k", "mode", "axes"):
+                assert getattr(dist, name) == getattr(oracle, name), name
+
+
+def test_joint_json_keys_match_oracle():
+    # the keys a table is labelled by: the same fields, widths and layout,
+    # and the same code and noise metadata, as the pairs oracle's
+    noise = PauliNoise(0.03, 0.01, 0.05)
+    engine = sector_distribution_joint(four22(), noise)
+    oracle = _joint_pairs_oracle(four22(), noise)
+    assert len(engine.table) == len(oracle.table)
+    assert engine.view().shape == oracle.view().shape
+    for name in ("code_hash", "n", "k", "mode", "axes", "widths", "noise"):
+        assert getattr(engine, name) == getattr(oracle, name), name
 
 
 @pytest.mark.parametrize(
@@ -789,21 +677,6 @@ def test_factorized_layout_matches_brute_force():
             label = _packed_label(code, dist.widths, ex, ez)
             brute[label] += error_weight_prob(e.weight(), code.n, p)
         _check_layout(dist, brute)
-
-
-def test_round_trip_preserves_info_quantities(tmp_path):
-    code = steane()
-    dx = sector_distribution_x(code, 0.1)
-    dz = sector_distribution_z(code, 0.1)
-    before = coherent_information_factorized(dx, dz).value
-    px = tmp_path / "x.json"
-    pz = tmp_path / "z.json"
-    save_json(dx, str(px))
-    save_json(dz, str(pz))
-    after = coherent_information_factorized(
-        load_json(str(px)), load_json(str(pz))
-    ).value
-    assert after == before  # identical, not merely close
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 from csstat import info, mc, statmech
-from csstat.channels import sector_distribution_joint
+from csstat.channels import sector_distribution_joint, sector_distribution_x
 from csstat.cli import build_parser, format_cell, main, parse_noise
-from csstat.css import EmptyCodeWarning
+from csstat.css import EmptyCodeWarning, representative_x, representative_z
 from csstat.gf2 import BitVector
-from csstat.statmech import load_model_json, nishimori_beta, partition_exact
+from csstat.statmech import nishimori_beta
 from csstat.zoo import four22, steane, toric2d
 
 
@@ -276,16 +276,27 @@ def test_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _read_model(path):
+    with open(path, encoding="utf-8") as fh:
+        return statmech.sm_from_json_dict(json.load(fh))  # ignores "provenance"
+
+
 def test_sm_export_round_trip(tmp_path, capsys):
+    # the model read back is the one build_sm_x makes for the sector, and its
+    # partition sum gives that sector's entry of the enumerated table
     target = tmp_path / "model.json"
     code, out, _ = run(
         capsys, "sm-export", "toric2d:2", "x:101:01", str(target), "--p", "0.2",
     )
     assert code == 0
-    model, couplings = load_model_json(str(target))
-    assert model.num_spins == 4
+    model, couplings = _read_model(target)
+    toric = toric2d(2)
+    b, kz = BitVector.from01("101"), BitVector.from01("01")
+    assert model == statmech.build_sm_x(toric, representative_x(toric, b, kz))
     assert abs(couplings.cx - nishimori_beta(0.2)) < 1e-15
-    assert partition_exact(model, couplings) != 0.0
+    entry = sector_distribution_x(toric, 0.2).table[b.bits << toric.k | kz.bits]
+    assert abs(statmech.log_sector_probability(model, couplings)
+               - math.log(entry)) <= 1e-12
     payload = json.loads(target.read_text())
     assert any("sm-export" in line for line in payload["provenance"])
 
@@ -303,9 +314,19 @@ def test_sm_export_coupled_requires_joint_noise(tmp_path, capsys):
         "--p", "0.1", "--noise", "depolarizing",
     )
     assert code == 0
-    model, couplings = load_model_json(str(target))
-    assert model.species == "coupled"
+    model, couplings = _read_model(target)
+    four = four22()
+    b = a = BitVector.from01("1")
+    kz = kx = BitVector.from01("00")
+    assert model == statmech.build_sm_coupled(
+        four, representative_x(four, b, kz), representative_z(four, a, kx)
+    )
     assert abs(couplings.cy) < 1e-13  # depolarizing: cross family off
+    joint = sector_distribution_joint(four, parse_noise("depolarizing").rates_at(0.1))
+    m_x = four.rank_z + four.k
+    index = (a.bits << four.k | kx.bits) << m_x | b.bits << four.k | kz.bits
+    assert abs(statmech.log_sector_probability(model, couplings)
+               - math.log(joint.table[index])) <= 1e-12
 
 
 def test_mc_subcommand_schema(capsys):

@@ -40,14 +40,12 @@ from csstat.statmech import (
     build_sm_z,
     domain_wall_free_energy,
     kw_check,
-    load_model_json,
     log_normalization,
     log_sector_probability,
     mask_sites,
     nishimori_beta,
     partition_exact,
     partition_sums,
-    save_model_json,
     sm_from_json_dict,
     sm_to_json_dict,
     verify_sector_identity,
@@ -294,7 +292,7 @@ def test_exact_observables_matches_finite_difference():
     assert abs(energy + (up - down) / (2 * h)) < 1e-7
 
 
-def test_json_round_trip(tmp_path):
+def test_json_round_trip():
     code = toric2d(2)
     e = representative_x(code, BitVector(code.rank_z, 5), BitVector(code.k, 2))
     model = build_sm_x(code, e)
@@ -304,9 +302,8 @@ def test_json_round_trip(tmp_path):
     assert back == model
     assert cback == couplings
 
-    path = tmp_path / "model.json"
-    save_model_json(str(path), model, couplings)
-    loaded, cloaded = load_model_json(str(path))
+    text = json.dumps(sm_to_json_dict(model, couplings), indent=1)
+    loaded, cloaded = sm_from_json_dict(json.loads(text))
     assert partition_exact(loaded, cloaded) == partition_exact(model, couplings)
 
     # couplings are optional in the format
@@ -861,6 +858,22 @@ def test_sm_from_json_rejects_missing_or_mistyped_fields():
     for data, message in bad_inputs:
         with pytest.raises(ValueError, match=message):
             sm_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "literal", ["NaN", "Infinity", "-Infinity", "-1" + "0" * 400],
+    ids=["NaN", "Infinity", "-Infinity", "-10^400"],
+)
+@pytest.mark.parametrize("field", ["cx", "cz", "cy"])
+def test_sm_from_json_rejects_non_finite_couplings(field, literal):
+    # json reads NaN, +-Infinity and integers no float holds; such a coupling
+    # makes a partition sum NaN or raise OverflowError, so the loader names
+    # the field instead
+    data = sm_to_json_dict(*_sm_export_models()["toric2d:2 x:101:01"])
+    data["couplings"][field] = "placeholder"
+    text = json.dumps(data).replace('"placeholder"', literal)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        sm_from_json_dict(json.loads(text))
 
 
 def test_sm_from_json_rejects_foreign_families():
