@@ -301,19 +301,21 @@ def _constant_geometry_transform(a: np.ndarray) -> np.ndarray:
     return src
 
 
+def _check_label_size(engine: str, n: int, m: int, cost: str) -> None:
+    """Raise TooLarge unless m <= MAX_LABEL_BITS and n <= MAX_SUPPORT_BITS:
+    engine transforms 2^m label combinations of n-bit packed supports, and
+    cost says what its arrays would occupy."""
+    if m > MAX_LABEL_BITS or n > MAX_SUPPORT_BITS:
+        raise TooLarge(
+            f"{engine} bounds are m <= {MAX_LABEL_BITS} label bits and "
+            f"n <= {MAX_SUPPORT_BITS}; got m = {m}, n = {n}; {cost}"
+        )
+
+
 def _check_enumerator_size(n: int, m: int) -> None:
     """Raise TooLarge unless the enumerator's arrays and int64 sums fit."""
     cost = f"A[label, w] is 2^{m} x {n + 1} int64 = {8 * (n + 1) << m:,} bytes"
-    if m > MAX_LABEL_BITS:
-        raise TooLarge(
-            f"coset enumerator bound is m <= {MAX_LABEL_BITS} label bits, "
-            f"got m = {m} (n = {n}); {cost}"
-        )
-    if n > MAX_SUPPORT_BITS:
-        raise TooLarge(
-            f"coset enumerator packs supports in 64 bits, so n <= "
-            f"{MAX_SUPPORT_BITS}; got n = {n} (m = {m}); {cost}"
-        )
+    _check_label_size("coset enumerator", n, m, cost)
     if (1 << m) * math.comb(n, n // 2) >= 1 << 63:
         raise TooLarge(
             f"coset enumerator needs 2^m * C(n, n/2) < 2^63 for int64 sums; "
@@ -368,11 +370,19 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     return counts
 
 
-def _factorized_distributions(code, rates, side):
-    """One table per rate of side "x" or "z" errors from one enumerator build,
-    one mat-vec per distinct rate (a single product over all rates sums in
-    another order: not bit-identical). Tables are frozen, so a repeated rate
-    shares one object."""
+def sector_distributions(
+    code: CssCode, side: str, rates: Sequence[float]
+) -> List[SectorDistribution]:
+    """Exact tables of independent errors on side "x" ((b, kz) tables, rates
+    px) or "z" ((a, kx) tables, rates pz), one per rate in rates.
+
+    The coset weight enumerator over the side's m = rank + k <= MAX_LABEL_BITS
+    label bits is built once, and each distinct rate takes one mat-vec (a
+    single product over all rates sums in another order: not bit-identical).
+    Each table has exactly 2^m entries (each sector is realized by 2^(n − m)
+    strings) and sums to 1 within 1e-12. Tables are frozen, so a repeated
+    rate shares one object.
+    """
     name = "p" + side
     for p in rates:
         if not 0.0 <= p <= 1.0:
@@ -398,33 +408,14 @@ def _factorized_distributions(code, rates, side):
     return [tables[p] for p in rates]
 
 
-def sector_distributions_x(
-    code: CssCode, rates: Sequence[float]
-) -> List[SectorDistribution]:
-    """Exact (b, kz) tables for independent X errors, one per rate in rates.
-
-    The coset weight enumerator over m = rank_z + k ≤ MAX_LABEL_BITS label
-    bits is built once. Each table has exactly 2^m entries (each sector is
-    realized by 2^(n − m) strings) and sums to 1 within 1e-12.
-    """
-    return _factorized_distributions(code, rates, "x")
-
-
-def sector_distributions_z(
-    code: CssCode, rates: Sequence[float]
-) -> List[SectorDistribution]:
-    """Exact (a, kx) tables for independent Z errors, one per rate (mirror of X)."""
-    return _factorized_distributions(code, rates, "z")
-
-
 def sector_distribution_x(code: CssCode, px: float) -> SectorDistribution:
     """Exact (b, kz) table for independent X errors at rate px."""
-    return sector_distributions_x(code, [px])[0]
+    return sector_distributions(code, "x", [px])[0]
 
 
 def sector_distribution_z(code: CssCode, pz: float) -> SectorDistribution:
     """Exact (a, kx) table for independent Z errors at rate pz."""
-    return sector_distributions_z(code, [pz])[0]
+    return sector_distributions(code, "z", [pz])[0]
 
 
 def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistribution:
@@ -452,14 +443,11 @@ def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistrib
     [−bound, 0) are set to 0.
     """
     n = code.n
-    x_rows, _ = label_functionals(code, "x")
-    z_rows, _ = label_functionals(code, "z")
+    x_rows, x_widths = label_functionals(code, "x")
+    z_rows, z_widths = label_functionals(code, "z")
     m = len(x_rows) + len(z_rows)
-    if m > MAX_LABEL_BITS or n > MAX_SUPPORT_BITS:
-        raise TooLarge(
-            f"joint transform bounds are m <= {MAX_LABEL_BITS} label bits and "
-            f"n <= {MAX_SUPPORT_BITS}; got m = {m}, n = {n}"
-        )
+    cost = f"2^{m} float64 values and a scratch copy = {16 << m:,} bytes"
+    _check_label_size("joint transform", n, m, cost)
     s = combination_supports(x_rows)
     t = combination_supports(z_rows)[:, None]
     both = np.bitwise_count(t & s)
@@ -481,12 +469,11 @@ def sector_distribution_joint(code: CssCode, noise: PauliNoise) -> SectorDistrib
     probs[probs < 0.0] = 0.0
 
     # row (a, kx) over column (b, kz): the flattened array is the packed index
-    widths = {"a": code.rank_x, "b": code.rank_z, "kx": code.k, "kz": code.k}
     dist = SectorDistribution(
         code_hash=code_hash(code),
         n=n,
         k=code.k,
-        widths=widths,
+        widths=dict(sorted({**x_widths, **z_widths}.items())),  # a, b, kx, kz
         table=probs,
         noise={"ptx": noise.ptx, "pty": noise.pty, "ptz": noise.ptz},
     )

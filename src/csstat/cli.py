@@ -26,11 +26,10 @@ from .channels import (
     depolarizing_from_independent,
     marginalize,
     sector_distribution_joint,
-    sector_distributions_x,
-    sector_distributions_z,
+    sector_distributions,
 )
 from .css import CodeFormatError, CommutationViolation, CssCode, TooLarge
-from .css import code_hash, distance
+from .css import code_hash, distance, label_functionals
 from .css import representative_x, representative_z
 from .gf2 import BitVector
 from .zoo import from_selector
@@ -197,8 +196,8 @@ def _sweep_rows(
     violations = []
     if not spec.joint:
         rates = [spec.rates_at(p) for p in grid]
-        dists_x = sector_distributions_x(code, [px for px, _ in rates])
-        dists_z = sector_distributions_z(code, [pz for _, pz in rates])
+        dists_x = sector_distributions(code, "x", [px for px, _ in rates])
+        dists_z = sector_distributions(code, "z", [pz for _, pz in rates])
     for i, p in enumerate(grid):
         if spec.joint:
             noise = spec.rates_at(p)
@@ -223,11 +222,10 @@ def _sweep_rows(
 
 def _engine_line(code: CssCode, joint: bool) -> str:
     """Provenance line naming the table engine and its sizes."""
+    m_x, m_z = (len(label_functionals(code, side)[0]) for side in "xz")
     if joint:
-        m = code.rank_x + code.rank_z + 2 * code.k
+        m = m_x + m_z
         return f"engine: joint-transform n={code.n} m={m} combinations={2 ** m}"
-    m_x = code.rank_z + code.k
-    m_z = code.rank_x + code.k
     return (
         f"engine: coset-enumerator n={code.n} m_x={m_x} m_z={m_z} "
         f"combinations={2 ** m_x + 2 ** m_z}"
@@ -298,6 +296,8 @@ def cmd_code_info(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     code = from_selector(args.selector)
+    for side in ("x", "z"):  # refuse an oversized side before summing either
+        statmech.check_sector_loop(code, side)
     reports = {
         side: statmech.verify_sector_identity(code, args.p, side=side)
         for side in ("x", "z")
@@ -363,7 +363,7 @@ def cmd_sm_export(args: argparse.Namespace) -> int:
             "z:<a>:<kx>, or coupled:<b>:<kz>:<a>:<kx> with 0/1 strings "
             "(- for zero-width fields)"
         )
-    widths = {"b": code.rank_z, "kz": code.k, "a": code.rank_x, "kx": code.k}
+    widths = {**label_functionals(code, "x")[1], **label_functionals(code, "z")[1]}
     bits = {f: _parse_bits(text, widths[f], f) for f, text in zip(fields, texts)}
     reps = [representative_x(code, bits["b"], bits["kz"])] if "b" in bits else []
     reps += [representative_z(code, bits["a"], bits["kx"])] if "a" in bits else []

@@ -13,8 +13,8 @@ math.inf; serialization layers tag it rather than emitting float specials).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -31,11 +31,9 @@ DistOrPair = Union[SectorDistribution, FactorizedPair]
 
 @dataclass(frozen=True)
 class InfoResult:
-    """A scalar information quantity in bits, with its context echoed."""
+    """A scalar information quantity in bits."""
 
     value: float
-    k: int
-    noise: Dict[str, float] = field(default_factory=dict)
 
 
 def _fold(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
@@ -79,18 +77,31 @@ def _sampling_term(rows: np.ndarray, p_syn: np.ndarray) -> float:
     return float(np.sum(rows[live] ** 2 / p_syn[live, None]))
 
 
-def _check_pair(dist_x: SectorDistribution, dist_z: SectorDistribution) -> None:
+def _sides(dist: DistOrPair) -> Tuple[SectorDistribution, ...]:
+    """The tables of one noise point, each read as one side's (syndrome,
+    logical) rows: (dist,) for a joint table, or (dist_z, dist_x) for a
+    (dist_x, dist_z) pair from one code. ValueError for anything else."""
+    if isinstance(dist, SectorDistribution):
+        if dist.mode != MODE_JOINT:
+            raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
+        return (dist,)
+    dist_x, dist_z = dist
     if dist_x.mode != MODE_X:
         raise ValueError(f"dist_x must be {MODE_X}, got {dist_x.mode}")
     if dist_z.mode != MODE_Z:
         raise ValueError(f"dist_z must be {MODE_Z}, got {dist_z.mode}")
     if dist_x.code_hash != dist_z.code_hash:
         raise ValueError("dist_x and dist_z come from different codes")
+    return dist_z, dist_x
 
 
-def _check_joint(dist: SectorDistribution) -> None:
-    if dist.mode != MODE_JOINT:
-        raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
+def _coherent_information(dist: DistOrPair) -> InfoResult:
+    """k plus each side's conditional term, folded Z side first."""
+    sides = _sides(dist)
+    value = sides[0].k
+    for side in sides:
+        value += _conditional_term(*_syndrome_rows(side))
+    return InfoResult(value)
 
 
 def coherent_information_factorized(
@@ -102,11 +113,7 @@ def coherent_information_factorized(
     minus a conditional entropy, so the result lies in [−k, k], equals k at
     zero noise and −k at px = pz = 1/2.
     """
-    _check_pair(dist_x, dist_z)
-    value = (dist_x.k + _conditional_term(*_syndrome_rows(dist_z))
-             + _conditional_term(*_syndrome_rows(dist_x)))
-    noise = {**dist_x.noise, **dist_z.noise}
-    return InfoResult(value=value, k=dist_x.k, noise=noise)
+    return _coherent_information((dist_x, dist_z))
 
 
 def coherent_information_general(dist: SectorDistribution) -> InfoResult:
@@ -116,9 +123,7 @@ def coherent_information_general(dist: SectorDistribution) -> InfoResult:
     both logical labels. Reduces to the factorized form when the table is a
     product.
     """
-    _check_joint(dist)
-    value = dist.k + _conditional_term(*_syndrome_rows(dist))
-    return InfoResult(value=value, k=dist.k, noise=dict(dist.noise))
+    return _coherent_information(dist)
 
 
 def relative_entropy(
@@ -135,14 +140,12 @@ def relative_entropy(
         raise ValueError(f"dist_x must be {MODE_X}, got {dist_x.mode}")
     if k0.n != dist_x.k or k0p.n != dist_x.k:
         raise ValueError(f"logical labels must have k = {dist_x.k} bits")
-    noise = dict(dist_x.noise)
     rows = dist_x.by_syndrome()  # (b, kz)
     partner = rows[:, np.arange(rows.shape[1]) ^ (k0 ^ k0p).bits]
     live = rows > 0.0
     if np.any(partner[live] <= 0.0):
-        return InfoResult(value=math.inf, k=dist_x.k, noise=noise)
-    value = float(np.sum(rows[live] * np.log2(rows[live] / partner[live])))
-    return InfoResult(value=value, k=dist_x.k, noise=noise)
+        return InfoResult(math.inf)
+    return InfoResult(float(np.sum(rows[live] * np.log2(rows[live] / partner[live]))))
 
 
 def ml_success(dist: SectorDistribution) -> float:
@@ -164,13 +167,6 @@ def sampling_success(dist: SectorDistribution) -> float:
     return _sampling_term(*_syndrome_rows(dist))
 
 
-def _side_terms(dist: SectorDistribution) -> Tuple[float, float, float]:
-    """(conditional term, ML success, sampling success), reading the table
-    once: one by_syndrome() and one row sum shared by two of them."""
-    rows, p_syn = _syndrome_rows(dist)
-    return _conditional_term(rows, p_syn), _ml_term(rows), _sampling_term(rows, p_syn)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """The decoder/entropy inequality chain evaluated at one noise point."""
@@ -181,10 +177,6 @@ class BoundReport:
     ml: float
     appendix_lower: float  # 2·ml − 1
     violations: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def bound_report(dist: DistOrPair) -> BoundReport:
@@ -199,20 +191,15 @@ def bound_report(dist: DistOrPair) -> BoundReport:
     |ic| ≤ k, reporting violations as flags instead of raising, so sweeps can
     use this as a property harness.
     """
-    if isinstance(dist, SectorDistribution):
-        _check_joint(dist)
-        cond, ml, samp = _side_terms(dist)
-        k = dist.k
-        ic = k + cond
-    else:
-        dist_x, dist_z = dist
-        _check_pair(dist_x, dist_z)
-        cond_x, ml_x, samp_x = _side_terms(dist_x)
-        cond_z, ml_z, samp_z = _side_terms(dist_z)
-        k = dist_x.k
-        ic = k + cond_z + cond_x
-        ml = ml_x * ml_z
-        samp = samp_x * samp_z
+    sides = _sides(dist)
+    k = sides[0].k
+    ic, ml, samp = k, 1.0, 1.0
+    for side in sides:
+        # one by_syndrome() and one row sum per side, shared by two terms
+        rows, p_syn = _syndrome_rows(side)
+        ic += _conditional_term(rows, p_syn)
+        ml *= _ml_term(rows)
+        samp *= _sampling_term(rows, p_syn)
     jensen = 2.0 ** (ic - k)
     lower = 2.0 * ml - 1.0
     violations = []

@@ -40,18 +40,12 @@ N_BLOCKS = 16
 _UNIFORMS_PER_DRAW = 4096  # whole sweeps per draw, at least one
 
 
-def _mix(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def derive_seed(seed: int, *indices: int) -> int:
-    """Deterministic child stream: fold each index through the mixer."""
+    """Deterministic child stream: each index (0 <= ix < 2^64) in turn is the
+    counter of one splitmix64 draw seeded with the fold so far."""
     z = seed & _MASK
     for ix in indices:
-        z = _mix((z + (ix + 1) * _GOLDEN) & _MASK)
+        z = int(splitmix64(np.array([ix], dtype=np.uint64), z)[0])
     return z
 
 

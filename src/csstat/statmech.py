@@ -47,10 +47,11 @@ from .channels import (
     sector_distribution_x,
     sector_distribution_z,
 )
-from .css import CssCode, TooLarge, label_generators
+from .css import CssCode, TooLarge, label_functionals, label_generators
 from .gf2 import BitMatrix, BitVector, kernel_basis
 
 MAX_EXACT_SPINS = 24  # partition_exact streams 2^spins configurations
+MAX_SECTOR_LOOP_BITS = 36  # a sector loop sums 2^m sectors x 2^spins configurations
 _LOW_BITS = 10  # spins enumerated inside each chunk's parity block
 _CHUNK = 1 << 18  # multiply-adds per chunk; bigger products wake BLAS threads, a loss
 _ROW_BLOCK = 1 << 12  # sign rows built at once, so memory does not grow with sectors
@@ -249,12 +250,30 @@ def _parity_blocks(model: SmModel, couplings: Couplings) -> Tuple[np.ndarray, ..
     return _parity(hi[:, None], masks), coupling[:, None] * _parity(masks[:, None], lo)
 
 
-def _check_exact_size(model: SmModel) -> None:
+def _check_exact_size(num_spins: int) -> None:
     """Refuse models past MAX_EXACT_SPINS, before any mask meets uint64."""
-    if model.num_spins > MAX_EXACT_SPINS:
+    if num_spins > MAX_EXACT_SPINS:
         raise TooLarge(
-            f"exact partition sum over 2**{model.num_spins} configurations "
+            f"exact partition sum over 2**{num_spins} configurations "
             f"exceeds the {MAX_EXACT_SPINS}-spin limit"
+        )
+
+
+def check_sector_loop(code: CssCode, side: str) -> None:
+    """Raise TooLarge unless a loop over every sector of side "x", "z" or
+    "coupled" fits: its model within MAX_EXACT_SPINS spins, and its 2^m
+    sectors of 2^spins configurations each within 2^MAX_SECTOR_LOOP_BITS.
+    It reads only the code's sizes, so a loop calls it before it builds any
+    table, parity block or sign row."""
+    sides = ("x", "z") if side == SPECIES_COUPLED else (side,)
+    m = sum(len(label_functionals(code, s)[0]) for s in sides)
+    spins = sum((code.Hx if s == "x" else code.Hz).rows for s in sides)
+    _check_exact_size(spins)
+    if m + spins > MAX_SECTOR_LOOP_BITS:
+        raise TooLarge(
+            f"sector loop sums 2**{m} sectors x 2**{spins} configurations "
+            f"(m = {m} label bits, {spins} spins) = 2**{m + spins}, past its "
+            f"2**{MAX_SECTOR_LOOP_BITS} bound"
         )
 
 
@@ -266,7 +285,7 @@ def partition_exact(model: SmModel, couplings: Couplings, blocks=None) -> float:
     and below _LOW_BITS: each chunk of high rows is one product
     (high * signs) @ low of at most _CHUNK multiply-adds. blocks, if given,
     is _parity_blocks(model, couplings)."""
-    _check_exact_size(model)
+    _check_exact_size(model.num_spins)
     high, low = _parity_blocks(model, couplings) if blocks is None else blocks
     rows = max(1, _CHUNK // (max(1, high.shape[1]) * low.shape[1]))
     ln_z = -math.inf
@@ -284,7 +303,7 @@ def partition_sums(
 ) -> Iterator[float]:
     """ln Z of model with each row of term signs in turn, from 2-D blocks of
     rows read lazily; the parity blocks are built once for all rows."""
-    _check_exact_size(model)
+    _check_exact_size(model.num_spins)
     blocks = _parity_blocks(model, couplings)
     head = (model.num_spins, model.masks)
     tail = (model.species, model.sigma_spins)
@@ -396,6 +415,7 @@ def verify_sector_identity(
     The side's model is built once; each sector swaps in only its signs.
     """
     couplings = Couplings.uniform(nishimori_beta(p))
+    check_sector_loop(code, side)
     zero = BitVector(code.n, 0)
     start = time.perf_counter()
     if side == "x":
@@ -416,9 +436,10 @@ def verify_sector_identity_coupled(
     """Check the two-register model against a joint sector table."""
     if dist.mode != MODE_JOINT:
         raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
-    if dist.widths != {"a": code.rank_x, "b": code.rank_z, "kx": code.k, "kz": code.k}:
+    if dist.widths != {**label_functionals(code, "x")[1], **label_functionals(code, "z")[1]}:
         raise ValueError("dist's sector label widths do not match the code")
     couplings = Couplings.from_pauli(noise)
+    check_sector_loop(code, SPECIES_COUPLED)
     base = build_sm_coupled(code, BitVector(code.n, 0), BitVector(code.n, 0))
     start = time.perf_counter()
     masks = _sector_masks(code, SPECIES_COUPLED)
@@ -444,9 +465,11 @@ class KwReport:
 
 
 def kw_check(code: CssCode, beta_x: float) -> KwReport:
-    """Evaluate both duality residuals at coupling beta_x (> 0)."""
-    if beta_x <= 0.0:
-        raise ValueError("kw_check needs beta_x > 0 so tanh(beta_x) > 0")
+    """Evaluate both duality residuals at a finite coupling beta_x > 0."""
+    if not 0.0 < beta_x < math.inf:  # NaN fails too
+        raise ValueError(
+            f"kw_check needs a finite beta_x > 0 so tanh(beta_x) > 0, got {beta_x}"
+        )
     t = math.tanh(beta_x)
     beta_z = -0.5 * math.log(t)
     try:
@@ -489,8 +512,8 @@ def domain_wall_free_energy(
         raise ValueError(f"k_shift must have length k={code.k}")
     if k_shift.is_zero():
         raise ValueError("k_shift must be nonzero (the cost is trivially 0)")
-    beta = nishimori_beta(p)
-    couplings = Couplings.uniform(beta)
+    couplings = Couplings.uniform(nishimori_beta(p))
+    check_sector_loop(code, SPECIES_X)
     base = build_sm_x(code, BitVector(code.n, 0))
     ln_norm = log_normalization(base, couplings)
     sign_blocks = _sector_signs(*_sector_masks(code, SPECIES_X))

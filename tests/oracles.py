@@ -51,6 +51,18 @@ def exact_observables(model: SmModel, beta: float):
     return ln_z, mean_h, corr
 
 
+def scalar_derive_seed(seed: int, *indices: int) -> int:
+    """mc.derive_seed with the splitmix64 mixer written out in Python ints."""
+    mask = (1 << 64) - 1
+    z = seed & mask
+    for ix in indices:
+        z = (z + (ix + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+    return z
+
+
 def butterfly_walsh_hadamard(a: np.ndarray) -> None:
     """In-place unnormalized Walsh–Hadamard transform of a float array along
     axis 0: the butterfly network, bit 0 first, each stage mapping (x, y) to

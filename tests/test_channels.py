@@ -25,8 +25,7 @@ from csstat.channels import (
     sector_distribution_joint,
     sector_distribution_x,
     sector_distribution_z,
-    sector_distributions_x,
-    sector_distributions_z,
+    sector_distributions,
     _check_enumerator_size,
     _constant_geometry_transform,
     _coset_enumerator,
@@ -388,7 +387,7 @@ def test_enumerator_memory_peaks_near_one_table():
         _coset_enumerator(rows, code.n)
         enumerator_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        sector_distributions_x(code, [0.1])
+        sector_distributions(code, "x", [0.1])
         sweep_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -445,9 +444,8 @@ def test_sweep_tables_equal_per_call_tables(selector, digest):
     code = from_selector(selector)
     rates = [0.0, 0.03, 0.11, 0.5, 1.0]
     h = hashlib.sha256()
-    for many, one in ((sector_distributions_x, sector_distribution_x),
-                      (sector_distributions_z, sector_distribution_z)):
-        dists = many(code, rates)
+    for side, one in (("x", sector_distribution_x), ("z", sector_distribution_z)):
+        dists = sector_distributions(code, side, rates)
         assert len(dists) == len(rates)
         for p, dist in zip(rates, dists):
             single = one(code, p)
@@ -457,20 +455,20 @@ def test_sweep_tables_equal_per_call_tables(selector, digest):
             )
             h.update(dist.table.tobytes())
     assert h.hexdigest() == digest
-    assert sector_distributions_x(code, []) == []
+    assert sector_distributions(code, "x", []) == []
     with pytest.raises(ValueError, match="pz = 1.5"):
-        sector_distributions_z(code, [0.1, 1.5])
+        sector_distributions(code, "z", [0.1, 1.5])
 
 
 def test_repeated_rate_shares_one_table():
     # a fixed-pz sweep asks for the same rate at every point: one table is
     # built and the same (frozen, read-only) object is returned each time
     code = steane()
-    dists = sector_distributions_z(code, [0.07] * 3)
+    dists = sector_distributions(code, "z", [0.07] * 3)
     assert dists[0] is dists[1] is dists[2]
     assert not dists[0].table.flags.writeable
     assert np.array_equal(dists[0].table, sector_distribution_z(code, 0.07).table)
-    mixed = sector_distributions_x(code, [0.07, 0.2, 0.07])
+    mixed = sector_distributions(code, "x", [0.07, 0.2, 0.07])
     assert mixed[0] is mixed[2] and mixed[1] is not mixed[0]
 
 

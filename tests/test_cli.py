@@ -6,8 +6,11 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -377,6 +380,32 @@ def test_verify_past_spin_limit_exits_too_large(tmp_path, capsys):
     )
 
 
+def test_verify_refuses_an_oversized_side_before_summing_either(capsys, monkeypatch):
+    # surface2d:4x6: the X side alone would sum 2^19 sectors x 2^20 spin
+    # configurations before the Z side's table refused m_z = 21
+    def unreachable(*args):
+        raise AssertionError("a sector table was built")
+
+    monkeypatch.setattr(statmech, "sector_distribution_x", unreachable)
+    code, out, err = run(capsys, "verify", "surface2d:4x6", "0.1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: sector loop sums 2**19 sectors x 2**20 configurations "
+        "(m = 19 label bits, 20 spins) = 2**39, past its 2**36 bound\n"
+    )
+
+
+def test_cli_import_leaves_the_pool_modules_unloaded():
+    # nishimori_scan imports multiprocessing and concurrent.futures when it
+    # runs, so commands that run no pool do not pay for importing them
+    probe = ("import sys, csstat.cli; print([m for m in ('multiprocessing', "
+             "'concurrent.futures') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(statmech.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -462,6 +491,8 @@ def test_path_under_a_regular_file_is_an_input_error(tmp_path, capsys, argv):
          "nishimori_beta(1e-320) is not finite"),
         (("kw-check", "surface2d:2x2", "355"), "beta_x = 355.0"),
         (("kw-check", "surface2d:2x2", "5e-324"), "beta_x = 5e-324"),
+        (("kw-check", "toric2d:2", "inf"), "finite beta_x > 0 so tanh(beta_x) > 0, got inf"),
+        (("kw-check", "toric2d:2", "nan"), "finite beta_x > 0 so tanh(beta_x) > 0, got nan"),
         (("ic-sweep", "--code", "steane", "--p-start", "0.1", "--p-stop", "0.1",
           "--points", "1", "--noise", "general:1e308,1e308,1e308"),
          "noise weights 1e+308,1e+308,1e+308"),
@@ -470,11 +501,12 @@ def test_path_under_a_regular_file_is_an_input_error(tmp_path, capsys, argv):
          "noise weights 1.0,nan,1.0"),
     ],
     ids=["verify p=1e-320", "sm-export p=1e-320", "kw-check 355", "kw-check 5e-324",
-         "general 1e308", "general nan"],
+         "kw-check inf", "kw-check nan", "general 1e308", "general nan"],
 )
 def test_out_of_range_floats_are_input_errors(tmp_path, capsys, argv, message):
     # each used to print a false pass, zero noise, a misleading message or
-    # an OverflowError traceback; sm-export used to write Infinity into JSON
+    # an OverflowError traceback; sm-export used to write Infinity into JSON,
+    # and kw-check inf printed beta_z=-0.0 with zero residuals
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     assert out == ""

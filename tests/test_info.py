@@ -12,8 +12,7 @@ from csstat.channels import (
     sector_distribution_joint,
     sector_distribution_x,
     sector_distribution_z,
-    sector_distributions_x,
-    sector_distributions_z,
+    sector_distributions,
 )
 from csstat.css import with_logical_basis
 from csstat.gf2 import BitMatrix, BitVector
@@ -260,8 +259,8 @@ def test_finite_size_ordering_of_coherent_information():
                    (surface2d(3, 3), surface2d(4, 4))):
         curves = []
         for code in family:
-            xs = sector_distributions_x(code, ps)
-            zs = sector_distributions_z(code, ps)
+            xs = sector_distributions(code, "x", ps)
+            zs = sector_distributions(code, "z", ps)
             curves.append([
                 coherent_information_factorized(x, z).value / code.k
                 for x, z in zip(xs, zs)

@@ -36,7 +36,7 @@ from csstat.statmech import (
     nishimori_beta,
 )
 from csstat.zoo import four22, from_selector, surface2d, toric2d
-from oracles import exact_observables
+from oracles import exact_observables, scalar_derive_seed
 
 
 def test_splitmix64_known_vectors():
@@ -60,6 +60,17 @@ def test_derive_seed_separates_indices():
     seeds = {derive_seed(7, i, j) for i in range(8) for j in range(8)}
     assert len(seeds) == 64
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
+
+
+def test_derive_seed_matches_scalar_mixer():
+    # derive_seed folds each index through splitmix64 itself; the scalar
+    # copy of the mixer it replaced gives the same seed for every input
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        seed = int(rng.integers(-(1 << 62), 1 << 62)) << int(rng.integers(0, 4))
+        indices = [int(ix) for ix in rng.integers(0, 1 << 63, rng.integers(0, 4))]
+        indices += [(1 << 64) - 1] if rng.random() < 0.1 else []
+        assert derive_seed(seed, *indices) == scalar_derive_seed(seed, *indices)
 
 
 def test_mcconfig_validation():

@@ -26,6 +26,7 @@ from csstat.css import (
     EmptyCodeWarning,
     TooLarge,
     from_text,
+    label_functionals,
     new_css,
     representative_x,
     representative_z,
@@ -652,6 +653,31 @@ def test_sector_loops_refuse_labels_past_64_bits(monkeypatch):
     for side in ("x", "z", "coupled"):
         with pytest.raises(TooLarge, match="m = "):
             statmech._sector_masks(code, side)
+
+
+def test_sector_loops_refuse_past_the_configuration_bound(monkeypatch):
+    # surface2d:5x5: 2^21 X sectors x 2^20 configurations each, refused
+    # before any parity block or sign row is built
+    def unreachable(*args):
+        raise AssertionError("a parity matrix was built")
+
+    monkeypatch.setattr(statmech, "_parity", unreachable)
+    with pytest.raises(TooLarge) as exc:
+        domain_wall_free_energy(surface2d(5, 5), 0.1, BitVector(1, 1))
+    assert str(exc.value) == (
+        "sector loop sums 2**21 sectors x 2**20 configurations "
+        "(m = 21 label bits, 20 spins) = 2**41, past its 2**36 bound"
+    )
+    with pytest.raises(TooLarge, match="2\\*\\*39, past its 2\\*\\*36 bound"):
+        verify_sector_identity(surface2d(4, 6), 0.1, "x")
+    # the runs the bound must keep: verify toric3d:2 (2^34 on its Z side),
+    # the toric2d:4 domain wall (2^33) and verify xcube:2 (2^28)
+    for selector, side, bits in (("toric3d:2", "z", 34), ("toric2d:4", "x", 33),
+                                 ("xcube:2", "x", 28)):
+        code = from_selector(selector)
+        spins = (code.Hx if side == "x" else code.Hz).rows
+        assert spins + len(label_functionals(code, side)[0]) == bits
+        statmech.check_sector_loop(code, side)
 
 
 @pytest.mark.parametrize("side, sectors, spins", [("x", 512, 9), ("z", 1024, 8)])
