@@ -21,6 +21,7 @@ instead of walking the 4^n (Ex, Ez) pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -31,7 +32,7 @@ from .css import CssCode, TooLarge, code_hash, combination_supports, label_funct
 
 MAX_LABEL_BITS = 20  # 2^m label combinations per transform
 MAX_SUPPORT_BITS = 63  # functional supports are packed into uint64
-_BLOCK_ROWS = 1 << 12  # rows of A moved or converted to float64 at once
+_BLOCK_ROWS = 1 << 12  # rows of A transformed, moved or converted to float64 at once
 
 MODE_X = "factorized-x"
 MODE_Z = "factorized-z"
@@ -246,36 +247,79 @@ class SectorDistribution:
             )
 
 
+@functools.cache
 def _krawtchouk_table(n: int) -> np.ndarray:
     """K[d, w] = Σ_j (−1)^j C(d, j) C(n−d, w−j), the Krawtchouk polynomial.
 
     K_w(d; n) is the signed count of weight-w strings against a fixed
     weight-d support: Σ_{|E|=w} (−1)^<s, E> for any s with |s| = d. Row d is
     an int64 convolution, exact: |partial sums| ≤ C(n, w) < 2^63 for n ≤ 63.
+    Built once per n and returned read-only, as every caller shares it.
     """
     table = np.empty((n + 1, n + 1), dtype=np.int64)
     for d in range(n + 1):
         signed = np.array([(-1) ** j * math.comb(d, j) for j in range(d + 1)])
         table[d] = np.convolve(signed, [math.comb(n - d, i) for i in range(n - d + 1)])
+    table.flags.writeable = False
     return table
 
 
 def _walsh_hadamard(a: np.ndarray) -> None:
-    """In-place unnormalized Walsh–Hadamard transform of int64 rows, axis 0.
+    """In-place unnormalized Walsh–Hadamard transform of a C-contiguous
+    (2^m, cols) int64 array along axis 0, cache-blocked (Johnson & Püschel,
+    ICASSP 2000).
 
-    Each butterfly maps (x, y) to (x + y, x − y), taking x − y as
-    (x + y) − 2y so that no copy of x is made: exact, as int64 wraps modulo
-    2^64 and the results fit. The coset enumerator's A stays its one large
-    array. Float arrays use _constant_geometry_transform, since (x + y) − 2y
-    rounds differently from x − y.
+    Each block of _BLOCK_ROWS rows takes the stages of every low row bit
+    while it sits in cache. A, viewed as (2^m / rows, rows·cols), then takes
+    the stages of the remaining high bits one column chunk of at most
+    rows·cols entries at a time. Besides A, it allocates one block of
+    temporaries, the float conversion's budget, and numpy's fixed-size ufunc
+    buffers for the short strided rows of its first passes. Every output is
+    the same signed sum of inputs as in the butterfly network; int64 wraps
+    modulo 2^64, so every result that fits is exact. Float arrays use
+    _constant_geometry_transform, whose rounding matches the butterfly's.
     """
-    size, half = a.shape[0], 1
-    while half < size:
-        top, bottom = a.reshape(size // (2 * half), 2, half, -1).swapaxes(0, 1)
-        top += bottom
-        bottom *= 2
-        np.subtract(top, bottom, out=bottom)
-        half *= 2
+    size, cols = a.shape
+    rows = min(size, _BLOCK_ROWS)
+    scratch = np.empty(rows * cols, dtype=a.dtype)
+    for lo in range(0, size, rows):
+        _radix4_stages(a[lo : lo + rows], scratch)
+    high = a.reshape(size // rows, rows * cols)
+    width = scratch.size // len(high)
+    for lo in range(0, high.shape[1], width):
+        _radix4_stages(high[:, lo : lo + width], scratch)
+
+
+def _radix4_stages(x: np.ndarray, scratch: np.ndarray) -> None:
+    """Walsh–Hadamard transform of an (n, w) view along axis 0, in place.
+
+    Each pass takes two row bits at once: the rows x0 … x3 that differ only
+    in those bits become s01 + s23, d01 + d23, s01 − s23 and d01 − d23, with
+    s01 = x0 + x1, d01 = x0 − x1, s23 = x2 + x3 and d23 = x2 − x3 held in
+    four quarters of scratch, which needs n·w entries. An odd bit count ends
+    with one radix-2 pass.
+    """
+    n, w = x.shape
+    quarter = 1
+    while 4 * quarter <= n:
+        groups = n // (4 * quarter)
+        x0, x1, x2, x3 = x.reshape(groups, 4, quarter, w).swapaxes(0, 1)
+        s01, d01, s23, d23 = scratch[: n * w].reshape(4, groups, quarter, w)
+        np.add(x0, x1, out=s01)
+        np.subtract(x0, x1, out=d01)
+        np.add(x2, x3, out=s23)
+        np.subtract(x2, x3, out=d23)
+        np.add(s01, s23, out=x0)
+        np.add(d01, d23, out=x1)
+        np.subtract(s01, s23, out=x2)
+        np.subtract(d01, d23, out=x3)
+        quarter *= 4
+    if quarter < n:  # n = 2·quarter: the last bit
+        x0, x1 = x.reshape(2, quarter, w)
+        d01 = scratch[: quarter * w].reshape(quarter, w)
+        np.subtract(x0, x1, out=d01)
+        x0 += x1
+        x1[...] = d01
 
 
 def _constant_geometry_transform(a: np.ndarray) -> np.ndarray:
@@ -336,7 +380,9 @@ def _coset_enumerator(rows: Sequence[int], n: int) -> np.ndarray:
     with c the label of the all-ones string, so A[l, n − w] = A[l ⊕ c, w].
     Only the h = ⌊n/2⌋ + 1 columns w ≤ n/2 are transformed, packed at the
     front of A's own buffer; the rows are then spread out and the columns
-    w > n/2 copied from their mirrors, so A is the only large allocation.
+    w > n/2 copied from their mirrors, so A is the only large allocation,
+    plus at most one block of temporaries: the float conversion's budget of
+    _BLOCK_ROWS rows.
     """
     m = len(rows)
     _check_enumerator_size(n, m)

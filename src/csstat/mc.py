@@ -13,6 +13,7 @@ single integer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -108,6 +109,24 @@ def _blocked(series: np.ndarray) -> Tuple[float, float]:
     return float(series.mean()), float(blocks.std(ddof=1) / math.sqrt(N_BLOCKS))
 
 
+@functools.lru_cache(maxsize=1)
+def _spin_tables(num_spins: int, masks: Tuple[int, ...]):
+    """Per-term sites, per-spin terms, per-spin (term, other site) pairs and
+    per-spin degrees, as tuples. Every chain of a mask set reads the same
+    tables, so the last mask set's are kept."""
+    sites = tuple(mask_sites(mask) for mask in masks)
+    spin_terms: List[List[int]] = [[] for _ in range(num_spins)]
+    # (term, other site) pairs of each spin: flipping the spin moves the
+    # term's sign out of (or into) the other site's count of negative terms
+    spin_pairs: List[List[Tuple[int, int]]] = [[] for _ in range(num_spins)]
+    for t_idx, term_sites in enumerate(sites):
+        for s in term_sites:
+            spin_terms[s].append(t_idx)
+            spin_pairs[s] += [(t_idx, o) for o in term_sites if o != s]
+    deg = tuple(len(t) for t in spin_terms)
+    return sites, tuple(map(tuple, spin_terms)), tuple(map(tuple, spin_pairs)), deg
+
+
 def _run_replica(
     model: SmModel, beta: float, sweeps: int, burn_in: int, stream_seed: int
 ):
@@ -117,16 +136,7 @@ def _run_replica(
     of negative terms at spin i; metropolis describes the thresholds.
     """
     num_spins = model.num_spins
-    sites = [mask_sites(mask) for mask in model.masks]
-    spin_terms: List[List[int]] = [[] for _ in range(num_spins)]
-    # (term, other site) pairs of each spin: flipping the spin moves the
-    # term's sign out of (or into) the other site's count of negative terms
-    spin_pairs: List[List[Tuple[int, int]]] = [[] for _ in range(num_spins)]
-    for t_idx, term_sites in enumerate(sites):
-        for s in term_sites:
-            spin_terms[s].append(t_idx)
-            spin_pairs[s] += [(t_idx, o) for o in term_sites if o != s]
-    deg = [len(t) for t in spin_terms]
+    sites, spin_terms, spin_pairs, deg = _spin_tables(num_spins, model.masks)
     max_deg = max(deg, default=0)
     # Acceptance probability of dH = 2*m for m = 1..max_deg (m <= 0 always
     # accepts); the thresholds below need it non-increasing when beta >= 0.

@@ -64,10 +64,11 @@ def scalar_derive_seed(seed: int, *indices: int) -> int:
 
 
 def butterfly_walsh_hadamard(a: np.ndarray) -> None:
-    """In-place unnormalized Walsh–Hadamard transform of a float array along
-    axis 0: the butterfly network, bit 0 first, each stage mapping (x, y) to
-    (x + y, x − y) with a copy of x. The constant-geometry transform must
-    equal it bit for bit."""
+    """In-place unnormalized Walsh–Hadamard transform of a float or int64
+    array along axis 0: the butterfly network, bit 0 first, each stage
+    mapping (x, y) to (x + y, x − y) with a copy of x. The constant-geometry
+    transform must equal it bit for bit on floats, and the blocked radix-4
+    transform on int64."""
     size, half = a.shape[0], 1
     while half < size:
         top, bottom = a.reshape(size // (2 * half), 2, half, -1).swapaxes(0, 1)

@@ -359,10 +359,16 @@ def test_krawtchouk_table_matches_defining_sum():
         assert np.array_equal(_krawtchouk_table(n), _krawtchouk_oracle(n)), n
 
 
+def test_krawtchouk_table_is_built_once_and_read_only():
+    table = _krawtchouk_table(9)
+    assert not table.flags.writeable
+    assert _krawtchouk_table(9) is table
+
+
 def test_integer_walsh_hadamard_is_exact():
-    # the integer butterfly takes x - y as (x + y) - 2y in place; it must
-    # equal the transform in Python ints, also where -2y wraps int64 while
-    # every result fits
+    # the transform's int64 sums wrap modulo 2^64; it must equal the
+    # transform in Python ints wherever every result fits, also at the edge
+    # of int64, where a wrapped intermediate sum would show
     rng = np.random.default_rng(7)
     a = rng.integers(-(1 << 57), 1 << 57, size=(32, 3), dtype=np.int64)
     a[:, 2] = 1 << 57  # this column sums to 2^62 in the first row
@@ -374,6 +380,36 @@ def test_integer_walsh_hadamard_is_exact():
     wraps = np.array([[1], [(1 << 62) + 5]], dtype=np.int64)
     _walsh_hadamard(wraps)
     assert wraps.tolist() == [[(1 << 62) + 6], [-(1 << 62) - 4]]
+
+
+@pytest.mark.parametrize("m", range(18))
+def test_walsh_hadamard_matches_butterfly(m):
+    # m <= 12 is a single block of rows; past it come several row blocks and
+    # column chunks of the high view; an odd m ends in a radix-2 pass; cols
+    # = 1 makes the narrowest chunks. Entries span int64, so sums wrap
+    rng = np.random.default_rng(m)
+    for cols in (1, 5, 17):
+        a = rng.integers(-(1 << 63), 1 << 63, size=(1 << m, cols), dtype=np.int64)
+        want = a.copy()
+        butterfly_walsh_hadamard(want)
+        _walsh_hadamard(a)
+        assert np.array_equal(a, want), cols
+
+
+def test_walsh_hadamard_allocates_one_block():
+    # besides A, the transform's temporaries are one block of _BLOCK_ROWS
+    # rows (32 row blocks and 32 column chunks at m = 17), plus the buffers
+    # numpy's ufuncs take for short strided rows, np.getbufsize() entries
+    # for each of at most three operands
+    cols = 17
+    a = np.random.default_rng(5).integers(-99, 99, size=(1 << 17, cols), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _walsh_hadamard(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (channels._BLOCK_ROWS * cols + 3 * np.getbufsize())
 
 
 def test_enumerator_memory_peaks_near_one_table():
@@ -513,6 +549,15 @@ def test_table_bytes_are_pinned():
     assert tables["four22 marginal b"].mode == "marginal"
     for name, dist in tables.items():
         assert hashlib.sha256(dist.table.tobytes()).hexdigest() == want[name], name
+
+
+def test_multi_block_table_is_pinned():
+    # toric2d:4, x side, m = 17: the transform runs 32 row blocks and 32
+    # column chunks; sha256 of the table as the in-place butterfly built it
+    table = sector_distribution_x(toric2d(4), 0.1).table
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "c106575082bd85d43a41825bd14651e57728e8fd43e1dac3f59fca8c081ac8f3"
+    )
 
 
 def _pauli_pair_prob(ex, ez, noise, n):

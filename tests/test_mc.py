@@ -439,6 +439,23 @@ def test_thresholds_match_direct_rule(selector, side, p):
     assert np.array_equal(got[1], want[1])
 
 
+def test_spin_tables_are_built_once_per_mask_set():
+    # every chain of one mask set reads the same tables; another mask set
+    # replaces them, and no chain depends on which set was seen before
+    code = from_selector("surface2d:3x4")
+    x_model = build_sm_x(code, BitVector(code.n, 0))
+    z_model = build_sm_z(code, BitVector(code.n, 0))
+    mc._spin_tables.cache_clear()
+    first = _run_replica(x_model, 0.4, 40, 8, 5)
+    _run_replica(dataclasses.replace(x_model, signs=(-1,) * len(x_model.signs)),
+                 0.4, 40, 8, 6)
+    assert mc._spin_tables.cache_info()[:2] == (1, 1)  # hits, misses
+    _run_replica(z_model, 0.4, 40, 8, 5)
+    again = _run_replica(x_model, 0.4, 40, 8, 5)
+    assert mc._spin_tables.cache_info()[:2] == (1, 3)
+    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+
+
 def test_thresholds_fit_a_byte_up_to_degree_510():
     # one spin in 510 terms: its thresholds reach ceil(510 / 2) = 255, the
     # largest byte, and the chain still follows the direct rule; a 511th
