@@ -8,19 +8,18 @@ proposal i uses counter (1 + s)*num_spins + i.
 
 Replica streams and per-disorder-sample streams are derived from the base
 seed with the same mixer, so a scan over noise points is reproducible from a
-single integer.
+single integer. Chains on one model's masks run together, as the bit lanes
+of lockstep passes (_chains), each on its own stream, so no chain depends on
+the chains beside it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +37,9 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 N_BLOCKS = 16
-_UNIFORMS_PER_DRAW = 4096  # whole sweeps per draw, at least one
+_UNIFORMS_PER_DRAW = 1 << 14  # over a pass's lanes, whole sweeps, at least one
+
+Lane = Tuple[Tuple[int, ...], float, int]  # a chain's signs, beta, stream seed
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -50,19 +51,25 @@ def derive_seed(seed: int, *indices: int) -> int:
     return z
 
 
-def splitmix64(counters: np.ndarray, seed: int) -> np.ndarray:
-    """splitmix64 output at the given counters (uint64 in, uint64 out)."""
+def splitmix64(counters: np.ndarray, seed) -> np.ndarray:
+    """splitmix64 output at the given counters (uint64 in, uint64 out). seed
+    is an int, or a uint64 array of stream seeds broadcast against counters."""
     z = np.uint64(seed & _MASK) + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def uniforms(counters: np.ndarray, seed: int) -> np.ndarray:
+def uniforms(counters: np.ndarray, seed) -> np.ndarray:
     """Uniforms in [0, 1) with 53-bit mantissas from the counter stream."""
-    return (splitmix64(counters, seed) >> np.uint64(11)).astype(np.float64) * (
-        2.0 ** -53
-    )
+    z = splitmix64(counters, seed)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 @dataclass(frozen=True)
@@ -109,156 +116,172 @@ def _blocked(series: np.ndarray) -> Tuple[float, float]:
     return float(series.mean()), float(blocks.std(ddof=1) / math.sqrt(N_BLOCKS))
 
 
-@functools.lru_cache(maxsize=1)
 def _spin_tables(num_spins: int, masks: Tuple[int, ...]):
-    """Per-term sites, per-spin terms, per-spin (term, other site) pairs and
-    per-spin degrees, as tuples. Every chain of a mask set reads the same
-    tables, so the last mask set's are kept."""
+    """Per-term sites and per-spin terms, as tuples."""
     sites = tuple(mask_sites(mask) for mask in masks)
     spin_terms: List[List[int]] = [[] for _ in range(num_spins)]
-    # (term, other site) pairs of each spin: flipping the spin moves the
-    # term's sign out of (or into) the other site's count of negative terms
-    spin_pairs: List[List[Tuple[int, int]]] = [[] for _ in range(num_spins)]
     for t_idx, term_sites in enumerate(sites):
         for s in term_sites:
             spin_terms[s].append(t_idx)
-            spin_pairs[s] += [(t_idx, o) for o in term_sites if o != s]
-    deg = tuple(len(t) for t in spin_terms)
-    return sites, tuple(map(tuple, spin_terms)), tuple(map(tuple, spin_pairs)), deg
+    return sites, tuple(map(tuple, spin_terms))
 
 
-def _run_replica(
-    model: SmModel, beta: float, sweeps: int, burn_in: int, stream_seed: int
-):
-    """One chain; returns (energy-per-spin series, spin snapshots) post burn.
+def _lockstep(num_spins: int, tables, lanes: Sequence[Lane], sweeps: int, burn_in: int):
+    """One pass: every lane's chain on one topology, stepped together.
 
-    State: the +-1 term products prod, total = sum(prod) and h[i], the number
-    of negative terms at spin i; metropolis describes the thresholds.
+    Lane c is the F bits at c*F of each state int (F = _lane_bits, and
+    len(lanes) * F <= 64): spin i's int has 1 at c*F where the spin is down,
+    term t's int 1 where its product is -1. Returns the spins' ints after
+    each measured sweep, shape (measured sweeps, spins), as uint64.
     """
-    num_spins = model.num_spins
-    sites, spin_terms, spin_pairs, deg = _spin_tables(num_spins, model.masks)
-    max_deg = max(deg, default=0)
-    # Acceptance probability of dH = 2*m for m = 1..max_deg (m <= 0 always
-    # accepts); the thresholds below need it non-increasing when beta >= 0.
-    accept = [math.exp(-2.0 * beta * m) for m in range(1, max_deg + 1)]
-    if beta >= 0 and any(a < b for a, b in zip(accept, accept[1:])):
-        raise InternalInvariantError(
-            f"acceptance table increases at beta={beta}: {accept}"
-        )
+    sites, spin_terms = tables
+    n, terms = len(lanes), len(sites)
+    deg = np.array([len(t) for t in spin_terms])
+    max_deg = int(deg.max())
+    field = _lane_bits(max_deg)
+    half, k_max = 1 << (field - 1), (max_deg + 1) >> 1
+    # cut[j, c, 0, i] = accept_c[m] for m = deg_i - 2j > 0, else 2 (never u >= 2)
+    cost = deg - 2 * np.arange(k_max)[:, None]
+    cut = np.empty((k_max, n, 1, num_spins))
+    for c, (_, beta, _) in enumerate(lanes):
+        # Acceptance probability of dH = 2*m for m = 1..max_deg (m <= 0 always
+        # accepts); the thresholds below need it non-increasing when beta >= 0.
+        accept = [math.exp(-2.0 * beta * m) for m in range(1, max_deg + 1)]
+        if beta >= 0 and any(a < b for a, b in zip(accept, accept[1:])):
+            raise InternalInvariantError(
+                f"acceptance table increases at beta={beta}: {accept}"
+            )
+        cut[:, c, 0] = np.array([2.0] + accept)[cost.clip(0)]
+    shift = (np.arange(n, dtype=np.uint64) * np.uint64(field)).reshape(n, 1, 1)
 
-    init = uniforms(np.arange(num_spins, dtype=np.uint64), stream_seed)
-    spins = bytearray(0 if u < 0.5 else 1 for u in init.tolist())  # 1: down
-    prod = []
-    h = [0] * num_spins
-    for sign, term_sites in zip(model.signs, sites):
-        v = sign
+    def pack(values: np.ndarray) -> List[int]:
+        # lane c's value (< 2^field) at bit c*field of one int per column;
+        # shifts a uint64 argument in place
+        words = np.asarray(values, dtype=np.uint64)
+        words <<= shift
+        return np.bitwise_or.reduce(words, axis=0).ravel().tolist()
+
+    seeds = np.array([seed & _MASK for *_, seed in lanes], dtype=np.uint64)
+    seeds = seeds.reshape(n, 1, 1)
+    init = uniforms(np.arange(num_spins, dtype=np.uint64), seeds)
+    state = pack(init >= 0.5)  # spins, then the terms' negative products
+    lane_signs = np.array([signs for signs, _, _ in lanes]).reshape(n, 1, terms)
+    negative = pack(lane_signs < 0)
+    for t_idx, term_sites in enumerate(sites):
         for s in term_sites:
-            if spins[s]:
-                v = -v
-        prod.append(v)
-        if v < 0:
-            for s in term_sites:
-                h[s] += 1
-    total = sum(prod)
+            negative[t_idx] ^= state[s]
+    state += negative
+    proposals = [(i, tuple(num_spins + t for t in spin_terms[i]))
+                 for i in range(num_spins)]
+    top, low = sum(half << c * field for c in range(n)), field - 1
+    get = state.__getitem__
 
-    meas = sweeps - burn_in
-    energy = np.empty(meas, dtype=np.float64)
-    snaps = []
-    block = max(1, _UNIFORMS_PER_DRAW // num_spins)
-    # deg_i + 1 for every proposal of a full draw; int16 holds it less any A(u)
-    deg_plus_one = np.tile(np.array(deg, dtype=np.int16) + 1, min(block, sweeps))
+    spins = np.empty((sweeps - burn_in, num_spins), dtype=np.uint64)
+    block = max(1, _UNIFORMS_PER_DRAW // (n * num_spins))
     for sweep in range(sweeps):
         at = sweep % block
         if at == 0:  # sweeps [s0, s1) take counters [(1+s0)*S, (1+s1)*S)
             drawn_sweeps = min(sweeps, sweep + block) - sweep
-            end = (1 + sweep + drawn_sweeps) * num_spins
-            counters = np.arange((1 + sweep) * num_spins, end, dtype=np.uint64)
-            u = uniforms(counters, stream_seed)
-            # flip iff m <= A(u) = #{m : u < accept[m]}, i.e. h[i] >= K =
-            # max(0, ceil((deg_i - A) / 2)) = max(0, (deg_i + 1 - A) >> 1)
-            need = deg_plus_one[:len(u)].copy()
-            for a in accept:
-                need -= u < a
-            need >>= 1
-            thresholds = np.maximum(need, 0).astype(np.uint8).tobytes()
-        k_row = thresholds[at * num_spins:(at + 1) * num_spins]
-        for i in range(num_spins):
-            h_i = h[i]
-            if h_i >= k_row[i]:
-                d = deg[i]
-                total += 4 * h_i - 2 * d
-                h[i] = d - h_i
-                spins[i] ^= 1
-                for t, s in spin_pairs[i]:
-                    h[s] += prod[t]
-                for t in spin_terms[i]:
-                    prod[t] = -prod[t]
+            counters = np.arange((1 + sweep) * num_spins,
+                                 (1 + sweep + drawn_sweeps) * num_spins,
+                                 dtype=np.uint64).reshape(drawn_sweeps, num_spins)
+            u = uniforms(counters, seeds)
+            # half - K per lane, K = #{j : u >= cut_j} the spin's threshold
+            need = np.full(u.shape, half - k_max, dtype=np.uint64)
+            for cut_j in cut:
+                need += u < cut_j
+            offsets = pack(need)
+        row = offsets[at * num_spins:(at + 1) * num_spins]
+        for (i, negs), offset in zip(proposals, row):
+            # field c of the sum is h_c + half - K_c: its top bit is h_c >= K_c
+            flip = (sum(map(get, negs), offset) & top) >> low
+            if flip:
+                state[i] ^= flip
+                for t in negs:
+                    state[t] ^= flip
         if sweep >= burn_in:
-            energy[sweep - burn_in] = -total / num_spins
-            snaps.append(bytes(spins))
-    down = np.frombuffer(b"".join(snaps), dtype=np.int8).reshape(meas, num_spins)
-    return energy, 1 - 2 * down
+            spins[sweep - burn_in] = state[:num_spins]
+    return spins
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _lane_bits(max_deg: int) -> int:
+    """Bits per lane: a count of up to max_deg negative terms, plus a top bit."""
+    return max_deg.bit_length() + 1
 
 
-MAX_DEGREE = 510  # a threshold is at most ceil(deg / 2) and is stored as uint8
+def _chains(model: SmModel, lanes: Sequence[Lane], sweeps: int, burn_in: int):
+    """Each lane's (energy-per-spin series, int8 +-1 spin snapshots) post
+    burn, in lane order. A lane is a chain's (signs, beta, stream seed) on
+    model's masks; the lanes run in passes of as many as fit one 64-bit word,
+    each pass when its first lane is asked for."""
+    num_spins = model.num_spins
+    sites, spin_terms = tables = _spin_tables(num_spins, model.masks)
+    field = _lane_bits(max(map(len, spin_terms)))
+    # term t's sites, padded with spin index num_spins: an up spin
+    padded = np.full((max(map(len, sites), default=0), len(sites)), num_spins)
+    for t_idx, term_sites in enumerate(sites):
+        padded[:len(term_sites), t_idx] = term_sites
+    width = 64 // field
+    for start in range(0, len(lanes), width):
+        batch = lanes[start:start + width]
+        words = _lockstep(num_spins, tables, batch, sweeps, burn_in)
+        as_bytes = words.astype("<u8", copy=False).view(np.uint8).reshape(
+            len(words), num_spins, 8)  # bit at of a word is bit at % 8 of byte at // 8
+        down = np.zeros((len(words), num_spins + 1), dtype=np.uint8)
+        for c, (signs, _, _) in enumerate(batch):
+            at = c * field
+            down[:, :num_spins] = (as_bytes[:, :, at >> 3] >> (at & 7)) & 1
+            negative = np.empty((len(words), len(sites)), dtype=np.uint8)
+            negative[:] = np.array(signs) < 0
+            for column in padded:
+                negative ^= down[:, column]
+            # -(sum of the term products) / S, the products summing to
+            # T - 2 * (negative terms)
+            count = negative.sum(axis=1, dtype=np.int64)
+            yield ((2 * count - len(sites)) / num_spins,
+                   1 - 2 * down[:, :num_spins].astype(np.int8))
 
 
 def _check_model(model: SmModel) -> None:
-    """Refuse a model the threshold kernel cannot sample."""
+    """Refuse a model the lockstep kernel cannot sample."""
     if model.species == SPECIES_COUPLED:
         raise ValueError("metropolis samples single-register models only")
     if model.num_spins == 0:
         raise ValueError("model has no spins")
-    if len(model.masks) > MAX_DEGREE:  # no spin has more terms than the model
-        deg = max(Counter(s for mask in model.masks for s in mask_sites(mask)).values())
-        if deg > MAX_DEGREE:
-            raise ValueError(
-                f"a spin in {deg} terms is past the {MAX_DEGREE} metropolis supports"
-            )
-
-
-def _replica_args(model: SmModel, beta: float, cfg: McConfig, replica: int):
-    """The _run_replica arguments of one replica of a run."""
-    return model, beta, cfg.sweeps, cfg.burn_in, derive_seed(cfg.seed, replica)
 
 
 def metropolis(
-    model: SmModel, beta: float, cfg: McConfig, *, pending=None
+    model: SmModel,
+    beta: float,
+    cfg: McConfig,
+    *,
+    chains: Optional[Iterable[Tuple[np.ndarray, np.ndarray]]] = None,
 ) -> McObservables:
     """Sample a single-register model at coupling beta.
 
-    Fixed proposal order (spin 0..S-1 each sweep), and each sweep's uniforms
-    sliced from one draw of up to _UNIFORMS_PER_DRAW that covers whole
-    sweeps. Replica r runs on stream derive_seed(cfg.seed, r); the overlap
-    pairs every two replicas and averages. pending, if given, maps replica
-    indices to futures of _run_replica(*_replica_args(model, beta, cfg, r))
-    that some other process runs (nishimori_scan queues them); this call
-    runs every other replica itself first, then collects those. Each chain
-    is a pure function of its arguments and the results are combined in
-    replica order, so the observables are bit-identical to running every
-    replica here.
+    Fixed proposal order (spin 0..S-1 each sweep). Replica r runs on stream
+    derive_seed(cfg.seed, r), all replicas as lanes of one lockstep pass
+    (_chains); the overlap pairs every two replicas and averages. chains, if
+    given, are the replicas' (energies, snapshots) already run that way
+    (nishimori_scan runs every chain of a scan as lanes and passes each
+    sample its own); every chain is a pure function of its lane, so the
+    observables are bit-identical either way.
 
     The rule is min(1, e^{-beta dH}): flipping spin i, with m = deg_i -
     2*h[i] for h[i] its count of negative terms, costs dH = 2*m and is
-    accepted iff m <= 0 or u < accept[m] = e^{-2 beta m}. Each uniform is
-    turned, once per draw, into A(u) = #{m in 1..max_deg : u < accept[m]}.
-    For beta >= 0 the table is non-increasing (checked), so that set is the
-    prefix 1..A(u); for beta < 0 every entry exceeds 1 > u, so A(u) =
-    max_deg. Either way the rule holds exactly when m <= A(u), which is
-    h[i] >= K = max(0, ceil((deg_i - A(u)) / 2)). The same uniforms meet
-    the same float compares, so the chain is the one the direct rule gives,
-    bit for bit. Each draw's thresholds K are stored as bytes, so a spin's
-    degree may be at most MAX_DEGREE (checked). A rejected proposal costs
-    one integer compare; a flip updates h at the other sites of its terms,
-    so the cost follows the flip rate, not the proposal count.
+    accepted iff m <= 0 or u < accept[m] = e^{-2 beta m}. For beta >= 0 the
+    table is non-increasing (checked), so the flip condition holds exactly
+    when h[i] >= K = #{j < ceil(deg_i / 2) : u >= accept[deg_i - 2j]}; for
+    beta <= 0 no entry is below 1 > u, so K = 0 and every proposal flips.
+    The same uniforms meet the same float compares, so each chain is the one
+    the direct rule gives, bit for bit. Each draw of uniforms, up to
+    _UNIFORMS_PER_DRAW over whole sweeps of every lane, becomes one int per
+    proposal holding half - K in every lane's field; a proposal sums it with
+    the ints of its deg_i terms, which puts h + half - K in each field, and
+    the fields' top bits are the lanes that flip. So a proposal costs
+    deg_i + 2 integer operations for all lanes together, plus deg_i + 1 XORs
+    when any lane flips, and F = bit_length(max degree) + 1 bits per lane
+    give 64 // F lanes a pass (16 at degree 4, 6 at degree 510).
 
     Caveat: zero-cost flips are always accepted (min(1, e^0) = 1), so on a
     landscape with flat directions the fixed-order sweep traverses them
@@ -269,13 +292,11 @@ def metropolis(
     exact enumeration instead.
     """
     _check_model(model)
-    pending = pending or {}
-    chains = {
-        r: _run_replica(*_replica_args(model, beta, cfg, r))
-        for r in range(cfg.replicas) if r not in pending
-    }
-    chains.update((r, future.result()) for r, future in pending.items())
-    energies, snapshots = zip(*(chains[r] for r in range(cfg.replicas)))
+    if chains is None:
+        seeds = [derive_seed(cfg.seed, r) for r in range(cfg.replicas)]
+        chains = _chains(model, [(model.signs, beta, seed) for seed in seeds],
+                         cfg.sweeps, cfg.burn_in)
+    energies, snapshots = zip(*chains)
     mean_e, err_e = _blocked(np.mean(energies, axis=0))
     if cfg.replicas < 2:
         return McObservables(mean_e, err_e, math.nan, math.nan)
@@ -344,16 +365,14 @@ def nishimori_scan(
     index), so the output is a pure function of cfg.seed. The side's model is
     built and checked once; each disorder sample swaps in only its signs.
 
-    The scan builds every sample's model first, then runs its chains, one
-    per (point, sample, replica), in P = min(chains, CPUs) processes: this
-    one plus a pool of forked workers, opened once for the scan and joined
-    before it returns or raises (a raise cancels the chains still queued).
-    Chain i in that order runs here when i % P == 0; every other chain is
-    queued to the pool before the first metropolis call, so the workers
-    never wait on this process between samples. Without the fork start
-    method every chain runs here. log, if given, receives "mc processes=<P>"
-    once and, per point, "time p=<p>: <s>s", this process's wall time for
-    the point's metropolis calls and their disorder average.
+    The scan builds every sample's model first. Its chains, one per (point,
+    sample, replica) in that order, are the lanes of lockstep passes on the
+    side's masks (_chains), run in this process as the metropolis calls ask
+    for them; each (point, sample) takes its replicas' lanes, so every chain
+    is the one a metropolis call of its own would run. log, if given,
+    receives "mc lanes=<chains>" once and, per point, "time p=<p>: <s>s",
+    the wall time of the point's metropolis calls, the passes they start and
+    their disorder average.
     """
     if side not in ("x", "z"):
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
@@ -374,47 +393,24 @@ def nishimori_scan(
         ]
         for idx, p in enumerate(p_grid)
     ]
-    # Imported here, not at the top: after `import csstat.cli` they take
-    # another 15-30 ms and 1.2 MiB, which every command would pay for them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    chains = len(p_grid) * disorder_samples * cfg.replicas
-    processes = min(chains, _cpu_count()) if fork else 1
+    lanes = [
+        (model.signs, beta, derive_seed(run_cfg.seed, r))
+        for beta, point in zip(betas, runs)
+        for model, run_cfg in point
+        for r in range(cfg.replicas)
+    ]
     if log is not None:
-        log(f"mc processes={processes}")
-
-    def scan(pool) -> List[ScanRow]:
-        queued = {}  # (point, sample) -> {replica: future of a pool chain}
-        chain = itertools.count()
-        for idx, beta in enumerate(betas):
-            for j, (model, run_cfg) in enumerate(runs[idx]):
-                for r in range(cfg.replicas):
-                    if next(chain) % processes:
-                        queued.setdefault((idx, j), {})[r] = pool.submit(
-                            _run_replica, *_replica_args(model, beta, run_cfg, r))
-        rows = []
-        for idx, (p, beta) in enumerate(zip(p_grid, betas)):
-            start = time.perf_counter()
-            results = [
-                metropolis(model, beta, run_cfg, pending=queued.get((idx, j)))
-                for j, (model, run_cfg) in enumerate(runs[idx])
-            ]
-            rows.append(_disorder_average(p, beta, results))
-            if log is not None:
-                log(f"time p={p:.6g}: {time.perf_counter() - start:.4f}s")
-        return rows
-
-    if processes == 1:
-        return scan(None)
-    # fork, not spawn: a spawned worker imports numpy and csstat afresh, about
-    # 0.2 s a scan, more than a pooled mc_scan call takes. Chains call no
-    # BLAS routine, so the parent's idle OpenBLAS threads do not matter.
-    pool = ProcessPoolExecutor(
-        max_workers=processes - 1, mp_context=multiprocessing.get_context("fork")
-    )
-    try:
-        return scan(pool)
-    finally:
-        pool.shutdown(cancel_futures=True)
+        log(f"mc lanes={len(lanes)}")
+    chains = _chains(base, lanes, cfg.sweeps, cfg.burn_in)
+    rows = []
+    for p, beta, point in zip(p_grid, betas, runs):
+        start = time.perf_counter()
+        results = [
+            metropolis(model, beta, run_cfg,
+                       chains=itertools.islice(chains, cfg.replicas))
+            for model, run_cfg in point
+        ]
+        rows.append(_disorder_average(p, beta, results))
+        if log is not None:
+            log(f"time p={p:.6g}: {time.perf_counter() - start:.4f}s")
+    return rows

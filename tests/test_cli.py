@@ -1,11 +1,9 @@
 """Command-line surface: schemas, exit codes, provenance, round-trips."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import shlex
@@ -350,11 +348,11 @@ def test_mc_subcommand_schema(capsys):
     # replicas x 200 sweeps x 4 spins proposals
     provenance = [l for l in out.splitlines() if l.startswith("#")]
     assert provenance[4] == "# engine: metropolis spins=4 terms=8 proposals=3200"
-    # the process count and the point's time go to stderr, not stdout
-    processes, point = err.splitlines()
-    assert re.fullmatch(r"# mc processes=[12]", processes), processes
+    # the chain count and the point's time go to stderr, not stdout
+    lanes, point = err.splitlines()
+    assert lanes == "# mc lanes=4", lanes
     assert re.fullmatch(r"# time p=0\.1: \d+\.\d{4}s", point), point
-    assert "# time" not in out and "processes" not in out
+    assert "# time" not in out and "lanes" not in out
 
 
 def test_exit_code_too_large(capsys):
@@ -396,14 +394,16 @@ def test_verify_refuses_an_oversized_side_before_summing_either(capsys, monkeypa
 
 
 def test_cli_import_leaves_the_pool_modules_unloaded():
-    # nishimori_scan imports multiprocessing and concurrent.futures when it
-    # runs, so commands that run no pool do not pay for importing them
-    probe = ("import sys, csstat.cli; print([m for m in ('multiprocessing', "
-             "'concurrent.futures') if m in sys.modules])")
+    # the mc chains run as lanes in this process, so neither importing the
+    # CLI nor running an mc scan loads multiprocessing or concurrent.futures
+    probe = ("import sys, csstat.cli; csstat.cli.main(['mc', 'toric2d:2', "
+             "'--p-start', '0.1', '--p-stop', '0.1', '--points', '1', "
+             "'--sweeps', '40', '--burn-in', '8']); print([m for m in "
+             "('multiprocessing', 'concurrent.futures') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(statmech.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout == "[]\n"
+    assert done.stdout.endswith("\n[]\n")
 
 
 @pytest.mark.parametrize(
@@ -432,26 +432,19 @@ def test_exit_code_input_errors(capsys, argv):
 
 @pytest.mark.parametrize(
     "text, side, message",
-    [
-        ("css-code v1\nn 2\nHz 0\nHx 1\n11\n", "z", "model has no spins"),
-        # one X check on every qubit: a spin in 511 terms, whose threshold
-        # 256 no longer fits in a byte
-        ("css-code v1\nn 511\nHz 0\nHx 1\n" + "1" * 511 + "\n", "x",
-         "a spin in 511 terms is past the 510"),
-    ],
-    ids=["no spins", "degree 511"],
+    [("css-code v1\nn 2\nHz 0\nHx 1\n11\n", "z", "model has no spins")],
+    ids=["no spins"],
 )
 def test_mc_refuses_a_model_before_any_chain(
     tmp_path, capsys, monkeypatch, text, side, message
 ):
-    # the side's model is checked once, before any chain is queued, so the
-    # scan exits 2 with the reason and opens no pool
+    # the side's model is checked once, before any chain runs, so the scan
+    # exits 2 with the reason
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was opened")
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
 
-    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(mc, "_lockstep", no_chains)
     path = tmp_path / "model.code"
     path.write_text(text, encoding="ascii")
     code, _, err = run(
@@ -460,7 +453,6 @@ def test_mc_refuses_a_model_before_any_chain(
     )
     assert code == 2
     assert err.startswith(f"error: {message}")
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

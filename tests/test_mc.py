@@ -1,11 +1,10 @@
 """Metropolis sampling against exact enumeration oracles."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
+import tracemalloc
 from types import SimpleNamespace
 from typing import List
 
@@ -18,7 +17,8 @@ from csstat.gf2 import BitVector
 from csstat.mc import (
     _UNIFORMS_PER_DRAW,
     McConfig,
-    _run_replica,
+    _chains,
+    _lane_bits,
     derive_seed,
     metropolis,
     nishimori_scan,
@@ -195,135 +195,27 @@ def test_scan_rows_are_pinned():
     )
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-def test_pinned_rows_hold_with_and_without_the_pool(monkeypatch, cpus):
-    # one CPU runs every chain here; more spread the 8 and 6 chains of the
-    # two scans round robin over min(chains, cpus) processes
-    monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
-    test_scan_rows_are_pinned()
-    assert multiprocessing.active_children() == []
-
-
-class _SpyPool(concurrent.futures.ProcessPoolExecutor):
-    """The real pool, recording its worker counts and its futures."""
-
-    workers: List[int] = []
-    futures: List[concurrent.futures.Future] = []
-
-    def __init__(self, max_workers, mp_context):
-        super().__init__(max_workers=max_workers, mp_context=mp_context)
-        self.workers.append(max_workers)
-
-    def submit(self, fn, *args):
-        future = super().submit(fn, *args)
-        self.futures.append(future)
-        return future
-
-
-@pytest.fixture
-def spy_pool(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
-    monkeypatch.setattr(_SpyPool, "workers", [])
-    monkeypatch.setattr(_SpyPool, "futures", [])
-    return _SpyPool
-
-
-def test_single_replica_samples_share_the_cpus(monkeypatch, spy_pool):
-    # one replica per sample leaves no replica to share, but the samples
-    # spread: at two CPUs one worker runs every other sample's chain, and
-    # the rows are those of one process (NaN overlaps, so compared as JSON)
-    cfg = McConfig(sweeps=300, burn_in=60, seed=3, replicas=1)
-
-    def scan_json(cpus):
-        monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
-        lines = []
-        rows = nishimori_scan(toric2d(3), "x", [0.08, 0.2], 3, cfg, log=lines.append)
-        return lines[0], json.dumps([dataclasses.astuple(r) for r in rows])
-
-    alone = scan_json(1)
-    assert alone[0] == "mc processes=1" and spy_pool.workers == []
-    shared = scan_json(2)
-    assert shared == ("mc processes=2", alone[1])
-    assert spy_pool.workers == [1] and len(spy_pool.futures) == 3
-    assert multiprocessing.active_children() == []
-
-
-def test_no_worker_outlives_a_scan(monkeypatch, spy_pool):
-    monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
-    cfg = McConfig(sweeps=40, burn_in=8, seed=1, replicas=2)
-    lines = []
-    nishimori_scan(toric2d(2), "x", [0.1, 0.2], 2, cfg, log=lines.append)
-    assert lines[0] == "mc processes=2" and len(lines) == 3
-    assert multiprocessing.active_children() == []
-    # a scan that raises at its first point cancels the chains still
-    # queued: the worker has 8, each far longer than the raise takes
-    # once the first sample's two chains are back
-    del spy_pool.futures[:]
-    long_cfg = McConfig(sweeps=30000, burn_in=8, seed=1, replicas=2)
-    with monkeypatch.context() as patch, pytest.raises(ZeroDivisionError):
-        patch.setattr(mc, "_blocked", lambda series: 1 / 0)
-        nishimori_scan(toric2d(4), "x", [0.1, 0.12, 0.14, 0.16], 2, long_cfg)
-    assert len(spy_pool.futures) == 8
-    assert any(future.cancelled() for future in spy_pool.futures)
-    assert multiprocessing.active_children() == []
-    # chains that raise, here and in the worker, still leave no worker
-    monkeypatch.setattr(mc, "math", SimpleNamespace(exp=lambda x: -x))
-    with pytest.raises(InternalInvariantError, match="increases"):
-        nishimori_scan(toric2d(2), "x", [0.1], 1, cfg)
-    assert multiprocessing.active_children() == []
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
-
-    max_workers: List[int] = []
-    submits: List[int] = []
-
-    def __init__(self, max_workers, mp_context):
-        self.max_workers.append(max_workers)
-
-    def submit(self, fn, *args):
-        self.submits.append(1)
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, cancel_futures=False):
-        pass
-
-
-def test_worker_count_is_capped_by_the_cpus(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "max_workers", [])
-    monkeypatch.setattr(_InlinePool, "submits", [])
-    cpus = mc._cpu_count()
-    # 2 samples x 6 replicas = 12 chains in four processes: this one runs
-    # chains 0, 4 and 8 and the pool the other 9, and the rows stay those
-    # of one process (on 9 spins the float sums show the replica order)
-    cfg = McConfig(sweeps=40, burn_in=8, seed=2, replicas=6)
-    monkeypatch.setattr(mc, "_cpu_count", lambda: 1)
-    alone = nishimori_scan(toric2d(3), "x", [0.1], 2, cfg)
-    monkeypatch.setattr(mc, "_cpu_count", lambda: 4)
-    assert nishimori_scan(toric2d(3), "x", [0.1], 2, cfg) == alone
-    assert _InlinePool.max_workers == [3] and len(_InlinePool.submits) == 9
-    # fewer chains than CPUs: one worker for two chains, none for one
-    two = McConfig(sweeps=40, burn_in=8, seed=2, replicas=2)
-    nishimori_scan(toric2d(3), "x", [0.1], 1, two)
-    nishimori_scan(toric2d(3), "x", [0.1], 1, dataclasses.replace(two, replicas=1))
-    assert _InlinePool.max_workers == [3, 1] and len(_InlinePool.submits) == 10
-    # however many chains, at most CPUs - 1 workers; the chains do not
-    # matter for the count, so stubs stand in for them
-    monkeypatch.setattr(mc, "_run_replica", lambda *args: None)
-    monkeypatch.setattr(
-        mc, "metropolis", lambda *a, **k: mc.McObservables(0.0, 0.0, 0.0, 0.0)
-    )
-    big = McConfig(sweeps=24, burn_in=8, seed=1, replicas=1000)
-    nishimori_scan(toric2d(2), "x", [0.1], 1, big)
-    assert _InlinePool.max_workers[-1] == 3
-    monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
-    del _InlinePool.max_workers[:]
-    nishimori_scan(toric2d(2), "x", [0.1], 1, big)
-    assert _InlinePool.max_workers == ([cpus - 1] if cpus > 1 else [])
+@pytest.mark.parametrize("replicas, samples", [(1, 6), (3, 2)])
+def test_scan_rows_are_those_of_each_sample_run_alone(replicas, samples):
+    # 18 chains, two passes of lanes (16 + 2) with a sample split between
+    # them at 3 replicas: every row is the disorder average of metropolis
+    # run alone on each sample's model and streams (NaN overlaps at one
+    # replica, so compared as JSON)
+    code, grid = toric2d(3), [0.08, 0.2, 0.3]
+    cfg = McConfig(sweeps=60, burn_in=12, seed=8, replicas=replicas)
+    base = build_sm_x(code, BitVector(code.n, 0))
+    alone = []
+    for idx, p in enumerate(grid):
+        results = []
+        for j in range(samples):
+            error = sample_disorder(code, p, derive_seed(cfg.seed, idx, j, 0))
+            run_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, idx, j, 1))
+            model = dataclasses.replace(base, signs=_signs(error))
+            results.append(metropolis(model, nishimori_beta(p), run_cfg))
+        alone.append(mc._disorder_average(p, nishimori_beta(p), results))
+    rows = nishimori_scan(code, "x", grid, samples, cfg)
+    assert json.dumps([dataclasses.astuple(r) for r in rows]) == json.dumps(
+        [dataclasses.astuple(r) for r in alone])
 
 
 @pytest.mark.parametrize(
@@ -410,65 +302,76 @@ def _oracle_replica(
     return energy, snaps
 
 
-@pytest.mark.parametrize("p", [0.05, 0.11, 0.3, 0.5, 0.7])
-@pytest.mark.parametrize(
-    "selector, side",
-    [
-        ("toric2d:3", "x"),
-        ("toric2d:3", "z"),
-        ("surface2d:3x4", "x"),  # boundary spins of odd degree, 1-site terms
-        ("color666:3x3", "z"),  # 3-site terms
-        ("steane", "x"),
-    ],
-)
-def test_thresholds_match_direct_rule(selector, side, p):
-    # the integer thresholds against the direct rule, bit for bit. p = 0.5
-    # is beta = 0 and p = 0.7 is beta < 0, where every A(u) = max_deg and
-    # every proposal flips; the run crosses two draw edges and ends in a
-    # partial draw
+_SELECTOR_SIDES = [
+    ("toric2d:3", "x"),
+    ("toric2d:3", "z"),
+    ("surface2d:3x4", "x"),  # boundary spins of odd degree, 1-site terms
+    ("color666:3x3", "z"),  # 3-site terms
+    ("steane", "x"),
+]
+
+
+def _model_at(selector, side, p, seed):
     code = from_selector(selector)
     base = (build_sm_x if side == "x" else build_sm_z)(code, BitVector(code.n, 0))
-    error = sample_disorder(code, p, derive_seed(17, round(p * 100)))
-    model = dataclasses.replace(base, signs=_signs(error))
-    beta = nishimori_beta(p)
+    return dataclasses.replace(base, signs=_signs(sample_disorder(code, p, seed)))
+
+
+def _assert_lanes_follow_oracle(model, lanes, sweeps, burn_in):
+    # every lane's chain against the direct rule on its own signs, bit for bit
+    got = list(_chains(model, lanes, sweeps, burn_in))
+    assert len(got) == len(lanes)
+    for (signs, beta, seed), (energy, spins) in zip(lanes, got):
+        want = _oracle_replica(
+            dataclasses.replace(model, signs=signs), beta, sweeps, burn_in, seed)
+        assert np.array_equal(energy, want[0])
+        assert spins.dtype == want[1].dtype
+        assert np.array_equal(spins, want[1])
+
+
+@pytest.mark.parametrize("p", [0.05, 0.11, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize("selector, side", _SELECTOR_SIDES)
+def test_thresholds_match_direct_rule(selector, side, p):
+    # one lane against the direct rule, bit for bit. p = 0.5 is beta = 0
+    # and p = 0.7 is beta < 0, where every K = 0 and every proposal flips;
+    # the run crosses two draw edges and ends in a partial draw
+    model = _model_at(selector, side, p, derive_seed(17, round(p * 100)))
     sweeps = 2 * (_UNIFORMS_PER_DRAW // model.num_spins) + 7
-    got = _run_replica(model, beta, sweeps, 5, derive_seed(3, round(p * 100)))
-    want = _oracle_replica(model, beta, sweeps, 5, derive_seed(3, round(p * 100)))
-    assert np.array_equal(got[0], want[0])
-    assert got[1].dtype == want[1].dtype
-    assert np.array_equal(got[1], want[1])
+    lane = (model.signs, nishimori_beta(p), derive_seed(3, round(p * 100)))
+    _assert_lanes_follow_oracle(model, [lane], sweeps, 5)
 
 
-def test_spin_tables_are_built_once_per_mask_set():
-    # every chain of one mask set reads the same tables; another mask set
-    # replaces them, and no chain depends on which set was seen before
-    code = from_selector("surface2d:3x4")
-    x_model = build_sm_x(code, BitVector(code.n, 0))
-    z_model = build_sm_z(code, BitVector(code.n, 0))
-    mc._spin_tables.cache_clear()
-    first = _run_replica(x_model, 0.4, 40, 8, 5)
-    _run_replica(dataclasses.replace(x_model, signs=(-1,) * len(x_model.signs)),
-                 0.4, 40, 8, 6)
-    assert mc._spin_tables.cache_info()[:2] == (1, 1)  # hits, misses
-    _run_replica(z_model, 0.4, 40, 8, 5)
-    again = _run_replica(x_model, 0.4, 40, 8, 5)
-    assert mc._spin_tables.cache_info()[:2] == (1, 3)
-    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+@pytest.mark.parametrize("selector, side", _SELECTOR_SIDES)
+def test_lanes_match_direct_rule(selector, side):
+    # one more lane than a pass holds, so a full pass and a 1-lane pass:
+    # beta > 0, beta = 0 (p = 0.5) and beta < 0 (p = 0.7) side by side, each
+    # lane with its own disorder and stream, over two draw edges of the
+    # full pass and a partial draw
+    rates = [0.05, 0.11, 0.3, 0.5, 0.7]
+    model = _model_at(selector, side, 0.1, 1)
+    degree = max(sum(mask >> s & 1 for mask in model.masks)
+                 for s in range(model.num_spins))
+    width = 64 // _lane_bits(degree)
+    lanes = []
+    for c in range(width + 1):
+        p = rates[c % len(rates)]
+        signs = _model_at(selector, side, p, derive_seed(19, c)).signs
+        lanes.append((signs, nishimori_beta(p), derive_seed(23, c)))
+    sweeps = 2 * (_UNIFORMS_PER_DRAW // (width * model.num_spins)) + 7
+    _assert_lanes_follow_oracle(model, lanes, sweeps, 5)
 
 
-def test_thresholds_fit_a_byte_up_to_degree_510():
-    # one spin in 510 terms: its thresholds reach ceil(510 / 2) = 255, the
-    # largest byte, and the chain still follows the direct rule; a 511th
-    # term is refused before any chain runs
-    model = SmModel(num_spins=1, masks=(1,) * 510, signs=(1, -1) * 255,
-                    species="x", sigma_spins=1)
-    for p in (0.05, 0.3, 0.7):
-        got = _run_replica(model, nishimori_beta(p), 40, 5, 9)
-        want = _oracle_replica(model, nishimori_beta(p), 40, 5, 9)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    wide = dataclasses.replace(model, masks=(1,) * 511, signs=(1,) * 511)
-    with pytest.raises(ValueError, match="511 terms"):
-        metropolis(wide, 0.3, McConfig(sweeps=40, burn_in=8))
+def test_lanes_follow_the_direct_rule_at_degrees_510_and_511():
+    # one spin in 510 or 511 terms: 10 bits a lane, so 6 lanes a pass, and
+    # thresholds up to 256; the rates share one pass and follow the direct rule
+    for degree in (510, 511):
+        model = SmModel(num_spins=1, masks=(1,) * degree,
+                        signs=((1, -1) * 256)[:degree], species="x", sigma_spins=1)
+        lanes = [(model.signs, nishimori_beta(p), 9 + c)
+                 for c, p in enumerate((0.05, 0.3, 0.7))]
+        _assert_lanes_follow_oracle(model, lanes, 40, 5)
+    obs = metropolis(model, 0.3, McConfig(sweeps=40, burn_in=8))
+    assert math.isfinite(obs.mean_energy)
 
 
 def test_increasing_acceptance_table_is_refused(monkeypatch):
@@ -476,4 +379,18 @@ def test_increasing_acceptance_table_is_refused(monkeypatch):
     monkeypatch.setattr(mc, "math", SimpleNamespace(exp=lambda x: -x))
     model = build_sm_x(toric2d(2), BitVector(8, 0))
     with pytest.raises(InternalInvariantError, match="increases"):
-        _run_replica(model, 0.3, 40, 8, 1)
+        next(_chains(model, [(model.signs, 0.3, 1)], 40, 8))
+
+
+def test_a_scan_keeps_its_snapshots_packed():
+    # the benchmark's mc scan (toric2d:8, 16 chains of 1000 sweeps): every
+    # chain's snapshots stay bit-packed until its sample is reduced, so the
+    # scan's Python allocations peak well below the int8 arrays of 16 chains
+    cfg = McConfig(sweeps=1000, burn_in=250, seed=1, replicas=2)
+    tracemalloc.start()
+    try:
+        nishimori_scan(toric2d(8), "x", [0.05, 0.1, 0.15, 0.2], 2, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, peak
