@@ -15,11 +15,12 @@ the chains beside it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,13 +127,71 @@ def _spin_tables(num_spins: int, masks: Tuple[int, ...]):
     return sites, tuple(map(tuple, spin_terms))
 
 
-def _lockstep(num_spins: int, tables, lanes: Sequence[Lane], sweeps: int, burn_in: int):
+_INLINE_DEGREE = 64  # a spin in more terms sums them with one sum() call
+
+
+@functools.lru_cache(maxsize=8)
+def _sweep_kernel(num_spins: int, terms: int,
+                  spin_terms: Tuple[Tuple[int, ...], ...]) -> Callable:
+    """The Metropolis sweep of one topology, compiled to straight-line code.
+
+    kernel(state, offsets, drawn, skip, top) runs drawn sweeps. state is the
+    spins' lane ints, then the terms' (_lockstep), and is updated in place;
+    proposal i of sweep at takes offsets[at * S + i]. The spins' ints after
+    every sweep at >= skip are returned, one tuple a sweep. Each int is a
+    local (s<i>, t<t>, o<i>), so proposal i is one line of additions, an AND
+    with top and a test: f = (t3 + t7 + ... + o5) & top, then, if f, the
+    shifted f is XORed into s5, t3, t7, ... A spin in more than
+    _INLINE_DEGREE terms sums them with sum((...), o5) instead: a flat
+    a + b + ... nests one level a term, and CPython's compiler runs out of
+    recursion depth near 3000 terms. The source holds integer indices only.
+
+    The cache exists because every metropolis call would compile its
+    kernel again otherwise, which costs about 5 ms at toric2d:8 and 65 ms at
+    toric2d:32 (2-vCPU Xeon, Python 3.11).
+    """
+    low = _lane_bits(max(map(len, spin_terms))) - 1
+    spins = [f"s{i}" for i in range(num_spins)]
+    ints = ", ".join(spins + [f"t{t}" for t in range(terms)])
+    offsets = ", ".join(f"o{i}" for i in range(num_spins))
+    lines = [
+        "def sweep(state, offsets, drawn, skip, top):",
+        f"    {ints}, = state",
+        "    rows = []",
+        "    for at in range(drawn):",
+        f"        {offsets}, = offsets[{num_spins} * at:{num_spins} * (at + 1)]",
+    ]
+    for i, negs in enumerate(spin_terms):
+        names = [f"t{t}" for t in negs]
+        if len(names) > _INLINE_DEGREE:
+            total = f"sum(({', '.join(names)},), o{i})"
+        else:
+            total = " + ".join(names + [f"o{i}"])
+        lines += [f"        f = ({total}) & top", "        if f:",
+                  f"            f >>= {low}"]
+        lines += [f"            {name} ^= f" for name in [spins[i]] + names]
+    lines += [
+        "        if at >= skip:",
+        f"            rows.append(({', '.join(spins)},))",
+        f"    state[:] = {ints},",
+        "    return rows",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<sweep of {num_spins} spins>", "exec"),
+         namespace)
+    return namespace["sweep"]
+
+
+def _lockstep(num_spins: int, tables, kernel: Callable, lanes: Sequence[Lane],
+              sweeps: int, burn_in: int):
     """One pass: every lane's chain on one topology, stepped together.
 
     Lane c is the F bits at c*F of each state int (F = _lane_bits, and
     len(lanes) * F <= 64): spin i's int has 1 at c*F where the spin is down,
-    term t's int 1 where its product is -1. Returns the spins' ints after
-    each measured sweep, shape (measured sweeps, spins), as uint64.
+    term t's int 1 where its product is -1. kernel, the topology's
+    _sweep_kernel, runs each block of drawn sweeps in one call. Returns the
+    spins' ints after each measured sweep, shape (measured sweeps, spins),
+    as uint64.
     """
     sites, spin_terms = tables
     n, terms = len(lanes), len(sites)
@@ -144,9 +203,11 @@ def _lockstep(num_spins: int, tables, lanes: Sequence[Lane], sweeps: int, burn_i
     cost = deg - 2 * np.arange(k_max)[:, None]
     cut = np.empty((k_max, n, 1, num_spins))
     for c, (_, beta, _) in enumerate(lanes):
-        # Acceptance probability of dH = 2*m for m = 1..max_deg (m <= 0 always
-        # accepts); the thresholds below need it non-increasing when beta >= 0.
-        accept = [math.exp(-2.0 * beta * m) for m in range(1, max_deg + 1)]
+        # Acceptance probability min(1, e^{-beta dH}) of dH = 2*m for m =
+        # 1..max_deg (m <= 0 always accepts), taken as e^{min(0, .)} so beta < 0
+        # cannot overflow; the thresholds below need it non-increasing when
+        # beta >= 0.
+        accept = [math.exp(min(0.0, -2.0 * beta * m)) for m in range(1, max_deg + 1)]
         if beta >= 0 and any(a < b for a, b in zip(accept, accept[1:])):
             raise InternalInvariantError(
                 f"acceptance table increases at beta={beta}: {accept}"
@@ -171,36 +232,24 @@ def _lockstep(num_spins: int, tables, lanes: Sequence[Lane], sweeps: int, burn_i
         for s in term_sites:
             negative[t_idx] ^= state[s]
     state += negative
-    proposals = [(i, tuple(num_spins + t for t in spin_terms[i]))
-                 for i in range(num_spins)]
-    top, low = sum(half << c * field for c in range(n)), field - 1
-    get = state.__getitem__
+    top = sum(half << c * field for c in range(n))
 
     spins = np.empty((sweeps - burn_in, num_spins), dtype=np.uint64)
     block = max(1, _UNIFORMS_PER_DRAW // (n * num_spins))
-    for sweep in range(sweeps):
-        at = sweep % block
-        if at == 0:  # sweeps [s0, s1) take counters [(1+s0)*S, (1+s1)*S)
-            drawn_sweeps = min(sweeps, sweep + block) - sweep
-            counters = np.arange((1 + sweep) * num_spins,
-                                 (1 + sweep + drawn_sweeps) * num_spins,
-                                 dtype=np.uint64).reshape(drawn_sweeps, num_spins)
-            u = uniforms(counters, seeds)
-            # half - K per lane, K = #{j : u >= cut_j} the spin's threshold
-            need = np.full(u.shape, half - k_max, dtype=np.uint64)
-            for cut_j in cut:
-                need += u < cut_j
-            offsets = pack(need)
-        row = offsets[at * num_spins:(at + 1) * num_spins]
-        for (i, negs), offset in zip(proposals, row):
-            # field c of the sum is h_c + half - K_c: its top bit is h_c >= K_c
-            flip = (sum(map(get, negs), offset) & top) >> low
-            if flip:
-                state[i] ^= flip
-                for t in negs:
-                    state[t] ^= flip
-        if sweep >= burn_in:
-            spins[sweep - burn_in] = state[:num_spins]
+    for first in range(0, sweeps, block):
+        # sweeps [first, end) take counters [(1+first)*S, (1+end)*S)
+        end = min(sweeps, first + block)
+        counters = np.arange((1 + first) * num_spins, (1 + end) * num_spins,
+                             dtype=np.uint64).reshape(end - first, num_spins)
+        u = uniforms(counters, seeds)
+        # half - K per lane, K = #{j : u >= cut_j} the spin's threshold; field
+        # c of a proposal's sum is h_c + half - K_c, its top bit h_c >= K_c
+        need = np.full(u.shape, half - k_max, dtype=np.uint64)
+        for cut_j in cut:
+            need += u < cut_j
+        rows = kernel(state, pack(need), end - first, burn_in - first, top)
+        if rows:
+            spins[end - burn_in - len(rows):end - burn_in] = rows
     return spins
 
 
@@ -209,37 +258,45 @@ def _lane_bits(max_deg: int) -> int:
     return max_deg.bit_length() + 1
 
 
-def _chains(model: SmModel, lanes: Sequence[Lane], sweeps: int, burn_in: int):
+def _chains(model: SmModel, lanes: Sequence[Lane], sweeps: int,
+            burn_in: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Each lane's (energy-per-spin series, int8 +-1 spin snapshots) post
     burn, in lane order. A lane is a chain's (signs, beta, stream seed) on
-    model's masks; the lanes run in passes of as many as fit one 64-bit word,
+    model's masks. The call fetches the masks' sweep kernel, compiling it on
+    a cache miss; the lanes run in passes of as many as fit one 64-bit word,
     each pass when its first lane is asked for."""
     num_spins = model.num_spins
     sites, spin_terms = tables = _spin_tables(num_spins, model.masks)
+    kernel = _sweep_kernel(num_spins, len(sites), spin_terms)
     field = _lane_bits(max(map(len, spin_terms)))
     # term t's sites, padded with spin index num_spins: an up spin
     padded = np.full((max(map(len, sites), default=0), len(sites)), num_spins)
     for t_idx, term_sites in enumerate(sites):
         padded[:len(term_sites), t_idx] = term_sites
     width = 64 // field
-    for start in range(0, len(lanes), width):
-        batch = lanes[start:start + width]
-        words = _lockstep(num_spins, tables, batch, sweeps, burn_in)
-        as_bytes = words.astype("<u8", copy=False).view(np.uint8).reshape(
-            len(words), num_spins, 8)  # bit at of a word is bit at % 8 of byte at // 8
-        down = np.zeros((len(words), num_spins + 1), dtype=np.uint8)
-        for c, (signs, _, _) in enumerate(batch):
-            at = c * field
-            down[:, :num_spins] = (as_bytes[:, :, at >> 3] >> (at & 7)) & 1
-            negative = np.empty((len(words), len(sites)), dtype=np.uint8)
-            negative[:] = np.array(signs) < 0
-            for column in padded:
-                negative ^= down[:, column]
-            # -(sum of the term products) / S, the products summing to
-            # T - 2 * (negative terms)
-            count = negative.sum(axis=1, dtype=np.int64)
-            yield ((2 * count - len(sites)) / num_spins,
-                   1 - 2 * down[:, :num_spins].astype(np.int8))
+
+    def passes():
+        for start in range(0, len(lanes), width):
+            batch = lanes[start:start + width]
+            words = _lockstep(num_spins, tables, kernel, batch, sweeps, burn_in)
+            # bit at of a word is bit at % 8 of byte at // 8
+            as_bytes = words.astype("<u8", copy=False).view(np.uint8).reshape(
+                len(words), num_spins, 8)
+            down = np.zeros((len(words), num_spins + 1), dtype=np.uint8)
+            for c, (signs, _, _) in enumerate(batch):
+                at = c * field
+                down[:, :num_spins] = (as_bytes[:, :, at >> 3] >> (at & 7)) & 1
+                negative = np.empty((len(words), len(sites)), dtype=np.uint8)
+                negative[:] = np.array(signs) < 0
+                for column in padded:
+                    negative ^= down[:, column]
+                # -(sum of the term products) / S, the products summing to
+                # T - 2 * (negative terms)
+                count = negative.sum(axis=1, dtype=np.int64)
+                yield ((2 * count - len(sites)) / num_spins,
+                       1 - 2 * down[:, :num_spins].astype(np.int8))
+
+    return passes()
 
 
 def _check_model(model: SmModel) -> None:
@@ -278,10 +335,12 @@ def metropolis(
     _UNIFORMS_PER_DRAW over whole sweeps of every lane, becomes one int per
     proposal holding half - K in every lane's field; a proposal sums it with
     the ints of its deg_i terms, which puts h + half - K in each field, and
-    the fields' top bits are the lanes that flip. So a proposal costs
-    deg_i + 2 integer operations for all lanes together, plus deg_i + 1 XORs
-    when any lane flips, and F = bit_length(max degree) + 1 bits per lane
-    give 64 // F lanes a pass (16 at degree 4, 6 at degree 510).
+    the fields' top bits are the lanes that flip. The sweeps run in code
+    compiled once per topology (_sweep_kernel) with every int a local, so a
+    proposal is deg_i additions, an AND and a test for all lanes together,
+    plus a shift and deg_i + 1 XORs when any lane flips, and no call. F =
+    bit_length(max degree) + 1 bits per lane give 64 // F lanes a pass (16
+    at degree 4, 6 at degree 510).
 
     Caveat: zero-cost flips are always accepted (min(1, e^0) = 1), so on a
     landscape with flat directions the fixed-order sweep traverses them
@@ -370,9 +429,12 @@ def nishimori_scan(
     side's masks (_chains), run in this process as the metropolis calls ask
     for them; each (point, sample) takes its replicas' lanes, so every chain
     is the one a metropolis call of its own would run. log, if given,
-    receives "mc lanes=<chains>" once and, per point, "time p=<p>: <s>s",
-    the wall time of the point's metropolis calls, the passes they start and
-    their disorder average.
+    receives "mc lanes=<chains> kernel=<s>s" once, with the time _chains
+    took to build its tables and fetch or compile the sweep kernel, and, per
+    point, "time p=<p>: <s>s", the wall time of the point's metropolis
+    calls, the passes they start and their disorder average, then
+    "accept p=<p>: <rate>", the share of the point's proposals accepted in
+    every measured sweep after the first, counted from the snapshots.
     """
     if side not in ("x", "z"):
         raise ValueError(f"side must be 'x' or 'z', got {side!r}")
@@ -399,18 +461,25 @@ def nishimori_scan(
         for model, run_cfg in point
         for r in range(cfg.replicas)
     ]
-    if log is not None:
-        log(f"mc lanes={len(lanes)}")
+    start = time.perf_counter()
     chains = _chains(base, lanes, cfg.sweeps, cfg.burn_in)
+    if log is not None:
+        log(f"mc lanes={len(lanes)} kernel={time.perf_counter() - start:.4f}s")
+    # a spin changes only at its own proposal, once a sweep, so two
+    # consecutive snapshots of a chain differ exactly where one was accepted
+    proposed = (disorder_samples * cfg.replicas * base.num_spins
+                * (cfg.sweeps - cfg.burn_in - 1))
     rows = []
     for p, beta, point in zip(p_grid, betas, runs):
         start = time.perf_counter()
-        results = [
-            metropolis(model, beta, run_cfg,
-                       chains=itertools.islice(chains, cfg.replicas))
-            for model, run_cfg in point
-        ]
+        results, accepted = [], 0
+        for model, run_cfg in point:
+            replicas = list(itertools.islice(chains, cfg.replicas))
+            accepted += sum(np.count_nonzero(spins[1:] != spins[:-1])
+                            for _, spins in replicas)
+            results.append(metropolis(model, beta, run_cfg, chains=replicas))
         rows.append(_disorder_average(p, beta, results))
         if log is not None:
             log(f"time p={p:.6g}: {time.perf_counter() - start:.4f}s")
+            log(f"accept p={p:.6g}: {accepted / proposed:.4f}")
     return rows

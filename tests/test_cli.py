@@ -348,11 +348,14 @@ def test_mc_subcommand_schema(capsys):
     # replicas x 200 sweeps x 4 spins proposals
     provenance = [l for l in out.splitlines() if l.startswith("#")]
     assert provenance[4] == "# engine: metropolis spins=4 terms=8 proposals=3200"
-    # the chain count and the point's time go to stderr, not stdout
-    lanes, point = err.splitlines()
-    assert lanes == "# mc lanes=4", lanes
+    # the chain count, the kernel's build time, the point's time and its
+    # acceptance rate go to stderr, not stdout
+    lanes, point, accept = err.splitlines()
+    assert re.fullmatch(r"# mc lanes=4 kernel=\d+\.\d{4}s", lanes), lanes
     assert re.fullmatch(r"# time p=0\.1: \d+\.\d{4}s", point), point
-    assert "# time" not in out and "lanes" not in out
+    assert re.fullmatch(r"# accept p=0\.1: [01]\.\d{4}", accept), accept
+    assert 0.0 < float(accept.rsplit(" ", 1)[1]) < 1.0
+    assert "# time" not in out and "lanes" not in out and "accept" not in out
 
 
 def test_exit_code_too_large(capsys):

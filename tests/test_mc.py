@@ -1,6 +1,7 @@
 """Metropolis sampling against exact enumeration oracles."""
 
 import dataclasses
+import dis
 import hashlib
 import json
 import math
@@ -253,7 +254,8 @@ def test_scan_input_validation():
 def _oracle_replica(
     model: SmModel, beta: float, sweeps: int, burn_in: int, stream_seed: int
 ):
-    """One chain; returns (energy-per-spin series, spin snapshots) post burn."""
+    """One chain; returns (energy-per-spin series, spin snapshots, accepted
+    proposals per sweep) post burn."""
     num_spins = model.num_spins
     sites = [mask_sites(mask) for mask in model.masks]
     by_spin: List[List[int]] = [[] for _ in range(num_spins)]
@@ -262,8 +264,10 @@ def _oracle_replica(
             by_spin[s].append(t_idx)
     spin_terms = [tuple(lst) for lst in by_spin]
     max_deg = max((len(t) for t in spin_terms), default=0)
-    # Acceptance lookup for dH = 2*m, m = 1..max_deg (dH <= 0 always accepts).
-    accept = [1.0] + [math.exp(-2.0 * beta * m) for m in range(1, max_deg + 1)]
+    # Acceptance lookup min(1, exp(-beta*dH)) for dH = 2*m, m = 1..max_deg
+    # (dH <= 0 always accepts), as exp(min(0, .)) so beta < 0 cannot overflow.
+    accept = [1.0] + [math.exp(min(0.0, -2.0 * beta * m))
+                      for m in range(1, max_deg + 1)]
 
     init = uniforms(np.arange(num_spins, dtype=np.uint64), stream_seed)
     spins = [1 if u < 0.5 else -1 for u in init.tolist()]
@@ -277,6 +281,7 @@ def _oracle_replica(
     meas = sweeps - burn_in
     energy = np.empty(meas, dtype=np.float64)
     snaps = np.empty((meas, num_spins), dtype=np.int8)
+    accepted = np.zeros(meas, dtype=np.int64)
     block = max(1, _UNIFORMS_PER_DRAW // num_spins)
     for sweep in range(sweeps):
         at = sweep % block
@@ -292,6 +297,8 @@ def _oracle_replica(
                 m += prod[t]
             # dH = 2*m; accept with min(1, exp(-beta*dH))
             if m <= 0 or u[i] < accept[m]:
+                if sweep >= burn_in:
+                    accepted[sweep - burn_in] += 1
                 spins[i] = -spins[i]
                 for t in terms_i:
                     prod[t] = -prod[t]
@@ -299,7 +306,7 @@ def _oracle_replica(
             j = sweep - burn_in
             energy[j] = -sum(prod) / num_spins if num_spins else 0.0
             snaps[j] = spins
-    return energy, snaps
+    return energy, snaps, accepted
 
 
 _SELECTOR_SIDES = [
@@ -372,6 +379,102 @@ def test_lanes_follow_the_direct_rule_at_degrees_510_and_511():
         _assert_lanes_follow_oracle(model, lanes, 40, 5)
     obs = metropolis(model, 0.3, McConfig(sweeps=40, burn_in=8))
     assert math.isfinite(obs.mean_energy)
+
+
+def test_a_spin_in_4096_terms_follows_the_direct_rule():
+    # past _INLINE_DEGREE the kernel sums a spin's terms with one sum() call:
+    # a flat sum of 4096 terms would exhaust the compiler's recursion depth
+    degree = 4096
+    model = SmModel(num_spins=1, masks=(1,) * degree,
+                    signs=(1, -1, -1) * (degree // 3) + (1,) * (degree % 3),
+                    species="x", sigma_spins=1)
+    lanes = [(model.signs, nishimori_beta(p), 31 + c)
+             for c, p in enumerate((0.01, 0.05, 0.3, 0.7))]
+    _assert_lanes_follow_oracle(model, lanes, 40, 5)
+
+
+@pytest.mark.parametrize(
+    "num_spins, masks, signs",
+    [
+        (4, (0b011, 0b110, 0b001), (1, -1, 1)),  # spin 3 in no term
+        (3, (0b011, 0, 0b110, 0), (-1, -1, 1, 1)),  # two terms on no sites
+    ],
+    ids=["degree 0", "empty term"],
+)
+def test_hand_built_edge_models_follow_the_direct_rule(num_spins, masks, signs):
+    # a spin of degree 0 flips at every proposal (m = 0); a term on no
+    # sites keeps its sign's product and enters only the energy. Four
+    # lanes over two draw edges and a partial draw
+    model = SmModel(num_spins=num_spins, masks=masks, signs=signs,
+                    species="z", sigma_spins=num_spins)
+    lanes = [(model.signs, nishimori_beta(p), 41 + c)
+             for c, p in enumerate((0.05, 0.2, 0.5, 0.7))]
+    sweeps = 2 * (_UNIFORMS_PER_DRAW // (len(lanes) * num_spins)) + 7
+    _assert_lanes_follow_oracle(model, lanes, sweeps, 5)
+
+
+def test_a_second_chains_call_on_the_same_masks_compiles_nothing(monkeypatch):
+    # the kernel is cached per topology: other signs, betas, seeds and lane
+    # counts on the same masks reuse it
+    model = _model_at("toric2d:3", "z", 0.1, 3)
+    list(_chains(model, [(model.signs, 0.4, 1)], 40, 8))
+    before = mc._sweep_kernel.cache_info()
+
+    def no_compile(*args):
+        raise AssertionError("a kernel was compiled")
+
+    monkeypatch.setattr(mc, "compile", no_compile, raising=False)
+    other = _model_at("toric2d:3", "z", 0.3, 4)
+    lanes = [(other.signs, beta, 2 + c) for c, beta in enumerate((0.1, 0.9, -0.2))]
+    _assert_lanes_follow_oracle(other, lanes, 40, 8)
+    after = mc._sweep_kernel.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+    monkeypatch.undo()
+    # and it keeps at most maxsize kernels, however many topologies run
+    for degree in range(1, after.maxsize + 3):
+        wide = SmModel(num_spins=1, masks=(1,) * degree, signs=(1,) * degree,
+                       species="x", sigma_spins=1)
+        list(_chains(wide, [(wide.signs, 0.4, 1)], 40, 8))
+    assert mc._sweep_kernel.cache_info().currsize == after.maxsize
+
+
+def test_a_proposal_calls_nothing():
+    # the toric2d:8 kernel's proposals are straight-line integer code: no
+    # CALL between one proposal's AND with top and the next one's
+    model = build_sm_x(toric2d(8), BitVector(128, 0))
+    sites, spin_terms = mc._spin_tables(model.num_spins, model.masks)
+    kernel = mc._sweep_kernel(model.num_spins, len(sites), spin_terms)
+    ops = [(ins.opname, ins.argrepr) for ins in dis.get_instructions(kernel)]
+    ands = [k for k, (name, arg) in enumerate(ops)
+            if name == "BINARY_AND" or (name == "BINARY_OP" and arg == "&")]
+    assert len(ands) == model.num_spins
+    for a, b in zip(ands, ands[1:]):
+        assert not [name for name, _ in ops[a:b] if "CALL" in name], (a, b)
+
+
+def test_the_logged_acceptance_is_the_direct_rule_count():
+    # accept p= counts the flips between consecutive snapshots; the direct
+    # rule counts its accepted proposals in the same sweeps
+    code, grid = toric2d(3), [0.08, 0.2]
+    cfg = McConfig(sweeps=60, burn_in=12, seed=8, replicas=2)
+    lines: List[str] = []
+    nishimori_scan(code, "x", grid, 2, cfg, log=lines.append)
+    base = build_sm_x(code, BitVector(code.n, 0))
+    for idx, p in enumerate(grid):
+        accepted = 0
+        for j in range(2):
+            error = sample_disorder(code, p, derive_seed(cfg.seed, idx, j, 0))
+            model = dataclasses.replace(base, signs=_signs(error))
+            run_seed = derive_seed(cfg.seed, idx, j, 1)
+            for r in range(cfg.replicas):
+                *_, per_sweep = _oracle_replica(
+                    model, nishimori_beta(p), cfg.sweeps, cfg.burn_in,
+                    derive_seed(run_seed, r))
+                accepted += int(per_sweep[1:].sum())
+        rate = accepted / (2 * cfg.replicas * base.num_spins
+                           * (cfg.sweeps - cfg.burn_in - 1))
+        assert f"accept p={p:.6g}: {rate:.4f}" in lines
+    assert len(lines) == 1 + 2 * len(grid)
 
 
 def test_increasing_acceptance_table_is_refused(monkeypatch):
