@@ -38,6 +38,7 @@ from .gf2 import (
     dot,
     kernel_basis,
     matvec,
+    overlap_parities,
     rank as gf2_rank,
     row_reduce,
     row_space_basis,
@@ -120,15 +121,29 @@ def logical_operators(
     """
     zs = list(kernel_basis(Hx, reduced_x).row_bits)  # Z-type: commute with X checks
     xs = list(kernel_basis(Hz, reduced_z).row_bits)
+    # odd[i] bit j is <zs[i], xs[j]>, kept current for the Z candidates not
+    # yet reached and the X candidates still unpaired (the bits of alive)
+    odd = overlap_parities(BitMatrix(Hz.cols, tuple(zs)), BitMatrix(Hz.cols, tuple(xs)))
+    alive = (1 << len(xs)) - 1
     lx, lz = [], []
-    for i in range(len(zs)):
-        z = zs[i]
-        j = next((j for j, x in enumerate(xs) if (z & x).bit_count() & 1), None)
-        if j is None:
+    for i, z in enumerate(zs):
+        row = odd[i] & alive
+        if not row:
             continue
-        x = xs.pop(j)
-        zs[i + 1:] = [w ^ z if (w & x).bit_count() & 1 else w for w in zs[i + 1:]]
-        xs = [w ^ x if (w & z).bit_count() & 1 else w for w in xs]
+        low = row & -row
+        alive ^= low
+        x = xs[low.bit_length() - 1]
+        for later in range(i + 1, len(zs)):
+            if odd[later] & low:
+                zs[later] ^= z
+                odd[later] ^= odd[i]
+        # every later Z candidate now overlaps x evenly, so folding x into
+        # the X candidates that z overlaps oddly changes no later overlap
+        rest = row ^ low
+        while rest:
+            bit = rest & -rest
+            xs[bit.bit_length() - 1] ^= x
+            rest ^= bit
         lx.append(x)
         lz.append(z)
     return BitMatrix(Hz.cols, tuple(lx)), BitMatrix(Hz.cols, tuple(lz))
@@ -149,10 +164,11 @@ def new_css(Hz: BitMatrix, Hx: BitMatrix) -> CssCode:
     n = Hz.cols
     if n < 1:
         raise ValueError("a code needs at least one qubit")
-    for i, xbits in enumerate(Hx.row_bits):
-        for j, zbits in enumerate(Hz.row_bits):
-            if (xbits & zbits).bit_count() & 1:
-                raise CommutationViolation(i, j)
+    # the first odd bit of the first nonzero row names the first offending
+    # pair in row-major order
+    for i, odd in enumerate(overlap_parities(Hx, Hz)):
+        if odd:
+            raise CommutationViolation(i, (odd & -odd).bit_length() - 1)
     Rz, pz = row_reduce(Hz)
     Rx, px = row_reduce(Hx)
     rank_z, rank_x = len(pz), len(px)

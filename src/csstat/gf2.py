@@ -6,7 +6,7 @@ All operations are pure; BitVector and BitMatrix are immutable and hashable,
 so they can be used as dict keys.
 
 Determinism contracts (relied on by golden tests downstream):
-  * row_reduce picks pivots first-nonzero-column, first-row;
+  * row_reduce returns the unique RREF, rows by ascending pivot, zero rows last;
   * kernel_basis orders its rows by ascending free column.
 """
 
@@ -182,35 +182,64 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.rows, acc)
 
 
+def overlap_parities(a: BitMatrix, b: BitMatrix) -> list:
+    """The product a·bᵀ over F2, one packed int per row of a: bit j of entry
+    i is <a_i, b_j>. Row i is the XOR of b's columns at a_i's set bits, so
+    the cost follows the set bits of a and b, not the rows × rows pairs."""
+    if a.cols != b.cols:
+        raise ValueError(f"width mismatch: {a.cols} vs {b.cols}")
+    columns = [0] * b.cols
+    for j, bits in enumerate(b.row_bits):
+        while bits:
+            low = bits & -bits
+            columns[low.bit_length() - 1] |= 1 << j
+            bits ^= low
+    out = []
+    for bits in a.row_bits:
+        acc = 0
+        while bits:
+            low = bits & -bits
+            acc ^= columns[low.bit_length() - 1]
+            bits ^= low
+        out.append(acc)
+    return out
+
+
 def row_reduce(m: BitMatrix):
     """Reduced row echelon form over F2.
 
     Returns:
-        (R, pivot_cols): R spans the same row space as m and is in RREF;
-        pivot_cols is strictly increasing. Pivot choice is first nonzero
-        column, first row, so the output is canonical for a given input.
+        (R, pivot_cols): R spans the same row space as m and is in RREF, its
+        rows ordered by pivot and followed by rows - rank zero rows;
+        pivot_cols is strictly increasing. A row's pivot is its first
+        nonzero column, and the RREF of a row space is unique, so the output
+        is canonical for a given input.
+
+    Each row is reduced against the rows kept so far, keyed by their lowest
+    set bit, and kept if anything is left; the kept rows are then cleared
+    at every other pivot, highest pivot first.
     """
-    rows = list(m.row_bits)
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        sel = None
-        for i in range(r, nrows):
-            if (rows[i] >> c) & 1:
-                sel = i
+    kept = {}  # lowest set bit -> a kept row with that lowest bit
+    for row in m.row_bits:
+        while row:
+            low = row & -row
+            if low not in kept:
+                kept[low] = row
                 break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(nrows):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return BitMatrix(m.cols, tuple(rows)), pivots
+            row ^= kept[low]
+    pivot_bits = sum(kept)
+    reduced = {}
+    for low in sorted(kept, reverse=True):
+        row = kept[low]
+        hits = row & pivot_bits ^ low
+        while hits:  # reduced rows carry no other pivot, so each hit clears
+            other = hits & -hits
+            row ^= reduced[other]
+            hits ^= other
+        reduced[low] = row
+    lows = sorted(reduced)
+    rows = tuple(reduced[low] for low in lows) + (0,) * (m.rows - len(lows))
+    return BitMatrix(m.cols, rows), [low.bit_length() - 1 for low in lows]
 
 
 def rank(m: BitMatrix) -> int:
@@ -229,19 +258,19 @@ def kernel_basis(m: BitMatrix, reduced=None) -> BitMatrix:
     """Basis of {v : m v = 0}, one row per free column, ascending.
 
     Row count is cols − rank(m). For free column f the basis vector has a 1
-    at f and picks up R[j, f] at each pivot column j, which zeroes the product.
+    at f and picks up R[j, f] at each pivot column j, which zeroes the product;
+    each set bit of R is read once.
     reduced, if given, is row_reduce(m), so a caller that already holds it
     does not reduce m again.
     """
     red, pivots = row_reduce(m) if reduced is None else reduced
+    out = [1 << f for f in range(m.cols)]
+    for row, pc in zip(red.row_bits, pivots):
+        bit = 1 << pc
+        row ^= bit  # RREF: only free columns are left
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
     pivot_set = set(pivots)
-    out = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for j, pc in enumerate(pivots):
-            if (red.row_bits[j] >> f) & 1:
-                v |= 1 << pc
-        out.append(v)
-    return BitMatrix(m.cols, tuple(out))
+    return BitMatrix(m.cols, tuple(v for f, v in enumerate(out) if f not in pivot_set))

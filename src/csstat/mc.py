@@ -46,16 +46,27 @@ Lane = Tuple[Tuple[int, ...], float, int]  # a chain's signs, beta, stream seed
 def derive_seed(seed: int, *indices: int) -> int:
     """Deterministic child stream: each index (0 <= ix < 2^64) in turn is the
     counter of one splitmix64 draw seeded with the fold so far."""
-    z = seed & _MASK
-    for ix in indices:
-        z = int(splitmix64(np.array([ix], dtype=np.uint64), z)[0])
+    return int(derive_seeds(seed, *([ix] for ix in indices))[0])
+
+
+def derive_seeds(seed: int, *levels) -> np.ndarray:
+    """derive_seed over grids of indices, one splitmix64 call a level: each
+    level's indices (uint64, or ints) broadcast against the seeds folded so
+    far, so levels shaped (P, 1, 1), (J, 1) and (2,) give the (P, J, 2)
+    array of derive_seed(seed, p, j, k)."""
+    z = np.array([seed & _MASK], dtype=np.uint64)
+    for ix in levels:
+        z = splitmix64(np.asarray(ix, dtype=np.uint64), z)
     return z
 
 
-def splitmix64(counters: np.ndarray, seed) -> np.ndarray:
+def splitmix64(counters: np.ndarray, seed, out: Optional[np.ndarray] = None) -> np.ndarray:
     """splitmix64 output at the given counters (uint64 in, uint64 out). seed
-    is an int, or a uint64 array of stream seeds broadcast against counters."""
-    z = np.uint64(seed & _MASK) + (counters + np.uint64(1)) * np.uint64(_GOLDEN)
+    is an int, or a uint64 array of stream seeds broadcast against counters.
+    out, if given, is a uint64 array of the broadcast shape that receives
+    the output, so a caller can reuse one buffer across calls."""
+    z = np.add(np.uint64(seed & _MASK), (counters + np.uint64(1)) * np.uint64(_GOLDEN),
+               out=out)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -190,15 +201,25 @@ def _lockstep(num_spins: int, tables, kernel: Callable, lanes: Sequence[Lane],
     len(lanes) * F <= 64): spin i's int has 1 at c*F where the spin is down,
     term t's int 1 where its product is -1. kernel, the topology's
     _sweep_kernel, runs each block of drawn sweeps in one call. Returns the
-    spins' ints after each measured sweep, shape (measured sweeps, spins),
-    as uint64.
+    spins' ints after each measured sweep as uint64, shape (measured sweeps,
+    spins + 1); the last column is zero, so a term's sites padded with index
+    spins XOR to its product.
+
+    Draws stay integers. The uniform of draw z is u = (z >> 11) * 2^-53, so
+    u < a holds exactly when the integer z >> 11 is below ceil(a * 2^53)
+    (_integer_cuts): scaling a float by 2^53 and taking its ceiling are
+    exact, and the sentinel a = 2 becomes 2^54, above every draw. Each block
+    runs splitmix64 into one reused (lanes, sweeps, spins) buffer and
+    compares it with these integer cuts.
     """
     sites, spin_terms = tables
     n, terms = len(lanes), len(sites)
     deg = np.array([len(t) for t in spin_terms])
     max_deg = int(deg.max())
     field = _lane_bits(max_deg)
-    half, k_max = 1 << (field - 1), (max_deg + 1) >> 1
+    # one threshold at least: a cut of cost <= 0 adds 1 to the count and 1
+    # to k_max, which leaves half - K as it is
+    half, k_max = 1 << (field - 1), max(1, (max_deg + 1) >> 1)
     # cut[j, c, 0, i] = accept_c[m] for m = deg_i - 2j > 0, else 2 (never u >= 2)
     cost = deg - 2 * np.arange(k_max)[:, None]
     cut = np.empty((k_max, n, 1, num_spins))
@@ -213,44 +234,57 @@ def _lockstep(num_spins: int, tables, kernel: Callable, lanes: Sequence[Lane],
                 f"acceptance table increases at beta={beta}: {accept}"
             )
         cut[:, c, 0] = np.array([2.0] + accept)[cost.clip(0)]
-    shift = (np.arange(n, dtype=np.uint64) * np.uint64(field)).reshape(n, 1, 1)
-
-    def pack(values: np.ndarray) -> List[int]:
-        # lane c's value (< 2^field) at bit c*field of one int per column;
-        # shifts a uint64 argument in place
-        words = np.asarray(values, dtype=np.uint64)
-        words <<= shift
-        return np.bitwise_or.reduce(words, axis=0).ravel().tolist()
+    cut = _integer_cuts(cut)
 
     seeds = np.array([seed & _MASK for *_, seed in lanes], dtype=np.uint64)
     seeds = seeds.reshape(n, 1, 1)
     init = uniforms(np.arange(num_spins, dtype=np.uint64), seeds)
-    state = pack(init >= 0.5)  # spins, then the terms' negative products
-    lane_signs = np.array([signs for signs, _, _ in lanes]).reshape(n, 1, terms)
-    negative = pack(lane_signs < 0)
+    # spins, then the terms' negative products
+    state = _pack(init >= 0.5, field).ravel().tolist()
+    negative = _pack(np.array([signs for signs, _, _ in lanes]) < 0, field).tolist()
     for t_idx, term_sites in enumerate(sites):
         for s in term_sites:
             negative[t_idx] ^= state[s]
     state += negative
     top = sum(half << c * field for c in range(n))
+    base = np.uint64(sum((half - k_max) << c * field for c in range(n)))
 
-    spins = np.empty((sweeps - burn_in, num_spins), dtype=np.uint64)
+    spins = np.zeros((sweeps - burn_in, num_spins + 1), dtype=np.uint64)
     block = max(1, _UNIFORMS_PER_DRAW // (n * num_spins))
+    draws = np.empty((n, block, num_spins), dtype=np.uint64)
+    counts = np.empty_like(draws)
     for first in range(0, sweeps, block):
         # sweeps [first, end) take counters [(1+first)*S, (1+end)*S)
         end = min(sweeps, first + block)
         counters = np.arange((1 + first) * num_spins, (1 + end) * num_spins,
                              dtype=np.uint64).reshape(end - first, num_spins)
-        u = uniforms(counters, seeds)
+        z = splitmix64(counters, seeds, out=draws[:, :end - first])
+        z >>= np.uint64(11)
         # half - K per lane, K = #{j : u >= cut_j} the spin's threshold; field
         # c of a proposal's sum is h_c + half - K_c, its top bit h_c >= K_c
-        need = np.full(u.shape, half - k_max, dtype=np.uint64)
-        for cut_j in cut:
-            need += u < cut_j
-        rows = kernel(state, pack(need), end - first, burn_in - first, top)
+        need = np.less(z, cut[0], out=counts[:, :end - first])
+        for cut_j in cut[1:]:
+            need += z < cut_j
+        words = _pack(need, field)
+        words += base
+        rows = kernel(state, words.ravel().tolist(), end - first, burn_in - first, top)
         if rows:
-            spins[end - burn_in - len(rows):end - burn_in] = rows
+            spins[end - burn_in - len(rows):end - burn_in, :num_spins] = rows
     return spins
+
+
+def _pack(values: np.ndarray, field: int) -> np.ndarray:
+    """Lane c's values (axis 0, each < 2^field) at bit c*field of one uint64
+    per remaining index; shifts a uint64 argument in place."""
+    words = np.asarray(values, dtype=np.uint64)
+    shift = np.arange(len(words), dtype=np.uint64) * np.uint64(field)
+    words <<= shift.reshape((-1,) + (1,) * (words.ndim - 1))
+    return np.bitwise_or.reduce(words, axis=0)
+
+
+def _integer_cuts(cut: np.ndarray) -> np.ndarray:
+    """ceil(cut * 2^53) as uint64: k < it exactly when k * 2^-53 < cut."""
+    return np.ceil(np.ldexp(cut, 53)).astype(np.uint64)
 
 
 def _lane_bits(max_deg: int) -> int:
@@ -264,37 +298,72 @@ def _chains(model: SmModel, lanes: Sequence[Lane], sweeps: int,
     burn, in lane order. A lane is a chain's (signs, beta, stream seed) on
     model's masks. The call fetches the masks' sweep kernel, compiling it on
     a cache miss; the lanes run in passes of as many as fit one 64-bit word,
-    each pass when its first lane is asked for."""
+    each pass when its first lane is asked for.
+
+    A pass's energies come from its words, all lanes at once: XORing each
+    term's site words and the lanes' sign word puts lane c's negative-term
+    bit at c*F. A lane's count of negative terms needs bit_length(T) bits,
+    so the lanes are split into g residue classes mod g, which places a
+    class's fields g*F >= bit_length(T) bits apart, and g is raised until
+    the class's top field fits the word; a uint64 sum over the terms then
+    carries no lane into the next. The snapshots of one lane are unpacked
+    when it is yielded.
+    """
     num_spins = model.num_spins
     sites, spin_terms = tables = _spin_tables(num_spins, model.masks)
-    kernel = _sweep_kernel(num_spins, len(sites), spin_terms)
+    terms = len(sites)
+    kernel = _sweep_kernel(num_spins, terms, spin_terms)
     field = _lane_bits(max(map(len, spin_terms)))
-    # term t's sites, padded with spin index num_spins: an up spin
-    padded = np.full((max(map(len, sites), default=0), len(sites)), num_spins)
+    # term t's sites, padded with spin index num_spins: the zero column
+    padded = np.full((max(map(len, sites), default=0), terms), num_spins)
     for t_idx, term_sites in enumerate(sites):
         padded[:len(term_sites), t_idx] = term_sites
-    width = 64 // field
+    width, count_bits = 64 // field, terms.bit_length()
+    # sweeps a readout step gathers: no more site words than a draw's uniforms
+    chunk = max(1, _UNIFORMS_PER_DRAW // max(1, padded.size))
+
+    def energies(words: np.ndarray, batch: Sequence[Lane]) -> np.ndarray:
+        n = len(batch)
+        groups = max(1, -(-count_bits // field))
+        while (n - 1) // groups * groups * field + count_bits > 64:
+            groups += 1
+        # lane c of class r = c % groups sits at bit at[c] of its class's
+        # words shifted down by r * field
+        lane = np.arange(n)
+        at = (lane // groups * groups * field).astype(np.uint64)
+        masks = [np.uint64(sum(1 << int(b) for b in at[r::groups]))
+                 for r in range(groups)]
+        sign_word = _pack(np.array([signs for signs, _, _ in batch]) < 0, field)
+        sums = np.empty((groups, len(words)), dtype=np.uint64)
+        for a in range(0, len(words), chunk):
+            negative = np.bitwise_xor.reduce(words[a:a + chunk, padded], axis=1)
+            negative ^= sign_word
+            for r, mask in enumerate(masks):
+                part = negative >> np.uint64(r * field)
+                part &= mask
+                part.sum(axis=1, out=sums[r, a:a + chunk])
+        counts = sums[lane % groups]
+        counts >>= at[:, None]
+        counts &= np.uint64((1 << count_bits) - 1)
+        # -(sum of the term products) / S, the products summing to
+        # T - 2 * (negative terms)
+        counts = counts.view(np.int64)
+        counts *= 2
+        counts -= terms
+        return counts / num_spins
 
     def passes():
         for start in range(0, len(lanes), width):
             batch = lanes[start:start + width]
             words = _lockstep(num_spins, tables, kernel, batch, sweeps, burn_in)
+            series = energies(words, batch)
             # bit at of a word is bit at % 8 of byte at // 8
             as_bytes = words.astype("<u8", copy=False).view(np.uint8).reshape(
-                len(words), num_spins, 8)
-            down = np.zeros((len(words), num_spins + 1), dtype=np.uint8)
-            for c, (signs, _, _) in enumerate(batch):
+                len(words), num_spins + 1, 8)
+            for c in range(len(batch)):
                 at = c * field
-                down[:, :num_spins] = (as_bytes[:, :, at >> 3] >> (at & 7)) & 1
-                negative = np.empty((len(words), len(sites)), dtype=np.uint8)
-                negative[:] = np.array(signs) < 0
-                for column in padded:
-                    negative ^= down[:, column]
-                # -(sum of the term products) / S, the products summing to
-                # T - 2 * (negative terms)
-                count = negative.sum(axis=1, dtype=np.int64)
-                yield ((2 * count - len(sites)) / num_spins,
-                       1 - 2 * down[:, :num_spins].astype(np.int8))
+                down = (as_bytes[:, :num_spins, at >> 3] >> (at & 7)) & 1
+                yield series[c], 1 - 2 * down.astype(np.int8)
 
     return passes()
 
@@ -330,12 +399,15 @@ def metropolis(
     table is non-increasing (checked), so the flip condition holds exactly
     when h[i] >= K = #{j < ceil(deg_i / 2) : u >= accept[deg_i - 2j]}; for
     beta <= 0 no entry is below 1 > u, so K = 0 and every proposal flips.
-    The same uniforms meet the same float compares, so each chain is the one
-    the direct rule gives, bit for bit. Each draw of uniforms, up to
-    _UNIFORMS_PER_DRAW over whole sweeps of every lane, becomes one int per
-    proposal holding half - K in every lane's field; a proposal sums it with
-    the ints of its deg_i terms, which puts h + half - K in each field, and
-    the fields' top bits are the lanes that flip. The sweeps run in code
+    The compares are made on the integers behind the uniforms: u = k * 2^-53
+    for k = z >> 11 of a splitmix64 output z, and u < a exactly when k <
+    ceil(a * 2^53), since k is an integer and scaling by 2^53 and the
+    ceiling are exact in floats. So each chain is the one the direct rule
+    gives, bit for bit. Each draw, up to _UNIFORMS_PER_DRAW outputs over
+    whole sweeps of every lane, becomes one int per proposal holding half -
+    K in every lane's field; a proposal sums it with the ints of its deg_i
+    terms, which puts h + half - K in each field, and the fields' top bits
+    are the lanes that flip. The sweeps run in code
     compiled once per topology (_sweep_kernel) with every int a local, so a
     proposal is deg_i additions, an AND and a test for all lanes together,
     plus a shift and deg_i + 1 XORs when any lane flips, and no call. F =
@@ -446,20 +518,26 @@ def nishimori_scan(
     base = (build_sm_x if side == "x" else build_sm_z)(code, BitVector(code.n, 0))
     _check_model(base)
     betas = [nishimori_beta(p) for p in p_grid]
+    # sample j at point idx draws its disorder on derive_seed(cfg.seed, idx,
+    # j, 0) and runs on derive_seed(cfg.seed, idx, j, 1), whose replica r
+    # takes stream derive_seed(run seed, r)
+    grid = (np.arange(len(p_grid)).reshape(-1, 1, 1),
+            np.arange(disorder_samples).reshape(-1, 1))
+    disorder, run_seeds = derive_seeds(cfg.seed, *grid, [0, 1]).transpose(2, 0, 1).tolist()
+    streams = derive_seeds(cfg.seed, *grid, [1], np.arange(cfg.replicas)).tolist()
     runs = [  # per point, every sample's (model, run config)
         [
-            (replace(base, signs=_signs(
-                sample_disorder(code, p, derive_seed(cfg.seed, idx, j, 0)))),
-             replace(cfg, seed=derive_seed(cfg.seed, idx, j, 1)))
+            (replace(base, signs=_signs(sample_disorder(code, p, disorder[idx][j]))),
+             replace(cfg, seed=run_seeds[idx][j]))
             for j in range(disorder_samples)
         ]
         for idx, p in enumerate(p_grid)
     ]
     lanes = [
-        (model.signs, beta, derive_seed(run_cfg.seed, r))
-        for beta, point in zip(betas, runs)
-        for model, run_cfg in point
-        for r in range(cfg.replicas)
+        (model.signs, beta, stream)
+        for beta, point, point_streams in zip(betas, runs, streams)
+        for (model, _), sample_streams in zip(point, point_streams)
+        for stream in sample_streams
     ]
     start = time.perf_counter()
     chains = _chains(base, lanes, cfg.sweeps, cfg.burn_in)

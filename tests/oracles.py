@@ -98,3 +98,30 @@ def transpose_by_bits(m: BitMatrix) -> BitMatrix:
             acc |= ((bits >> c) & 1) << r
         out.append(acc)
     return BitMatrix(m.rows, tuple(out))
+
+
+def row_reduce_by_columns(m: BitMatrix):
+    """gf2.row_reduce as a column scan: for each column in turn, the first
+    row at or below the next pivot row with that bit becomes the pivot and
+    clears the column in every other row."""
+    rows = list(m.row_bits)
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        sel = None
+        for i in range(r, nrows):
+            if (rows[i] >> c) & 1:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        for i in range(nrows):
+            if i != r and (rows[i] >> c) & 1:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return BitMatrix(m.cols, tuple(rows)), pivots

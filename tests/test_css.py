@@ -134,6 +134,27 @@ def test_anticommuting_checks_rejected():
         new_css(BitMatrix.from01(["1111"]), BitMatrix.from01(["1000"]))
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6)
+      .map(lambda rows, n=n: BitMatrix(n, tuple(rows))) for _ in range(2)])))
+def test_commutation_violation_names_the_first_pair(pair):
+    # the first odd (X row, Z row) pair in row-major order, as a scan of
+    # every pair finds it
+    hz, hx = pair
+    first = next(((i, j) for i, x in enumerate(hx.row_bits)
+                  for j, z in enumerate(hz.row_bits) if (x & z).bit_count() & 1),
+                 None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCodeWarning)
+        if first is None:
+            new_css(hz, hx)
+            return
+        with pytest.raises(CommutationViolation) as info:
+            new_css(hz, hx)
+    assert (info.value.row_x, info.value.row_z) == first
+
+
 def test_k_zero_warns():
     # repetition-code checks on both sides: n=2, rank_x=rank_z=1, k=0
     with pytest.warns(EmptyCodeWarning):

@@ -13,11 +13,12 @@ from csstat.gf2 import (
     dot,
     kernel_basis,
     matvec,
+    overlap_parities,
     rank,
     row_reduce,
     row_space_basis,
 )
-from oracles import transpose_by_bits
+from oracles import row_reduce_by_columns, transpose_by_bits
 
 
 def to_dense(m: BitMatrix) -> np.ndarray:
@@ -151,6 +152,57 @@ def test_kernel_is_exact_null_space(m):
         assert count == 1 << ker.rows
     # a caller that holds the row reduction gets the same basis from it
     assert kernel_basis(m, row_reduce(m)) == ker
+
+
+# zero, duplicate, tall, wide and full-rank matrices, on both sides of 64 bits
+@st.composite
+def shaped_matrices(draw):
+    cols = draw(st.integers(0, 130))
+    kind = draw(st.sampled_from(["random", "zero", "duplicate", "tall", "wide", "full"]))
+    row = st.integers(0, (1 << cols) - 1)
+    if kind == "zero":
+        rows = [0] * draw(st.integers(0, 6))
+    elif kind == "duplicate":
+        base = draw(st.lists(row, min_size=1, max_size=4))
+        rows = draw(st.permutations(base * draw(st.integers(2, 3))))
+    elif kind == "tall":
+        rows = draw(st.lists(row, min_size=cols + 1, max_size=cols + 8))
+    elif kind == "wide":
+        rows = draw(st.lists(row, max_size=max(0, cols // 8)))
+    elif kind == "full":
+        # a unit row per chosen column, each XORed with higher columns only
+        chosen = sorted(draw(st.sets(st.integers(0, cols - 1), max_size=8))) if cols else []
+        rows = [(1 << c) | (draw(row) >> (c + 1) << (c + 1)) for c in chosen]
+        rows = draw(st.permutations(rows))
+    else:
+        rows = draw(st.lists(row, max_size=12))
+    return BitMatrix(cols, tuple(rows))
+
+
+@settings(max_examples=300)
+@given(shaped_matrices())
+@example(BitMatrix(0, ()))
+@example(BitMatrix(5, ()))
+@example(BitMatrix(3, (0, 0)))
+@example(BitMatrix(70, (1 << 69, 1 << 69, (1 << 70) - 1)))
+@example(BitMatrix(4, (0b1000, 0b0100, 0b0010, 0b0001, 0b1111)))
+def test_row_reduce_equals_the_column_scan(m):
+    # the RREF of a row space is unique: R, its zero rows last, and the
+    # pivots equal those of the plain column scan
+    assert row_reduce(m) == row_reduce_by_columns(m)
+    assert kernel_basis(m) == kernel_basis(m, row_reduce_by_columns(m))
+
+
+@settings(max_examples=150)
+@given(matrices, matrices)
+def test_overlap_parities_are_the_pairwise_dots(a, b):
+    b = BitMatrix(a.cols, tuple(r & ((1 << a.cols) - 1) for r in b.row_bits))
+    got = overlap_parities(a, b)
+    assert got == [sum(dot(u, v) << j for j, v in enumerate(b.row_list()))
+                   for u in a.row_list()]
+    assert overlap_parities(a, BitMatrix(a.cols, ())) == [0] * a.rows
+    with pytest.raises(ValueError):
+        overlap_parities(a, BitMatrix(a.cols + 1, ()))
 
 
 def test_row_space_basis_spans():

@@ -19,8 +19,10 @@ from csstat.mc import (
     _UNIFORMS_PER_DRAW,
     McConfig,
     _chains,
+    _integer_cuts,
     _lane_bits,
     derive_seed,
+    derive_seeds,
     metropolis,
     nishimori_scan,
     sample_disorder,
@@ -72,6 +74,55 @@ def test_derive_seed_matches_scalar_mixer():
         indices = [int(ix) for ix in rng.integers(0, 1 << 63, rng.integers(0, 4))]
         indices += [(1 << 64) - 1] if rng.random() < 0.1 else []
         assert derive_seed(seed, *indices) == scalar_derive_seed(seed, *indices)
+
+
+def test_derive_seeds_folds_each_level_over_a_grid():
+    # one splitmix64 call a level gives derive_seed at every grid point
+    got = derive_seeds(-5, np.arange(3).reshape(-1, 1, 1), np.arange(4).reshape(-1, 1),
+                       [0, 1, (1 << 64) - 1])
+    assert got.shape == (3, 4, 3) and got.dtype == np.uint64
+    for (p, j, k), seed in np.ndenumerate(got):
+        assert int(seed) == scalar_derive_seed(-5, p, j, [0, 1, (1 << 64) - 1][k])
+    assert derive_seeds(9).tolist() == [9] and derive_seed(9) == 9
+
+
+def test_splitmix64_fills_a_given_buffer():
+    seeds = np.array([3, 1 << 63], dtype=np.uint64).reshape(2, 1, 1)
+    counters = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    out = np.zeros((2, 5, 4), dtype=np.uint64)
+    got = splitmix64(counters, seeds, out=out[:, 1:4])
+    assert np.shares_memory(got, out)
+    assert np.array_equal(out[:, 1:4], splitmix64(counters, seeds))
+    assert not out[:, 0].any() and not out[:, 4].any()
+
+
+# accept values at and around the 2^-53 grid of the uniforms: grid points,
+# one ulp either side, 0, a subnormal, 1/2, 1 and the sentinel 2
+_GRID = [k * 2.0 ** -53 for k in (1, 3, 12345, (1 << 52) + 1, (1 << 53) - 1)]
+_EDGE_CUTS = sorted(
+    {0.0, 5e-324, 2.0 ** -60, 0.5, 1.0, 2.0}
+    | set(_GRID)
+    | {math.nextafter(g, 0.0) for g in _GRID}
+    | {math.nextafter(g, 2.0) for g in _GRID}
+)
+
+
+@pytest.mark.parametrize("beta", [0.7, 0.0, -0.4])
+def test_integer_cuts_are_the_float_compare(beta):
+    # k < _integer_cuts(a) exactly when the uniform k * 2^-53 is below a,
+    # for the edge values, for the acceptance table at beta >= 0, beta = 0
+    # and beta < 0, and for every k next to each cut plus random draws
+    table = [math.exp(min(0.0, -2.0 * beta * m)) for m in range(1, 9)]
+    cuts = np.array(_EDGE_CUTS + table)
+    ints = _integer_cuts(cuts)
+    assert ints.dtype == np.uint64 and int(_integer_cuts(np.array(2.0))) == 1 << 54
+    near = {k + d for k in map(int, ints) for d in (-2, -1, 0, 1)}
+    draws = splitmix64(np.arange(200_000, dtype=np.uint64), 77) >> np.uint64(11)
+    ks = np.concatenate([np.array(sorted(k for k in near if 0 <= k < 1 << 53),
+                                  dtype=np.uint64), draws])
+    u = ks.astype(np.float64) * 2.0 ** -53
+    for a, c in zip(cuts, ints):
+        assert np.array_equal(ks < c, u < a), a
 
 
 def test_mcconfig_validation():
@@ -411,6 +462,49 @@ def test_hand_built_edge_models_follow_the_direct_rule(num_spins, masks, signs):
              for c, p in enumerate((0.05, 0.2, 0.5, 0.7))]
     sweeps = 2 * (_UNIFORMS_PER_DRAW // (len(lanes) * num_spins)) + 7
     _assert_lanes_follow_oracle(model, lanes, sweeps, 5)
+
+
+@pytest.mark.parametrize("degree, terms", [(2, 63), (2, 64), (4, 255), (4, 256)])
+def test_counts_at_a_group_edge_follow_the_direct_rule(degree, terms):
+    # a lane counts up to T = 2^(g*F) - 1 or 2^(g*F) negative terms, which
+    # fill g lanes' fields of a word or need one class more. Each spin
+    # carries up to degree one-site terms, and every lane's signs make all
+    # terms negative at its initial configuration, so at beta < 0 (every
+    # proposal flips) the counts alternate between T and 0, in the top lane
+    # of a full pass and in a 3-lane pass, whose top field fits without
+    # more groups; beta > 0 lanes ride along
+    spins = -(-terms // degree)
+    masks = tuple(1 << (t // degree) for t in range(terms))
+    field = _lane_bits(degree)
+    lanes = []
+    for c in range(64 // field + 3):
+        seed = derive_seed(43, c)
+        down = uniforms(np.arange(spins, dtype=np.uint64), seed) >= 0.5
+        signs = tuple(1 if down[t // degree] else -1 for t in range(terms))
+        lanes.append((signs, nishimori_beta(0.3 if c % 5 == 2 else 0.8), seed))
+    model = SmModel(num_spins=spins, masks=masks, signs=lanes[0][0],
+                    species="x", sigma_spins=spins)
+    got = list(_chains(model, lanes, 30, 4))
+    for top, _ in (got[64 // field - 1], got[-1]):
+        assert top.max() == terms / spins and top.min() == -terms / spins
+    _assert_lanes_follow_oracle(model, lanes, 30, 4)
+
+
+def test_a_pass_draws_no_uniforms_past_the_initial_configuration(monkeypatch):
+    # the sweeps' draws stay splitmix64 integers: uniforms runs once a
+    # pass, for the initial configuration, however many draws the pass makes
+    model = _model_at("toric2d:3", "x", 0.1, 2)
+    lanes = [(model.signs, 0.4 + 0.1 * c, 7 + c) for c in range(3)]
+    sweeps = 3 * (_UNIFORMS_PER_DRAW // (len(lanes) * model.num_spins)) + 2
+    calls = []
+
+    def counted(counters, seed):
+        calls.append(counters.shape)
+        return uniforms(counters, seed)
+
+    monkeypatch.setattr(mc, "uniforms", counted)
+    list(_chains(model, lanes, sweeps, 5))
+    assert calls == [(model.num_spins,)]
 
 
 def test_a_second_chains_call_on_the_same_masks_compiles_nothing(monkeypatch):
