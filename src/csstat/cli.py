@@ -211,7 +211,7 @@ def _sweep_rows(
             report = info.bound_report((dists_x[i], dists_z[i]))
             rel_source = dists_x[i]
             extra = []
-        rel = info.relative_entropy(rel_source, k0, k0p).value
+        rel = info.relative_entropy(rel_source, k0, k0p)
         rows.append(
             [p_x, p_z, report.ic_bits, report.ml, report.sampling,
              report.jensen_lower, rel] + extra

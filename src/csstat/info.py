@@ -25,15 +25,7 @@ from .gf2 import BitVector
 # covers pure rounding from sums of up to 2^26 doubles.
 BOUND_SLACK = 1e-10
 
-FactorizedPair = Tuple[SectorDistribution, SectorDistribution]
-DistOrPair = Union[SectorDistribution, FactorizedPair]
-
-
-@dataclass(frozen=True)
-class InfoResult:
-    """A scalar information quantity in bits."""
-
-    value: float
+DistOrPair = Union[SectorDistribution, Tuple[SectorDistribution, SectorDistribution]]
 
 
 def _fold(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
@@ -95,44 +87,13 @@ def _sides(dist: DistOrPair) -> Tuple[SectorDistribution, ...]:
     return dist_z, dist_x
 
 
-def _coherent_information(dist: DistOrPair) -> InfoResult:
-    """k plus each side's conditional term, folded Z side first."""
-    sides = _sides(dist)
-    value = sides[0].k
-    for side in sides:
-        value += _conditional_term(*_syndrome_rows(side))
-    return InfoResult(value)
-
-
-def coherent_information_factorized(
-    dist_x: SectorDistribution, dist_z: SectorDistribution
-) -> InfoResult:
-    """Coherent information in bits for independent X/Z noise.
-
-    value = k + Σ_(a,kx) P·log2(P/P_a) + Σ_(b,kz) P·log2(P/P_b); each sum is
-    minus a conditional entropy, so the result lies in [−k, k], equals k at
-    zero noise and −k at px = pz = 1/2.
-    """
-    return _coherent_information((dist_x, dist_z))
-
-
-def coherent_information_general(dist: SectorDistribution) -> InfoResult:
-    """Coherent information in bits from a joint (correlated-species) table.
-
-    value = k + Σ P·log2(P / P_(a,b)) with the syndrome marginal taken over
-    both logical labels. Reduces to the factorized form when the table is a
-    product.
-    """
-    return _coherent_information(dist)
-
-
 def relative_entropy(
     dist_x: SectorDistribution, k0: BitVector, k0p: BitVector
-) -> InfoResult:
+) -> float:
     """Relative entropy (bits) between the sectors of two logical labels.
 
-    value = Σ_(b,kz) P(b, kz⊕k0) · log2[P(b, kz⊕k0) / P(b, kz⊕k0p)], which
-    depends on (k0, k0p) only through the shift k0⊕k0p. Returns +infinity
+    Σ_(b,kz) P(b, kz⊕k0) · log2[P(b, kz⊕k0) / P(b, kz⊕k0p)], which
+    depends on (k0, k0p) only through the shift k0⊕k0p. Returns math.inf
     when some shifted sector has positive mass where its partner has none
     (orthogonal sectors — always the case at zero noise).
     """
@@ -144,8 +105,8 @@ def relative_entropy(
     partner = rows[:, np.arange(rows.shape[1]) ^ (k0 ^ k0p).bits]
     live = rows > 0.0
     if np.any(partner[live] <= 0.0):
-        return InfoResult(math.inf)
-    return InfoResult(float(np.sum(rows[live] * np.log2(rows[live] / partner[live]))))
+        return math.inf
+    return float(np.sum(rows[live] * np.log2(rows[live] / partner[live])))
 
 
 def ml_success(dist: SectorDistribution) -> float:
@@ -169,7 +130,14 @@ def sampling_success(dist: SectorDistribution) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The decoder/entropy inequality chain evaluated at one noise point."""
+    """The decoder/entropy inequality chain evaluated at one noise point.
+
+    ic_bits is the coherent information in bits: k + Σ P·log2(P / P_(a,b))
+    for a joint table, and k + Σ_(a,kx) P·log2(P/P_a) + Σ_(b,kz) P·log2(P/P_b)
+    for independent X/Z noise, which a product joint table also gives. Each
+    sum is minus a conditional entropy, so ic_bits lies in [−k, k]: k at zero
+    noise, −k at px = pz = 1/2.
+    """
 
     ic_bits: float
     jensen_lower: float  # 2^(ic_bits − k)
@@ -183,9 +151,9 @@ def bound_report(dist: DistOrPair) -> BoundReport:
     """Evaluate ic, decoder successes, and their inequality chain.
 
     Args:
-        dist: a joint SectorDistribution, or a (dist_x, dist_z) pair for
-            factorized noise (both sides are needed for the coherent
-            information, and the per-side successes multiply).
+        dist: a joint SectorDistribution, or a (dist_x, dist_z) pair from
+            one code for factorized noise (both sides are needed for the
+            coherent information, and the per-side successes multiply).
 
     Checks 2·ml − 1 ≤ sampling ≤ ml ≤ 1 and 2^(ic−k) ≤ sampling ≤ 1 plus
     |ic| ≤ k, reporting violations as flags instead of raising, so sweeps can

@@ -129,13 +129,25 @@ def _blocked(series: np.ndarray) -> Tuple[float, float]:
 
 
 def _spin_tables(num_spins: int, masks: Tuple[int, ...]):
-    """Per-term sites and per-spin terms, as tuples."""
-    sites = tuple(mask_sites(mask) for mask in masks)
+    """Term t's sites as column t of one array, padded with the zero column
+    num_spins of _term_words, and per-spin terms as tuples."""
+    sites = [mask_sites(mask) for mask in masks]
+    padded = np.full((max(map(len, sites), default=0), len(sites)), num_spins)
     spin_terms: List[List[int]] = [[] for _ in range(num_spins)]
     for t_idx, term_sites in enumerate(sites):
+        padded[:len(term_sites), t_idx] = term_sites
         for s in term_sites:
             spin_terms[s].append(t_idx)
-    return sites, tuple(map(tuple, spin_terms))
+    return padded, tuple(map(tuple, spin_terms))
+
+
+def _term_words(words: np.ndarray, padded: np.ndarray,
+                sign_word: np.ndarray) -> np.ndarray:
+    """Per row of spins' words (the last column zero), each term's word: the
+    XOR of its sites' words and its sign word, set where its product is -1."""
+    negative = np.bitwise_xor.reduce(words[..., padded], axis=-2)
+    negative ^= sign_word
+    return negative
 
 
 _INLINE_DEGREE = 64  # a spin in more terms sums them with one sum() call
@@ -194,12 +206,13 @@ def _sweep_kernel(num_spins: int, terms: int,
 
 
 def _lockstep(num_spins: int, tables, kernel: Callable, lanes: Sequence[Lane],
-              sweeps: int, burn_in: int):
+              sign_word: np.ndarray, sweeps: int, burn_in: int):
     """One pass: every lane's chain on one topology, stepped together.
 
     Lane c is the F bits at c*F of each state int (F = _lane_bits, and
     len(lanes) * F <= 64): spin i's int has 1 at c*F where the spin is down,
-    term t's int 1 where its product is -1. kernel, the topology's
+    term t's int 1 where its product is -1. sign_word is the lanes' signs
+    packed the same way, 1 where a term's sign is -1. kernel, the topology's
     _sweep_kernel, runs each block of drawn sweeps in one call. Returns the
     spins' ints after each measured sweep as uint64, shape (measured sweeps,
     spins + 1); the last column is zero, so a term's sites padded with index
@@ -212,8 +225,8 @@ def _lockstep(num_spins: int, tables, kernel: Callable, lanes: Sequence[Lane],
     runs splitmix64 into one reused (lanes, sweeps, spins) buffer and
     compares it with these integer cuts.
     """
-    sites, spin_terms = tables
-    n, terms = len(lanes), len(sites)
+    padded, spin_terms = tables
+    n = len(lanes)
     deg = np.array([len(t) for t in spin_terms])
     max_deg = int(deg.max())
     field = _lane_bits(max_deg)
@@ -239,13 +252,10 @@ def _lockstep(num_spins: int, tables, kernel: Callable, lanes: Sequence[Lane],
     seeds = np.array([seed & _MASK for *_, seed in lanes], dtype=np.uint64)
     seeds = seeds.reshape(n, 1, 1)
     init = uniforms(np.arange(num_spins, dtype=np.uint64), seeds)
+    start = np.zeros(num_spins + 1, dtype=np.uint64)
+    start[:num_spins] = _pack(init >= 0.5, field)
     # spins, then the terms' negative products
-    state = _pack(init >= 0.5, field).ravel().tolist()
-    negative = _pack(np.array([signs for signs, _, _ in lanes]) < 0, field).tolist()
-    for t_idx, term_sites in enumerate(sites):
-        for s in term_sites:
-            negative[t_idx] ^= state[s]
-    state += negative
+    state = start[:num_spins].tolist() + _term_words(start, padded, sign_word).tolist()
     top = sum(half << c * field for c in range(n))
     base = np.uint64(sum((half - k_max) << c * field for c in range(n)))
 
@@ -310,20 +320,15 @@ def _chains(model: SmModel, lanes: Sequence[Lane], sweeps: int,
     when it is yielded.
     """
     num_spins = model.num_spins
-    sites, spin_terms = tables = _spin_tables(num_spins, model.masks)
-    terms = len(sites)
+    padded, spin_terms = tables = _spin_tables(num_spins, model.masks)
+    terms = padded.shape[1]
     kernel = _sweep_kernel(num_spins, terms, spin_terms)
     field = _lane_bits(max(map(len, spin_terms)))
-    # term t's sites, padded with spin index num_spins: the zero column
-    padded = np.full((max(map(len, sites), default=0), terms), num_spins)
-    for t_idx, term_sites in enumerate(sites):
-        padded[:len(term_sites), t_idx] = term_sites
     width, count_bits = 64 // field, terms.bit_length()
     # sweeps a readout step gathers: no more site words than a draw's uniforms
     chunk = max(1, _UNIFORMS_PER_DRAW // max(1, padded.size))
 
-    def energies(words: np.ndarray, batch: Sequence[Lane]) -> np.ndarray:
-        n = len(batch)
+    def energies(words: np.ndarray, n: int, sign_word: np.ndarray) -> np.ndarray:
         groups = max(1, -(-count_bits // field))
         while (n - 1) // groups * groups * field + count_bits > 64:
             groups += 1
@@ -333,11 +338,9 @@ def _chains(model: SmModel, lanes: Sequence[Lane], sweeps: int,
         at = (lane // groups * groups * field).astype(np.uint64)
         masks = [np.uint64(sum(1 << int(b) for b in at[r::groups]))
                  for r in range(groups)]
-        sign_word = _pack(np.array([signs for signs, _, _ in batch]) < 0, field)
         sums = np.empty((groups, len(words)), dtype=np.uint64)
         for a in range(0, len(words), chunk):
-            negative = np.bitwise_xor.reduce(words[a:a + chunk, padded], axis=1)
-            negative ^= sign_word
+            negative = _term_words(words[a:a + chunk], padded, sign_word)
             for r, mask in enumerate(masks):
                 part = negative >> np.uint64(r * field)
                 part &= mask
@@ -355,8 +358,10 @@ def _chains(model: SmModel, lanes: Sequence[Lane], sweeps: int,
     def passes():
         for start in range(0, len(lanes), width):
             batch = lanes[start:start + width]
-            words = _lockstep(num_spins, tables, kernel, batch, sweeps, burn_in)
-            series = energies(words, batch)
+            sign_word = _pack(np.array([signs for signs, _, _ in batch]) < 0, field)
+            words = _lockstep(num_spins, tables, kernel, batch, sign_word,
+                              sweeps, burn_in)
+            series = energies(words, len(batch), sign_word)
             # bit at of a word is bit at % 8 of byte at // 8
             as_bytes = words.astype("<u8", copy=False).view(np.uint8).reshape(
                 len(words), num_spins + 1, 8)
@@ -519,24 +524,21 @@ def nishimori_scan(
     _check_model(base)
     betas = [nishimori_beta(p) for p in p_grid]
     # sample j at point idx draws its disorder on derive_seed(cfg.seed, idx,
-    # j, 0) and runs on derive_seed(cfg.seed, idx, j, 1), whose replica r
-    # takes stream derive_seed(run seed, r)
+    # j, 0), and its replica r runs on derive_seed(cfg.seed, idx, j, 1, r),
+    # the stream metropolis gives replica r of run seed derive_seed(cfg.seed,
+    # idx, j, 1)
     grid = (np.arange(len(p_grid)).reshape(-1, 1, 1),
             np.arange(disorder_samples).reshape(-1, 1))
-    disorder, run_seeds = derive_seeds(cfg.seed, *grid, [0, 1]).transpose(2, 0, 1).tolist()
+    disorder = derive_seeds(cfg.seed, *grid, [0])[..., 0].tolist()
     streams = derive_seeds(cfg.seed, *grid, [1], np.arange(cfg.replicas)).tolist()
-    runs = [  # per point, every sample's (model, run config)
-        [
-            (replace(base, signs=_signs(sample_disorder(code, p, disorder[idx][j]))),
-             replace(cfg, seed=run_seeds[idx][j]))
-            for j in range(disorder_samples)
-        ]
-        for idx, p in enumerate(p_grid)
+    models = [  # per point, every sample's model
+        [replace(base, signs=_signs(sample_disorder(code, p, seed))) for seed in seeds]
+        for p, seeds in zip(p_grid, disorder)
     ]
     lanes = [
         (model.signs, beta, stream)
-        for beta, point, point_streams in zip(betas, runs, streams)
-        for (model, _), sample_streams in zip(point, point_streams)
+        for beta, point, point_streams in zip(betas, models, streams)
+        for model, sample_streams in zip(point, point_streams)
         for stream in sample_streams
     ]
     start = time.perf_counter()
@@ -548,14 +550,14 @@ def nishimori_scan(
     proposed = (disorder_samples * cfg.replicas * base.num_spins
                 * (cfg.sweeps - cfg.burn_in - 1))
     rows = []
-    for p, beta, point in zip(p_grid, betas, runs):
+    for p, beta, point in zip(p_grid, betas, models):
         start = time.perf_counter()
         results, accepted = [], 0
-        for model, run_cfg in point:
+        for model in point:
             replicas = list(itertools.islice(chains, cfg.replicas))
             accepted += sum(np.count_nonzero(spins[1:] != spins[:-1])
                             for _, spins in replicas)
-            results.append(metropolis(model, beta, run_cfg, chains=replicas))
+            results.append(metropolis(model, beta, cfg, chains=replicas))
         rows.append(_disorder_average(p, beta, results))
         if log is not None:
             log(f"time p={p:.6g}: {time.perf_counter() - start:.4f}s")

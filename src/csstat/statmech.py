@@ -39,7 +39,6 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .channels import (
-    MAX_SUPPORT_BITS,
     MODE_JOINT,
     PauliNoise,
     SectorDistribution,
@@ -320,17 +319,13 @@ def _sector_masks(code: CssCode, side: str) -> Tuple[np.ndarray, int]:
     Qubit l's mask is column l of the label generators. Coupled terms follow
     build_sm_coupled over the joint label z_label << m_x | x_label, whose two
     bit ranges are disjoint, so each y sign is the x sign times the z sign.
-    Raises TooLarge if m > MAX_SUPPORT_BITS (labels are packed into uint64).
+    Callers run check_sector_loop first, which keeps m far below the 64 bits
+    of the uint64 masks.
     """
     coupled = side == SPECIES_COUPLED
     gens = [label_generators(code, s) for s in (("x", "z") if coupled else (side,))]
     cols = [BitMatrix(code.n, tuple(g)).transpose().row_bits for g in gens]
     m = sum(map(len, gens))
-    if m > MAX_SUPPORT_BITS:
-        raise TooLarge(
-            f"sector labels of m = {m} bits exceed the {MAX_SUPPORT_BITS}-bit "
-            f"uint64 label limit"
-        )
     masks = _coupled_masks(*cols, len(gens[0])) if coupled else cols[0]
     return np.array(masks, dtype=np.uint64), m
 

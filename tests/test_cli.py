@@ -652,7 +652,7 @@ def test_rel_entropy_matches_library(capsys):
         sector_distribution_x(code4, 0.17),
         BitVector(code4.k, 0),
         BitVector(code4.k, 1),
-    ).value
+    )
     assert abs(float(rows[0][6]) - want) < 1e-15
 
 

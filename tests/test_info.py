@@ -18,8 +18,6 @@ from csstat.css import with_logical_basis
 from csstat.gf2 import BitMatrix, BitVector
 from csstat.info import (
     bound_report,
-    coherent_information_factorized,
-    coherent_information_general,
     ml_success,
     relative_entropy,
     sampling_success,
@@ -30,9 +28,9 @@ from csstat.zoo import four22, steane, surface2d, toric2d
 
 
 def ic_factorized(code, p):
-    return coherent_information_factorized(
+    return bound_report((
         sector_distribution_x(code, p), sector_distribution_z(code, p)
-    ).value
+    )).ic_bits
 
 
 def test_endpoints():
@@ -49,11 +47,11 @@ def test_joint_agrees_with_factorized():
         joint = sector_distribution_joint(
             code, depolarizing_from_independent(px, pz)
         )
-        a = coherent_information_general(joint).value
-        b = coherent_information_factorized(
+        a = bound_report(joint).ic_bits
+        b = bound_report((
             sector_distribution_x(code, px),
             sector_distribution_z(code, pz),
-        ).value
+        )).ic_bits
         assert abs(a - b) < 1e-12
 
 
@@ -119,16 +117,11 @@ def test_self_dual_sides_contribute_equally():
     p = 0.13
     dx = sector_distribution_x(code, p)
     dz = sector_distribution_z(code, p)
-    full = coherent_information_factorized(dx, dz).value
+    full = bound_report((dx, dz)).ic_bits
     # swap-in a fresh Z table at the same rate: value unchanged
-    assert abs(
-        coherent_information_factorized(dx, sector_distribution_z(code, p)).value
-        - full
-    ) < 1e-15
+    assert abs(bound_report((dx, sector_distribution_z(code, p))).ic_bits - full) < 1e-15
     half = (full - code.k) / 2
-    one_sided = coherent_information_factorized(
-        dx, sector_distribution_z(code, 0.0)
-    ).value
+    one_sided = bound_report((dx, sector_distribution_z(code, 0.0))).ic_bits
     assert abs((one_sided - code.k) - half) < 1e-12
 
 
@@ -137,13 +130,11 @@ def test_mode_and_code_mismatch_rejected():
     dx = sector_distribution_x(code, 0.1)
     dz = sector_distribution_z(code, 0.1)
     with pytest.raises(ValueError):
-        coherent_information_factorized(dz, dx)  # swapped modes
+        bound_report((dz, dx))  # swapped modes
     with pytest.raises(ValueError):
-        coherent_information_factorized(
-            dx, sector_distribution_z(steane(), 0.1)
-        )  # different codes
+        bound_report((dx, sector_distribution_z(steane(), 0.1)))  # different codes
     with pytest.raises(ValueError):
-        coherent_information_general(dx)  # not a joint table
+        bound_report(dx)  # not a joint table
 
 
 def test_relative_entropy_shift_only():
@@ -152,13 +143,13 @@ def test_relative_entropy_shift_only():
     k = code.k
     pairs = [(0, 1), (2, 3), (1, 0), (3, 2)]  # all have shift 01
     values = {
-        relative_entropy(dist, BitVector(k, a), BitVector(k, b)).value
+        relative_entropy(dist, BitVector(k, a), BitVector(k, b))
         for a, b in pairs
     }
     assert len(values) == 1
     # a genuinely different shift gives a different value (shift 11 flips
     # both pairs; shifts 01/10 coincide here by the lattice's x-y symmetry)
-    other = relative_entropy(dist, BitVector(k, 0), BitVector(k, 3)).value
+    other = relative_entropy(dist, BitVector(k, 0), BitVector(k, 3))
     assert other not in values
 
 
@@ -169,14 +160,14 @@ def test_relative_entropy_edge_cases():
     one = BitVector(k, 1)
     # identical labels: exactly zero, not just small
     dist = sector_distribution_x(code, 0.2)
-    assert relative_entropy(dist, one, one).value == 0.0
+    assert relative_entropy(dist, one, one) == 0.0
     # perfectly distinguishable at p = 0
-    assert math.isinf(relative_entropy(sector_distribution_x(code, 0.0), zero, one).value)
+    assert math.isinf(relative_entropy(sector_distribution_x(code, 0.0), zero, one))
     # indistinguishable at p = 1/2
-    assert abs(relative_entropy(sector_distribution_x(code, 0.5), zero, one).value) < 1e-12
+    assert abs(relative_entropy(sector_distribution_x(code, 0.5), zero, one)) < 1e-12
     # decreasing toward 0.5
     vals = [
-        relative_entropy(sector_distribution_x(code, p), zero, one).value
+        relative_entropy(sector_distribution_x(code, p), zero, one)
         for p in (0.1, 0.2, 0.3, 0.4, 0.5)
     ]
     assert all(lo <= hi + 1e-12 for lo, hi in zip(vals[1:], vals[:-1]))
@@ -239,14 +230,14 @@ def test_reductions_match_per_entry_loops(code):
             assert ml_success(dist) == ml
             assert abs(sampling_success(dist) - samp) < 1e-13
             if dist is joint:
-                got = coherent_information_general(dist).value - code.k
+                got = bound_report(dist).ic_bits - code.k
                 assert abs(got - cond) < 1e-13
             if rel is not None:
                 got = relative_entropy(
                     dist, BitVector(code.k, 0), BitVector(code.k, 1)
-                ).value
+                )
                 assert got == rel or abs(got - rel) < 1e-13
-        factorized = coherent_information_factorized(dx, dz).value
+        factorized = bound_report((dx, dz)).ic_bits
         want = code.k + _loop_reductions(dx)[0] + _loop_reductions(dz)[0]
         assert abs(factorized - want) < 1e-13
 
@@ -262,7 +253,7 @@ def test_finite_size_ordering_of_coherent_information():
             xs = sector_distributions(code, "x", ps)
             zs = sector_distributions(code, "z", ps)
             curves.append([
-                coherent_information_factorized(x, z).value / code.k
+                bound_report((x, z)).ic_bits / code.k
                 for x, z in zip(xs, zs)
             ])
         for i, p in enumerate(ps):

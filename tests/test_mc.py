@@ -536,8 +536,8 @@ def test_a_proposal_calls_nothing():
     # the toric2d:8 kernel's proposals are straight-line integer code: no
     # CALL between one proposal's AND with top and the next one's
     model = build_sm_x(toric2d(8), BitVector(128, 0))
-    sites, spin_terms = mc._spin_tables(model.num_spins, model.masks)
-    kernel = mc._sweep_kernel(model.num_spins, len(sites), spin_terms)
+    _, spin_terms = mc._spin_tables(model.num_spins, model.masks)
+    kernel = mc._sweep_kernel(model.num_spins, len(model.masks), spin_terms)
     ops = [(ins.opname, ins.argrepr) for ins in dis.get_instructions(kernel)]
     ands = [k for k, (name, arg) in enumerate(ops)
             if name == "BINARY_AND" or (name == "BINARY_OP" and arg == "&")]
