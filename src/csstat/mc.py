@@ -1,6 +1,6 @@
 """Metropolis sampling of the disorder models along the Nishimori line.
 
-Randomness is counter-based splitmix64 throughout: every uniform is a pure
+Randomness is counter-based splitmix64 throughout: every draw is a pure
 function of (stream seed, counter), so results are a pure function of the
 config seed. Counter layout per stream:
 the first num_spins counters draw the initial configuration, and sweep s
@@ -73,15 +73,6 @@ def splitmix64(counters: np.ndarray, seed, out: Optional[np.ndarray] = None) -> 
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return z
-
-
-def uniforms(counters: np.ndarray, seed) -> np.ndarray:
-    """Uniforms in [0, 1) with 53-bit mantissas from the counter stream."""
-    z = splitmix64(counters, seed)
-    z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u *= 2.0 ** -53
-    return u
 
 
 @dataclass(frozen=True)
@@ -251,9 +242,11 @@ def _lockstep(num_spins: int, tables, kernel: Callable, lanes: Sequence[Lane],
 
     seeds = np.array([seed & _MASK for *_, seed in lanes], dtype=np.uint64)
     seeds = seeds.reshape(n, 1, 1)
-    init = uniforms(np.arange(num_spins, dtype=np.uint64), seeds)
+    # spin i starts down where u >= 1/2, the top bit of its draw
+    init = splitmix64(np.arange(num_spins, dtype=np.uint64), seeds)
+    init >>= np.uint64(63)
     start = np.zeros(num_spins + 1, dtype=np.uint64)
-    start[:num_spins] = _pack(init >= 0.5, field)
+    start[:num_spins] = _pack(init, field)
     # spins, then the terms' negative products
     state = start[:num_spins].tolist() + _term_words(start, padded, sign_word).tolist()
     top = sum(half << c * field for c in range(n))
@@ -448,11 +441,14 @@ def metropolis(
 
 
 def sample_disorder(code: CssCode, p: float, rng_seed: int) -> BitVector:
-    """An iid rate-p error pattern over the qubits from the counter stream."""
+    """An iid rate-p error pattern over the qubits from the counter stream:
+    qubit l errs where its draw's uniform is below p, compared as integers
+    (_integer_cuts), exactly for every p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {p}")
-    u = uniforms(np.arange(code.n, dtype=np.uint64), rng_seed)
-    return BitVector.from_bits(1 if x < p else 0 for x in u.tolist())
+    z = splitmix64(np.arange(code.n, dtype=np.uint64), rng_seed)
+    z >>= np.uint64(11)
+    return BitVector.from_bits((z < _integer_cuts(np.float64(p))).tolist())
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ itself.
 
 Each sector's representative is the XOR of css.label_generators at its
 label's set bits, so the term signs of all 2^m sectors of a side are one
-parity matrix of labels against per-term masks (_sector_masks, _sector_signs).
+parity matrix of labels against per-term masks (_sector_masks, _sector_signs),
+and sector_ln_z sums each sector of a side in turn.
 
 partition_exact enumerates spin configurations, so it is limited to small
 models; the mc module handles larger single-register models by sampling.
@@ -34,15 +35,14 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channels import (
-    MODE_JOINT,
     PauliNoise,
-    SectorDistribution,
     exact_sum,
+    sector_distribution_joint,
     sector_distribution_x,
     sector_distribution_z,
 )
@@ -114,9 +114,8 @@ class SmModel:
     """A disorder realization of the dual spin model, held as parallel arrays.
 
     Term t is signs[t] * prod(spins in the int bitmask masks[t]), coupled by
-    families[t]. Only signs depend on the sector, so per-sector loops build
-    one model per (code, side) and pass partition_sums blocks of sign rows,
-    one row per sector.
+    families[t]. Only signs depend on the sector, so sector_ln_z builds one
+    model per (code, side) and swaps in each sector's row of signs.
 
     sigma_spins is the size of the first register (equal to num_spins for
     single-register models); coupled models append the second register after
@@ -297,21 +296,6 @@ def partition_exact(model: SmModel, couplings: Couplings, blocks=None) -> float:
     return ln_z
 
 
-def partition_sums(
-    model: SmModel, sign_blocks: Iterable[np.ndarray], couplings: Couplings
-) -> Iterator[float]:
-    """ln Z of model with each row of term signs in turn, from 2-D blocks of
-    rows read lazily; the parity blocks are built once for all rows."""
-    _check_exact_size(model.num_spins)
-    blocks = _parity_blocks(model, couplings)
-    head = (model.num_spins, model.masks)
-    tail = (model.species, model.sigma_spins)
-    for block in sign_blocks:
-        for signs in block:
-            # positional, in field order: half the cost of dataclasses.replace
-            yield partition_exact(SmModel(*head, signs, *tail), couplings, blocks)
-
-
 def _sector_masks(code: CssCode, side: str) -> Tuple[np.ndarray, int]:
     """(masks, m): term t's sign in the sector labelled u is _parity(u,
     masks[t]), for the m-bit labels of side "x", "z" or "coupled".
@@ -336,6 +320,36 @@ def _sector_signs(masks: np.ndarray, m: int) -> Iterator[np.ndarray]:
     for start in range(0, 1 << m, _ROW_BLOCK):
         labels = np.arange(start, min(start + _ROW_BLOCK, 1 << m), dtype=np.uint64)
         yield _parity(labels[:, None], masks)
+
+
+def sector_ln_z(
+    code: CssCode, side: str, couplings: Couplings
+) -> Tuple[SmModel, Iterator[float]]:
+    """(base, ln_z): the model of side "x", "z" or "coupled" with every sign
+    +1, and each sector's ln Z in table-index order, read lazily.
+
+    The call runs check_sector_loop and builds base and the side's
+    _sector_masks; the parity blocks are built once, at the first ln Z, and
+    each sector is one partition_exact call on base with that sector's signs.
+    """
+    check_sector_loop(code, side)
+    zero = BitVector(code.n, 0)
+    if side == SPECIES_COUPLED:
+        base = build_sm_coupled(code, zero, zero)
+    else:
+        base = (build_sm_x if side == SPECIES_X else build_sm_z)(code, zero)
+    masks = _sector_masks(code, side)
+
+    def ln_z() -> Iterator[float]:
+        blocks = _parity_blocks(base, couplings)
+        head = (base.num_spins, base.masks)
+        tail = (base.species, base.sigma_spins)
+        for block in _sector_signs(*masks):
+            for signs in block:
+                # positional, in field order: half the cost of dataclasses.replace
+                yield partition_exact(SmModel(*head, signs, *tail), couplings, blocks)
+
+    return base, ln_z()
 
 
 def log_normalization(model: SmModel, couplings: Couplings) -> float:
@@ -375,8 +389,8 @@ def log_sector_probability(model: SmModel, couplings: Couplings) -> float:
 class IdentityReport:
     """Worst-case agreement between spin-model and enumerated probabilities.
 
-    times holds the seconds per stage: the sector table ("table", when the
-    check built it), the label generator columns ("rows"), the sign rows and
+    times holds the seconds per stage: the sector table ("table"), the
+    side's model and label generator columns ("rows"), the sign rows and
     their sums ("sums").
     """
 
@@ -386,19 +400,20 @@ class IdentityReport:
     times: Dict[str, float] = field(compare=False)
 
 
-def _identity_report(base, masks, couplings, p_true, times) -> IdentityReport:
-    """Worst |normalized Z - p| over the sectors of the side whose
-    _sector_masks are masks; NaN if any deviation is NaN (np.max propagates
-    it, max() would drop it). times gains the seconds spent on the sign rows
-    and their sums ("sums")."""
-    ln_norm = log_normalization(base, couplings)
+def _identity_report(code, side, couplings, p_true, times) -> IdentityReport:
+    """Worst |normalized Z - p| over the sectors of side, whose table is
+    p_true; NaN if any deviation is NaN (np.max propagates it, max() would
+    drop it). times gains the seconds spent building the model and label
+    generator columns ("rows") and the sign rows and their sums ("sums")."""
     start = time.perf_counter()
-    ln_z = partition_sums(base, _sector_signs(*masks), couplings)
+    base, ln_z = sector_ln_z(code, side, couplings)
+    rows = time.perf_counter()
+    ln_norm = log_normalization(base, couplings)
     devs = np.fromiter(
         (abs(math.exp(v + ln_norm) - p) for v, p in zip(ln_z, p_true)),
         float, count=len(p_true),
     )
-    times["sums"] = time.perf_counter() - start
+    times.update(rows=rows - start, sums=time.perf_counter() - rows)
     return IdentityReport(len(p_true), float(np.max(devs)), base.num_spins, times)
 
 
@@ -409,37 +424,24 @@ def verify_sector_identity(
 
     The side's model is built once; each sector swaps in only its signs.
     """
+    if side not in ("x", "z"):
+        raise ValueError(f"side must be 'x' or 'z', got {side!r}")
     couplings = Couplings.uniform(nishimori_beta(p))
     check_sector_loop(code, side)
-    zero = BitVector(code.n, 0)
     start = time.perf_counter()
-    if side == "x":
-        dist, base = sector_distribution_x(code, p), build_sm_x(code, zero)
-    elif side == "z":
-        dist, base = sector_distribution_z(code, p), build_sm_z(code, zero)
-    else:
-        raise ValueError(f"side must be 'x' or 'z', got {side!r}")
-    table = time.perf_counter()
-    masks = _sector_masks(code, side)
-    times = {"table": table - start, "rows": time.perf_counter() - table}
-    return _identity_report(base, masks, couplings, dist.table.tolist(), times)
+    dist = (sector_distribution_x if side == "x" else sector_distribution_z)(code, p)
+    times = {"table": time.perf_counter() - start}
+    return _identity_report(code, side, couplings, dist.table.tolist(), times)
 
 
-def verify_sector_identity_coupled(
-    code: CssCode, noise: PauliNoise, dist: SectorDistribution
-) -> IdentityReport:
-    """Check the two-register model against a joint sector table."""
-    if dist.mode != MODE_JOINT:
-        raise ValueError(f"dist must be {MODE_JOINT}, got {dist.mode}")
-    if dist.widths != {**label_functionals(code, "x")[1], **label_functionals(code, "z")[1]}:
-        raise ValueError("dist's sector label widths do not match the code")
+def verify_sector_identity_coupled(code: CssCode, noise: PauliNoise) -> IdentityReport:
+    """Check the two-register model against the joint sector table of noise."""
     couplings = Couplings.from_pauli(noise)
     check_sector_loop(code, SPECIES_COUPLED)
-    base = build_sm_coupled(code, BitVector(code.n, 0), BitVector(code.n, 0))
     start = time.perf_counter()
-    masks = _sector_masks(code, SPECIES_COUPLED)
-    times = {"rows": time.perf_counter() - start}
-    return _identity_report(base, masks, couplings, dist.table.tolist(), times)
+    dist = sector_distribution_joint(code, noise)
+    times = {"table": time.perf_counter() - start}
+    return _identity_report(code, SPECIES_COUPLED, couplings, dist.table.tolist(), times)
 
 
 @dataclass(frozen=True)
@@ -508,12 +510,9 @@ def domain_wall_free_energy(
     if k_shift.is_zero():
         raise ValueError("k_shift must be nonzero (the cost is trivially 0)")
     couplings = Couplings.uniform(nishimori_beta(p))
-    check_sector_loop(code, SPECIES_X)
-    base = build_sm_x(code, BitVector(code.n, 0))
+    base, ln_z = sector_ln_z(code, SPECIES_X, couplings)
     ln_norm = log_normalization(base, couplings)
-    sign_blocks = _sector_signs(*_sector_masks(code, SPECIES_X))
-    ln_z = np.fromiter(partition_sums(base, sign_blocks, couplings), float)
-    ln_z = ln_z.reshape(-1, 1 << code.k)
+    ln_z = np.fromiter(ln_z, float).reshape(-1, 1 << code.k)
     partner = ln_z[:, np.arange(ln_z.shape[1]) ^ k_shift.bits]
     prob = np.exp(ln_z + ln_norm)
     return float((prob * (ln_z - partner)).sum()) / math.log(2.0)

@@ -8,6 +8,7 @@ import numpy as np
 from csstat.channels import InternalInvariantError, exact_sum
 from csstat.css import TooLarge
 from csstat.gf2 import BitMatrix
+from csstat.mc import splitmix64
 from csstat.statmech import SPECIES_COUPLED, SmModel
 
 MAX_OBSERVABLE_SPINS = 18  # exact_observables holds every configuration in memory
@@ -49,6 +50,16 @@ def exact_observables(model: SmModel, beta: float):
     )
     corr = (spins * w[:, None]).T @ spins / zw
     return ln_z, mean_h, corr
+
+
+def uniforms(counters: np.ndarray, seed) -> np.ndarray:
+    """Uniforms in [0, 1) with 53-bit mantissas from the counter stream: the
+    float u = (z >> 11) * 2^-53 that mc compares as the integer z >> 11."""
+    z = splitmix64(counters, seed)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 def scalar_derive_seed(seed: int, *indices: int) -> int:

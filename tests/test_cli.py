@@ -530,8 +530,7 @@ def test_one_partition_sum_per_sector(capsys, monkeypatch):
     assert spins == [9] * 1024
     spins.clear()
     noise = parse_noise("depolarizing").rates_at(0.1)
-    joint = sector_distribution_joint(steane(), noise)
-    statmech.verify_sector_identity_coupled(steane(), noise, joint)
+    statmech.verify_sector_identity_coupled(steane(), noise)
     assert spins == [6] * 256
 
 

@@ -46,7 +46,6 @@ from csstat.statmech import (
     mask_sites,
     nishimori_beta,
     partition_exact,
-    partition_sums,
     sm_from_json_dict,
     sm_to_json_dict,
     verify_sector_identity,
@@ -122,13 +121,9 @@ def test_sector_identity_coupled():
     code = four22()
     noise = PauliNoise(0.06, 0.03, 0.1)
     joint = sector_distribution_joint(code, noise)
-    rep = verify_sector_identity_coupled(code, noise, joint)
+    rep = verify_sector_identity_coupled(code, noise)
     assert rep.sectors_checked == len(joint.table)
     assert rep.max_abs_dev < 1e-12
-    with pytest.raises(ValueError, match="joint"):
-        verify_sector_identity_coupled(code, noise, sector_distribution_x(code, 0.1))
-    with pytest.raises(ValueError, match="widths"):
-        verify_sector_identity_coupled(steane(), noise, joint)
 
 
 def test_gauge_covariance():
@@ -267,7 +262,7 @@ def test_spin_limit_is_checked_before_the_parity_block():
     model = trivial_x_model(code)
     assert model.num_spins == 70
     with pytest.raises(TooLarge, match="24-spin limit"):
-        next(partition_sums(model, [np.array([model.signs])], Couplings.uniform(0.5)))
+        partition_exact(model, Couplings.uniform(0.5))
     with pytest.raises(TooLarge, match="24-spin limit"):
         domain_wall_free_energy(code, 0.1, BitVector(code.k, 1))
 
@@ -539,17 +534,49 @@ def test_partition_sums_equal_per_model_sums(selector, digest):
          [_coupled_signs(ex, ez) for ex, ez in
           zip(_error_rows(code.n, 4, 3), _error_rows(code.n, 4, 4))]),
     ):
-        blocks = [np.array(rows[i:i + 3]) for i in range(0, len(rows), 3)]
-        got = list(partition_sums(base, blocks, couplings))
+        blocks = statmech._parity_blocks(base, couplings)
+        got = [partition_exact(replace(base, signs=r), couplings, blocks) for r in rows]
         assert got == [partition_exact(replace(base, signs=r), couplings) for r in rows]
         values += got
-        # float64 rows, as the sector loops build them, give the same sums
-        assert list(partition_sums(base, [np.array(rows, float)], couplings)) == got
-        # blocks are drawn one at a time, not gathered up front
-        pending = iter(blocks)
-        next(partition_sums(base, pending, couplings))
-        assert len(list(pending)) == len(blocks) - 1
+        # float64 rows, as sector_ln_z builds them, give the same sums
+        assert [partition_exact(replace(base, signs=r), couplings, blocks)
+                for r in np.array(rows, float)] == got
     assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == digest
+
+
+def test_sector_ln_z_reads_one_sign_block_at_a_time(monkeypatch):
+    # the first ln Z builds the parity blocks and only the first block of
+    # sign rows; each later block is built when its first sector is asked for
+    monkeypatch.setattr(statmech, "_ROW_BLOCK", 4)
+    sign_blocks, parity_blocks, built = statmech._sector_signs, statmech._parity_blocks, []
+
+    def counted_signs(*args):
+        for block in sign_blocks(*args):
+            built.append("signs")
+            yield block
+
+    def counted_parity(*args):
+        built.append("parity")
+        return parity_blocks(*args)
+
+    monkeypatch.setattr(statmech, "_sector_signs", counted_signs)
+    monkeypatch.setattr(statmech, "_parity_blocks", counted_parity)
+    code, zero = steane(), BitVector(7, 0)
+    uniform = Couplings.uniform(nishimori_beta(0.1))
+    for side, base, couplings in (
+        ("x", build_sm_x(code, zero), uniform),
+        ("z", build_sm_z(code, zero), uniform),
+        ("coupled", build_sm_coupled(code, zero, zero),
+         Couplings.from_pauli(depolarizing_from_independent(0.1, 0.1))),
+    ):
+        first = partition_exact(base, couplings)  # sector 0: every sign +1
+        built.clear()
+        sector_base, ln_z = statmech.sector_ln_z(code, side, couplings)
+        assert sector_base == base and built == []
+        assert next(ln_z) == first
+        assert built == ["parity", "signs"]
+        sectors = 1 + sum(1 for _ in ln_z)
+        assert built == ["parity"] + ["signs"] * (sectors // 4)
 
 
 def _representative(code, side, label):
@@ -690,28 +717,26 @@ def test_identity_deviations_are_pinned():
     assert verify_sector_identity(code, 0.1, "z").max_abs_dev == 4.718447854656915e-16
     st = steane()
     noise = parse_noise("depolarizing").rates_at(0.1)
-    joint = sector_distribution_joint(st, noise)
-    assert (verify_sector_identity_coupled(st, noise, joint).max_abs_dev
+    assert (verify_sector_identity_coupled(st, noise).max_abs_dev
             == 1.6653345369377348e-16)
     dw = domain_wall_free_energy(toric2d(3), 0.1, BitVector.from01("01"))
     assert dw.hex() == "0x1.c3b5d3b4c74e5p+1"
     with pytest.raises(ValueError, match="side"):
         verify_sector_identity(code, 0.1, "y")
+    # a bad side is refused before the size guard, which the coupled model
+    # of surface2d:4x6 (2**38 configurations) would fail
+    with pytest.raises(ValueError, match="side"):
+        verify_sector_identity(surface2d(4, 6), 0.1, "coupled")
 
 
 def _sector_ln_z(selector, side):
     """ln Z of every sector of one side (or the depolarizing coupled model),
     in sector order, through the loop the identity checks use."""
-    code = from_selector(selector)
-    zero = BitVector(code.n, 0)
     if side == "coupled":
-        base = build_sm_coupled(code, zero, zero)
         couplings = Couplings.from_pauli(parse_noise("depolarizing").rates_at(0.1))
     else:
-        base = (build_sm_x if side == "x" else build_sm_z)(code, zero)
         couplings = Couplings.uniform(nishimori_beta(0.1))
-    blocks = statmech._sector_signs(*statmech._sector_masks(code, side))
-    return list(partition_sums(base, blocks, couplings))
+    return list(statmech.sector_ln_z(from_selector(selector), side, couplings)[1])
 
 
 @pytest.mark.parametrize(
